@@ -8,14 +8,26 @@ Two independently derived engines produce the same right-hand side:
   per-qubit transition phases.
 
 Everything evolves in the rotating frame that removes the fast Larmor
-phases, so trajectories carry coherence magnitudes directly.
+phases, so trajectories carry coherence magnitudes directly.  Each engine
+exposes its 64x64 (for three qubits) Liouville matrix A(t) acting on
+vec(rho).
+
+Both generators are covariant under that frame: A(t + c) = D(t) A(c) D(-t)
+with D(t) = diag(exp(i Delta t)) and Delta_mn = eps_m - eps_n from the
+half-coupling energies.  One classical RK4 step from time s*dt is therefore
+D(s dt) M0 D(-s dt), M0 being the step matrix at t = 0, and N steps
+collapse to D(N dt) Q^N with the constant transfer matrix
+Q = D(-dt) M0.  The integrator builds Q once and jumps between recorded
+samples with Q^stride, which is the same RK4 discretization without a
+per-step loop.  The step loop survives only to locate the step at which a
+run whose records turn non-finite diverged.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +46,8 @@ class EvolutionConfig:
     """Fixed-step integration settings.
 
     record_stride is the number of steps between recorded samples; the
-    initial and final states are always recorded.
+    initial and final states are always recorded.  t_max must be a whole
+    number of dt steps, so the final sample lands on t_max.
     """
 
     t_max: float
@@ -47,6 +60,9 @@ class EvolutionConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
+        if abs(round(self.t_max / self.dt) * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
+            raise ValueError(f"t_max = {self.t_max:g} is not a whole number of "
+                             f"dt = {self.dt:g} steps")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
         if not isinstance(self.engine, EngineKind):
@@ -59,7 +75,6 @@ class Trajectory:
 
     taus: np.ndarray
     rhos: np.ndarray  # (n_records, dim, dim)
-    observed: dict[str, np.ndarray]
 
     @property
     def n_records(self) -> int:
@@ -194,9 +209,49 @@ def closed_form_dephasing(rho0: np.ndarray, t, env: EnvironmentSpec) -> np.ndarr
     return rho0[None, :, :] * np.exp(-rates[None, :, :] * t[:, None, None])
 
 
-# ------------------------------------------------- element-wise dissipation
+# -------------------------------------------------------------- generators
 
-class _ElementWiseDissipation:
+def frame_frequencies(params: SpinChainParams, env: EnvironmentSpec) -> np.ndarray:
+    """Rotating-frame frequencies Delta_mn = eps_m - eps_n.
+
+    eps are the energies of the chain with half couplings, whose
+    differences are the transition frequencies the dissipative jump
+    operators carry; Delta is zero for the static dephasing generators.
+    """
+    _check_sizes(params, env)
+    if not env.model.dissipative:
+        return np.zeros((params.dim, params.dim))
+    half = SpinChainParams(params.omegas, 0.5 * params.coupling_j, 0.5 * params.coupling_jp)
+    eps = all_energies(half)
+    return eps[:, None] - eps[None, :]
+
+
+class _Generator:
+    """Right-hand side f(rho, t) = unvec(A(t) vec rho); subclasses supply
+    the Liouville matrix A(t) from their own construction."""
+
+    _dim: int
+
+    def matrix(self, t: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def __call__(self, rho: np.ndarray, t: float) -> np.ndarray:
+        return (self.matrix(t) @ rho.reshape(-1)).reshape(self._dim, self._dim)
+
+
+class _ElementWiseDephasing(_Generator):
+    """d(rho_mn)/dt = -R_mn rho_mn: a static diagonal Liouville matrix."""
+
+    def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
+        _check_sizes(params, env)
+        self._dim = params.dim
+        self._rates = -dephasing_rate_matrix(env).reshape(-1).astype(complex)
+
+    def matrix(self, t: float) -> np.ndarray:
+        return np.diag(self._rates)
+
+
+class _ElementWiseDissipation(_Generator):
     """Per-entry rate equations compiled to a frequency-tagged sparse form.
 
     For each ordered qubit pair (k, l) with rate gamma_kl, entry (m, n)
@@ -276,13 +331,12 @@ class _ElementWiseDissipation:
         self._slots = slot_arr
         self._coeffs = np.asarray(coeffs, dtype=complex)
         self._freqs = np.asarray(freqs, dtype=float)
-        self._matrix = np.zeros((size, size), dtype=complex)
 
-    def __call__(self, rho: np.ndarray, t: float) -> np.ndarray:
-        values = self._coeffs * np.exp(self._freqs * (1j * t))
-        mat = self._matrix
-        mat.flat[self._slots] = values
-        return (mat @ rho.reshape(-1)).reshape(self._dim, self._dim)
+    def matrix(self, t: float) -> np.ndarray:
+        size = self._dim * self._dim
+        mat = np.zeros((size, size), dtype=complex)
+        mat.flat[self._slots] = self._coeffs * np.exp(self._freqs * (1j * t))
+        return mat
 
 
 def rhs_dissipation(rho: np.ndarray, t: float, params: SpinChainParams,
@@ -297,7 +351,7 @@ def rhs_dissipation(rho: np.ndarray, t: float, params: SpinChainParams,
 
 # ------------------------------------------------------ operator-built path
 
-class _OperatorBuilt:
+class _OperatorBuilt(_Generator):
     """Constant superoperator from jump-operator products, conjugated by the
     diagonal frame unitary.
 
@@ -326,75 +380,108 @@ class _OperatorBuilt:
                     - np.kron(eye, anti.T)
                 )
         self._dim = dim
-        self._matrix = liouville
-        if env.model.dissipative:
-            half = SpinChainParams(params.omegas, 0.5 * params.coupling_j,
-                                   0.5 * params.coupling_jp)
-            eps = all_energies(half)
-            self._delta = eps[:, None] - eps[None, :]
-        else:
-            self._delta = None
+        self._liouville = liouville
+        self._delta = frame_frequencies(params, env).reshape(-1)
 
-    def __call__(self, rho: np.ndarray, t: float) -> np.ndarray:
-        dim = self._dim
-        if self._delta is None:
-            return (self._matrix @ rho.reshape(-1)).reshape(dim, dim)
+    def matrix(self, t: float) -> np.ndarray:
         frame = np.exp(self._delta * (1j * t))
-        rotated = (frame.conj() * rho).reshape(-1)
-        return frame * (self._matrix @ rotated).reshape(dim, dim)
+        return frame[:, None] * self._liouville * frame.conj()[None, :]
 
 
 # ----------------------------------------------------------------- stepping
 
-def make_rhs(params: SpinChainParams, env: EnvironmentSpec,
-             kind: EngineKind) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Compile the right-hand side f(rho, t) for the chosen engine."""
+def make_rhs(params: SpinChainParams, env: EnvironmentSpec, kind: EngineKind) -> _Generator:
+    """Compile the right-hand side f(rho, t) for the chosen engine; its
+    matrix(t) method returns the Liouville matrix A(t) acting on vec(rho)."""
     if kind is EngineKind.OPERATOR_BUILT:
         return _OperatorBuilt(params, env)
     if kind is not EngineKind.ELEMENT_WISE:
         raise ValueError(f"unknown engine {kind!r}")
     if env.model.dissipative:
         return _ElementWiseDissipation(params, env)
-    _check_sizes(params, env)
-    rates = dephasing_rate_matrix(env)
-
-    def rhs(rho, t):
-        return -rates * rho
-
-    return rhs
+    return _ElementWiseDephasing(params, env)
 
 
 def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
-               env: EnvironmentSpec,
-               observers: dict[str, Callable[[np.ndarray, float], float]] | None = None,
-               ) -> Trajectory:
+               env: EnvironmentSpec) -> Trajectory:
     """Integrate d(rho)/dt with classical fixed-step fourth-order Runge-Kutta.
 
-    The state is never renormalized; trace and positivity drift are left
-    visible for the diagnostics.  Raises IntegrationDivergedError as soon
-    as the state picks up a NaN or Inf.
+    The steps are applied as powers of the constant transfer matrix Q (see
+    the module docstring): one product with Q^stride advances the state
+    from one recorded sample to the next.  The state is never
+    renormalized; trace and positivity drift are left visible for the
+    diagnostics.  Warns before integrating when the spectral radius of Q
+    exceeds 1, i.e. dt lies outside RK4's stability region.  Raises
+    IntegrationDivergedError at the first step whose state is non-finite.
     """
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
         raise ValueError(f"rho dim {rho.shape[0]} does not match params dim {params.dim}")
     rhs = make_rhs(params, env, cfg.engine)
     dt = cfg.dt
+    stride = int(cfg.record_stride)
     n_steps = int(round(cfg.t_max / dt))
-    observers = observers or {}
+    delta = frame_frequencies(params, env).reshape(-1)
+    _check_covariance(rhs, delta, n_steps * dt)
+    transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(rhs, dt)
+    _warn_if_unstable(transfer, dt)
 
-    taus: list[float] = []
-    rhos: list[np.ndarray] = []
-    observed: dict[str, list[float]] = {name: [] for name in observers}
+    steps = [*range(0, n_steps, stride), n_steps]
+    hop = np.linalg.matrix_power(transfer, stride)
+    rhos = np.empty((len(steps), params.dim, params.dim), dtype=complex)
+    vec = rho.reshape(-1)
+    for i, step in enumerate(steps):
+        if i:
+            gap = step - steps[i - 1]
+            vec = (hop if gap == stride else np.linalg.matrix_power(transfer, gap)) @ vec
+            if not np.isfinite(vec).all():
+                _locate_divergence(rhs, rhos[i - 1], steps[i - 1], step, dt)
+        rhos[i] = (np.exp(delta * (1j * (step * dt))) * vec).reshape(rho.shape)
+    return Trajectory(taus=np.asarray(steps) * dt, rhos=rhos)
 
-    def record(step_index, state):
-        taus.append(step_index * dt)
-        rhos.append(state.copy())
-        for name, fn in observers.items():
-            observed[name].append(fn(state, step_index * dt))
 
-    for step in range(n_steps):
-        if step % cfg.record_stride == 0:
-            record(step, rho)
+def _rk4_step_matrix(rhs: _Generator, dt: float) -> np.ndarray:
+    """M0, the matrix of one RK4 step from t = 0 for the linear ODE
+    d(vec rho)/dt = A(t) vec rho."""
+    a0, a_half, a1 = rhs.matrix(0.0), rhs.matrix(0.5 * dt), rhs.matrix(dt)
+    eye = np.eye(len(a0))
+    k2 = a_half @ (eye + (0.5 * dt) * a0)
+    k3 = a_half @ (eye + (0.5 * dt) * k2)
+    k4 = a1 @ (eye + dt * k3)
+    return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_covariance(rhs: _Generator, delta: np.ndarray, t: float) -> None:
+    """Raise unless A(t) = D(t) A(0) D(-t), the symmetry the transfer
+    matrix rests on.
+
+    Round-off in the phase arguments grows as |Delta| t, so the mismatch
+    is measured relative to max|A(0)| (1 + max|Delta| t).
+    """
+    frame = np.exp(delta * (1j * t))
+    a0 = rhs.matrix(0.0)
+    mismatch = np.max(np.abs(rhs.matrix(t) - frame[:, None] * a0 * frame.conj()[None, :]))
+    if mismatch > 1e-12 * np.max(np.abs(a0)) * (1.0 + np.max(np.abs(delta)) * t):
+        raise RuntimeError(f"generator is not covariant under the rotating frame: "
+                           f"|A(t) - D(t) A(0) D(-t)| = {mismatch:.3e} at t = {t:g}")
+
+
+def _warn_if_unstable(transfer: np.ndarray, dt: float) -> None:
+    if np.isfinite(transfer).all():
+        radius = float(np.max(np.abs(np.linalg.eigvals(transfer))))
+    else:
+        radius = float("inf")
+    if radius > 1.0 + 1e-9:
+        warnings.warn(f"dt = {dt:g} lies outside the RK4 stability region: the one-step "
+                      f"transfer matrix has spectral radius {radius:.6g} > 1",
+                      UserWarning, stacklevel=3)
+
+
+def _locate_divergence(rhs: _Generator, rho: np.ndarray, start: int, stop: int,
+                       dt: float) -> None:
+    """Replay the RK4 steps start..stop one by one from the finite state rho
+    and raise IntegrationDivergedError at the first non-finite one."""
+    for step in range(start, stop):
         t = step * dt
         k1 = rhs(rho, t)
         k2 = rhs(rho + (0.5 * dt) * k1, t + 0.5 * dt)
@@ -404,13 +491,8 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
         total = complex(rho.sum())
         if not (np.isfinite(total.real) and np.isfinite(total.imag)):
             raise IntegrationDivergedError(step + 1, (step + 1) * dt)
-    record(n_steps, rho)
-
-    return Trajectory(
-        taus=np.asarray(taus),
-        rhos=np.asarray(rhos),
-        observed={name: np.asarray(vals) for name, vals in observed.items()},
-    )
+    # the powered transfer matrix overflowed although single steps did not
+    raise IntegrationDivergedError(stop, stop * dt)
 
 
 def _check_rho_dim(rho: np.ndarray, n_qubits: int) -> None:

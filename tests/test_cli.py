@@ -42,6 +42,15 @@ def test_simulate_missing_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_grid_missing_t_max_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path / "grid.cfg",
+                "model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.3\n"
+                f"out = {tmp_path}/x.csv\n")
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_divergence_exits_2(tmp_path, capsys):
     # rate far beyond the fixed-step stability limit
     cfg = write(tmp_path / "stiff.cfg",

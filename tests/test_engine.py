@@ -1,5 +1,6 @@
 import functools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import lindchain as lc
 from helpers import random_density
 from lindchain import EngineKind, EnvironmentModel, EvolutionConfig
-from lindchain.engine import lowering_operators, sz_operators
+from lindchain.engine import frame_frequencies, lowering_operators, sz_operators
 
 M = EnvironmentModel
 MODELS = tuple(M)
@@ -206,6 +207,43 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
     assert np.array_equal(lc.rhs_dephasing(rho, dep), lc.rhs_dephasing(rho, dep_zeroed))
 
 
+# ------------------------------------------------------- Liouville matrices
+
+TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
+TWO_QUBIT_ENV = lc.make_environment(M.CORRELATED_DISSIPATION,
+                                    [[0.05, 0.02], [0.02, 0.04]], 0.05, n_qubits=2)
+
+
+def test_engine_matrix_applies_the_rhs(default_setup):
+    params, envs = default_setup
+    rng = np.random.default_rng(5)
+    for env in envs.values():
+        for kind in EngineKind:
+            rhs = lc.make_rhs(params, env, kind)
+            for t in (0.0, 0.61, 17.3):
+                rho = random_density(rng)
+                applied = (rhs.matrix(t) @ rho.reshape(-1)).reshape(8, 8)
+                assert np.max(np.abs(applied - rhs(rho, t))) < 1e-12
+
+
+def test_generators_are_frame_covariant(default_setup):
+    """A(t + c) = D(t) A(c) D(-t) with D(t) = diag(exp(i Delta t)): the
+    symmetry that turns RK4 into powers of one transfer matrix."""
+    params, envs = default_setup
+    cases = [(params, env) for env in envs.values()]
+    cases.append((TWO_QUBIT_CHAIN, TWO_QUBIT_ENV))
+    cases.append((lc.SpinChainParams(coupling_j=12.0, coupling_jp=0.5),
+                  envs[M.CORRELATED_DISSIPATION]))
+    for chain, env in cases:
+        delta = frame_frequencies(chain, env).reshape(-1)
+        for kind in EngineKind:
+            rhs = lc.make_rhs(chain, env, kind)
+            for t, c in ((0.37, 0.0), (2.9, 0.0005), (4.4, 1.3)):
+                frame = np.exp(1j * delta * t)
+                moved = frame[:, None] * rhs.matrix(c) * frame.conj()[None, :]
+                assert np.max(np.abs(rhs.matrix(t + c) - moved)) < 1e-12
+
+
 # ------------------------------------------------------------------ stepping
 
 def test_rk4_recording_grid(default_setup):
@@ -220,14 +258,48 @@ def test_rk4_recording_grid(default_setup):
     assert single.taus == pytest.approx([0.0])
 
 
-def test_rk4_observers(default_setup):
+def _reference_rk4(rhs, rho, n_steps, dt, stride):
+    """The classical step-by-step RK4 loop, four RHS calls per step."""
+    records = []
+    for step in range(n_steps):
+        if step % stride == 0:
+            records.append(rho.copy())
+        t = step * dt
+        k1 = rhs(rho, t)
+        k2 = rhs(rho + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3 = rhs(rho + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4 = rhs(rho + dt * k3, t + dt)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    records.append(rho)
+    return np.asarray(records)
+
+
+def test_transfer_matrix_matches_step_loop(default_setup):
     params, envs = default_setup
-    cfg = EvolutionConfig(t_max=0.5, dt=0.1, record_stride=2)
-    traj = lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params,
-                         envs[M.DEPHASING],
-                         observers={"purity": lambda rho, t: lc.purity(rho)})
-    assert traj.observed["purity"].shape == traj.taus.shape
-    assert traj.observed["purity"][0] == pytest.approx(1.0)
+    rho0 = lc.initial_bell_density(1, 8)
+    cfg = EvolutionConfig(t_max=0.37, dt=0.01, record_stride=5)  # 37 steps
+    for env in envs.values():
+        for kind in EngineKind:
+            traj = lc.rk4_evolve(rho0, replace(cfg, engine=kind), params, env)
+            reference = _reference_rk4(lc.make_rhs(params, env, kind),
+                                       rho0.astype(complex), 37, 0.01, 5)
+            assert traj.taus == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2, 0.25,
+                                               0.3, 0.35, 0.37])
+            assert np.max(np.abs(traj.rhos - reference)) < 1e-12
+
+
+def test_rk4_warns_outside_stability_region(default_setup):
+    params, envs = default_setup
+    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)
+    cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="spectral radius"):
+            with pytest.raises(lc.IntegrationDivergedError):
+                lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for env in envs.values():
+            lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, env)
 
 
 def test_rk4_matches_closed_form_dephasing(default_setup):
@@ -271,6 +343,8 @@ def test_evolution_config_validation():
         EvolutionConfig(t_max=-1.0)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, record_stride=0)
+    with pytest.raises(ValueError, match="whole number"):
+        EvolutionConfig(t_max=1.0, dt=0.3)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, engine="element_wise")
     with pytest.raises(ValueError):

@@ -109,6 +109,14 @@ def test_rate_validation():
         parse_config("model = dephasing\nstate = psi_18\ndt = -1\n")
 
 
+def test_grid_must_reach_t_max():
+    # 1 / 0.3 is not a whole number of steps: the run would stop at 0.9
+    with pytest.raises(ConfigError, match="whole number"):
+        parse_config("model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.3\n")
+    cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 0.9\ndt = 0.3\n")
+    assert cfg.evolution.t_max == 0.9
+
+
 # -------------------------------------------------------------------- CSV
 
 def test_render_csv_format():

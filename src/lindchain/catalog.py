@@ -51,32 +51,30 @@ _TABLE = (
 )
 
 
+def default_rate_matrix() -> list[list[float]]:
+    """Fresh 3x3 default rate matrix: DEFAULT_DIAGONAL_RATE on the diagonal,
+    DEFAULT_CROSS_RATES mirrored off it.  Used for both gamma and Gamma."""
+    mat = [[0.0] * 3 for _ in range(3)]
+    for k in range(3):
+        mat[k][k] = DEFAULT_DIAGONAL_RATE
+    for (a, b), rate in DEFAULT_CROSS_RATES.items():
+        mat[a - 1][b - 1] = rate
+        mat[b - 1][a - 1] = rate
+    return mat
+
+
 def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, EnvironmentSpec]]:
     """Chain parameters and one environment per model, default rates.
 
     omega = (400, 200, 100), J = 10, J' = 0.4, all in 2*pi*MHz; every
     per-qubit rate is 0.05 and the correlated models add the cross rates
     gamma_12 = 0.05, gamma_23 = 0.025, gamma_13 = 0.0125 (same for Gamma).
+    The uncorrelated models drop the cross rates in `make_environment`.
     """
     params = SpinChainParams()
-    n = params.n_qubits
-    diag = [DEFAULT_DIAGONAL_RATE] * n
-    full = [[0.0] * n for _ in range(n)]
-    for k in range(n):
-        full[k][k] = DEFAULT_DIAGONAL_RATE
-    for (a, b), rate in DEFAULT_CROSS_RATES.items():
-        full[a - 1][b - 1] = rate
-        full[b - 1][a - 1] = rate
-    environments = {
-        EnvironmentModel.INDEPENDENT_DISSIPATION: make_environment(
-            EnvironmentModel.INDEPENDENT_DISSIPATION, diag, diag, n),
-        EnvironmentModel.CORRELATED_DISSIPATION: make_environment(
-            EnvironmentModel.CORRELATED_DISSIPATION, full, full, n),
-        EnvironmentModel.DEPHASING: make_environment(
-            EnvironmentModel.DEPHASING, diag, diag, n),
-        EnvironmentModel.CORRELATED_DEPHASING: make_environment(
-            EnvironmentModel.CORRELATED_DEPHASING, full, full, n),
-    }
+    rates = default_rate_matrix()
+    environments = {model: make_environment(model, rates, rates, params.n_qubits)
+                    for model in EnvironmentModel}
     return params, environments
 
 

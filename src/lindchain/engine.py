@@ -47,7 +47,8 @@ class EvolutionConfig:
 
     record_stride is the number of steps between recorded samples; the
     initial and final states are always recorded.  t_max must be a whole
-    number of dt steps, so the final sample lands on t_max.
+    number of dt steps, so the final sample lands on t_max.  Each ValueError
+    message starts with the name of the field at fault.
     """
 
     t_max: float

@@ -8,8 +8,6 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import jacobi_eigenvalues
-
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 
@@ -90,7 +88,7 @@ def make_environment(model: EnvironmentModel, gamma, gamma_dephase,
         g = np.diag(np.diag(g))
         gd = np.diag(np.diag(gd))
     active = g if model.dissipative else gd
-    low = float(jacobi_eigenvalues(active).min()) if n_qubits > 1 else float(active[0, 0])
+    low = float(np.linalg.eigvalsh(active)[0])
     if low < -PSD_TOL:
         warnings.warn(
             f"rate matrix for {model.value} is not positive semidefinite "

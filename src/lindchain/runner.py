@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (DEFAULT_CROSS_RATES, DEFAULT_DIAGONAL_RATE, catalog_entry,
-                      catalog_states, default_parameters)
+from .catalog import (catalog_entry, catalog_states, default_parameters,
+                      default_rate_matrix)
 from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephasing,
                      rk4_evolve)
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
@@ -131,8 +131,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    gamma = _default_rate_matrix()
-    big_gamma = _default_rate_matrix()
+    gamma = default_rate_matrix()
+    big_gamma = default_rate_matrix()
     rate_lines = {}
     for key in [k for k in entries if _RATE_KEY.match(k)]:
         value, lineno = entries.pop(key)
@@ -155,18 +155,10 @@ def parse_config(text: str) -> RunConfig:
             target[i - 1][j - 1] = rate
             target[j - 1][i - 1] = rate
 
-    dt = 1e-3
-    item = take("dt")
-    if item is not None:
-        dt = _parse_float("dt", item)
-    t_max = 50.0
-    item = take("t_max")
-    if item is not None:
-        t_max = _parse_float("t_max", item)
-    stride = 100
-    item = take("stride")
-    if item is not None:
-        stride = _parse_int("stride", item)
+    dt_item, t_max_item, stride_item = take("dt"), take("t_max"), take("stride")
+    dt = 1e-3 if dt_item is None else _parse_float("dt", dt_item)
+    t_max = 50.0 if t_max_item is None else _parse_float("t_max", t_max_item)
+    stride = 100 if stride_item is None else _parse_int("stride", stride_item)
 
     out = take("out")
     plot = take("plot")
@@ -177,6 +169,13 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=stride, engine=engine)
+    except ValueError as exc:
+        # the message starts with the field at fault; a t_max error with t_max
+        # defaulted can only be the whole-number check, so dt is to blame
+        item = {"dt": dt_item, "t_max": t_max_item or dt_item,
+                "record_stride": stride_item}.get(str(exc).split()[0])
+        raise ConfigError(str(exc), item and item[1]) from exc
+    try:
         env = make_environment(model, gamma, big_gamma, params.n_qubits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -184,16 +183,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(model=model, engine=engine, state_name=state_name, pair=pair,
                      family=family, params=params, env=env, evolution=evolution,
                      out=out[0] if out else None, plot=plot[0] if plot else None)
-
-
-def _default_rate_matrix() -> list[list[float]]:
-    mat = [[0.0] * 3 for _ in range(3)]
-    for k in range(3):
-        mat[k][k] = DEFAULT_DIAGONAL_RATE
-    for (a, b), rate in DEFAULT_CROSS_RATES.items():
-        mat[a - 1][b - 1] = rate
-        mat[b - 1][a - 1] = rate
-    return mat
 
 
 def _parse_model(item) -> EnvironmentModel:
@@ -269,22 +258,19 @@ def simulate_trajectory(cfg: RunConfig) -> Trajectory:
 def trajectory_table(traj: Trajectory, pair: tuple[int, int],
                      family: EntanglementFamily) -> list[tuple[float, ...]]:
     """Per-record CSV rows: tau, purity, gme, populations, tracked
-    coherence magnitude, and physicality diagnostics."""
+    coherence magnitude, and physicality diagnostics.
+
+    The diagnostics come from one `diagnostics` call on the whole stack of
+    records; populations and the coherence are read off the same stack.
+    """
     i, j = pair
-    rows = []
-    for tau, rho in zip(traj.taus, traj.rhos):
-        diag = diagnostics(rho)
-        rows.append((
-            float(tau),
-            purity(rho),
-            gme(rho, pair, family),
-            *(float(rho[m, m].real) for m in range(rho.shape[0])),
-            float(abs(rho[i - 1, j - 1])),
-            diag.trace_error,
-            diag.hermiticity_error,
-            diag.min_eigenvalue,
-        ))
-    return rows
+    rhos = traj.rhos
+    populations = np.diagonal(rhos, axis1=1, axis2=2).real.tolist()
+    coherence = np.abs(rhos[:, i - 1, j - 1]).tolist()
+    checks = np.column_stack(diagnostics(rhos)).tolist()
+    return [(tau, purity(rho), gme(rho, pair, family), *pops, coh, *check)
+            for tau, rho, pops, coh, check
+            in zip(traj.taus.tolist(), rhos, populations, coherence, checks)]
 
 
 def render_csv(header: tuple[str, ...], rows) -> str:

@@ -6,17 +6,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import jacobi_eigenvalues
-
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
 
 
 class Diagnostics(NamedTuple):
-    trace_error: float
-    hermiticity_error: float
-    min_eigenvalue: float
+    """Floats for one matrix, length-n arrays for a stack of n."""
+
+    trace_error: float | np.ndarray
+    hermiticity_error: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
 
 
 def initial_bell_density(i: int, j: int, n_qubits: int = 3) -> np.ndarray:
@@ -53,7 +53,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1")
-    low = float(jacobi_eigenvalues(0.5 * (arr + arr.conj().T)).min())
+    low = float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0])
     if low < EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
     return arr.copy()
@@ -62,11 +62,25 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 def diagnostics(rho: np.ndarray) -> Diagnostics:
     """(trace error, hermiticity error, minimum eigenvalue) of rho.
 
-    The minimum eigenvalue comes from the cyclic Jacobi decomposition of
-    the Hermitian part (rho + rho^dagger)/2.
+    rho is one (d, d) matrix or a stack (..., d, d).  The minimum
+    eigenvalue comes from the Hermitian part (rho + rho^dagger)/2, with one
+    LAPACK `eigvalsh` call over the whole stack.  A single matrix gives
+    floats; a stack gives arrays of its leading shape, each entry equal bit
+    for bit to the result for that matrix alone.  Raises ValueError on
+    non-square or non-finite input.
     """
     arr = np.asarray(rho, dtype=complex)
-    trace_error = float(abs(np.trace(arr) - 1.0))
-    hermiticity_error = float(np.max(np.abs(arr - arr.conj().T)))
-    low = float(jacobi_eigenvalues(0.5 * (arr + arr.conj().T)).min())
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected (..., d, d) matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("density matrix has non-finite entries")
+    adjoint = np.swapaxes(arr.conj(), -1, -2)
+    trace_error = np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0)
+    hermiticity_error = np.max(np.abs(arr - adjoint), axis=(-2, -1))
+    # the Hermitian part overwrites the adjoint: one stack-sized temporary less
+    adjoint += arr
+    adjoint *= 0.5
+    low = np.linalg.eigvalsh(adjoint)[..., 0]
+    if arr.ndim == 2:
+        return Diagnostics(float(trace_error), float(hermiticity_error), float(low))
     return Diagnostics(trace_error, hermiticity_error, low)

@@ -17,11 +17,6 @@ def random_density(rng: np.random.Generator, dim: int = 8,
     return (1.0 - noise) * rho + noise * mixer
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (raw + raw.conj().T)
-
-
 # Full-matrix bipartite GME bounds, written directly against the 8x8 rho
 # (no partial trace), as an oracle independent of the library's reduction
 # route.  Per pair: the two coherence entries to sum, then the two

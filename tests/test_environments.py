@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lindchain import EnvironmentModel, make_environment
+from lindchain.catalog import default_rate_matrix
 
 M = EnvironmentModel
 
@@ -70,8 +71,11 @@ def test_indefinite_rate_matrix_warns_not_raises():
     # the canonical correlated matrix has a small negative eigenvalue;
     # sacrificing complete positivity is reported, not fatal
     full = [[0.05, 0.05, 0.0125], [0.05, 0.05, 0.025], [0.0125, 0.025, 0.05]]
-    with pytest.warns(UserWarning, match="not positive semidefinite"):
-        env = make_environment(M.CORRELATED_DEPHASING, full, full)
+    assert full == default_rate_matrix()
+    for model in (M.CORRELATED_DISSIPATION, M.CORRELATED_DEPHASING):
+        with pytest.warns(UserWarning, match=r"not positive semidefinite "
+                                             r"\(min eigenvalue -1\.743e-03\)"):
+            env = make_environment(model, full, full)
     assert env.n_qubits == 3
 
 
@@ -81,6 +85,10 @@ def test_psd_matrix_does_not_warn():
         make_environment(M.CORRELATED_DISSIPATION,
                          [[0.05, 0.01, 0.0], [0.01, 0.05, 0.0], [0.0, 0.0, 0.05]],
                          0.05)
+        # the uncorrelated models keep only the diagonal of the default rates
+        for model in (M.INDEPENDENT_DISSIPATION, M.DEPHASING):
+            make_environment(model, default_rate_matrix(), default_rate_matrix())
+        make_environment(M.DEPHASING, 0.05, 0.05, n_qubits=1)
 
 
 def test_off_diagonals_may_be_negative():

@@ -117,6 +117,18 @@ def test_grid_must_reach_t_max():
     assert cfg.evolution.t_max == 0.9
 
 
+@pytest.mark.parametrize("grid, line", [
+    ("dt = -1\nt_max = 5\n", 3),
+    ("t_max = -5\n", 3),
+    ("t_max = 5\nstride = 0\n", 4),
+    ("dt = 0.3\nt_max = 1\n", 4),
+    ("dt = 0.3\n", 3),  # t_max defaulted to 50: the dt line
+], ids=["dt", "t_max", "stride", "whole_number", "whole_number_default_t_max"])
+def test_grid_errors_name_their_line(grid, line):
+    with pytest.raises(ConfigError, match=f"^line {line}: "):
+        parse_config("model = dephasing\nstate = psi_18\n" + grid)
+
+
 # -------------------------------------------------------------------- CSV
 
 def test_render_csv_format():

@@ -205,9 +205,7 @@ def closed_form_dephasing(rho0: np.ndarray, t, env: EnvironmentSpec) -> np.ndarr
     _check_rho_dim(rho0, env.n_qubits)
     rates = dephasing_rate_matrix(env)
     t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return rho0 * np.exp(-rates * float(t))
-    return rho0[None, :, :] * np.exp(-rates[None, :, :] * t[:, None, None])
+    return rho0 * np.exp(-rates * t[..., None, None])
 
 
 # -------------------------------------------------------------- generators
@@ -428,17 +426,22 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     _warn_if_unstable(transfer, dt)
 
     steps = [*range(0, n_steps, stride), n_steps]
+    taus = np.asarray(steps) * dt
     hop = np.linalg.matrix_power(transfer, stride)
-    rhos = np.empty((len(steps), params.dim, params.dim), dtype=complex)
-    vec = rho.reshape(-1)
-    for i, step in enumerate(steps):
-        if i:
-            gap = step - steps[i - 1]
-            vec = (hop if gap == stride else np.linalg.matrix_power(transfer, gap)) @ vec
-            if not np.isfinite(vec).all():
-                _locate_divergence(rhs, rhos[i - 1], steps[i - 1], step, dt)
-        rhos[i] = (np.exp(delta * (1j * (step * dt))) * vec).reshape(rho.shape)
-    return Trajectory(taus=np.asarray(steps) * dt, rhos=rhos)
+    vecs = np.empty((len(steps), rho.size), dtype=complex)
+    vecs[0] = rho.reshape(-1)
+    for i in range(1, len(steps)):
+        gap = steps[i] - steps[i - 1]
+        power = hop if gap == stride else np.linalg.matrix_power(transfer, gap)
+        np.matmul(power, vecs[i - 1], out=vecs[i])
+    finite = np.isfinite(vecs).all(axis=1)
+    # phase first: a fused complex product is not symmetric in the last bit
+    np.multiply(np.exp(np.outer(taus, delta) * 1j), vecs, out=vecs)
+    rhos = vecs.reshape(len(steps), *rho.shape)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        _locate_divergence(rhs, rhos[first - 1], steps[first - 1], steps[first], dt)
+    return Trajectory(taus=taus, rhos=rhos)
 
 
 def _rk4_step_matrix(rhs: _Generator, dt: float) -> np.ndarray:
@@ -489,8 +492,7 @@ def _locate_divergence(rhs: _Generator, rho: np.ndarray, start: int, stop: int,
         k3 = rhs(rho + (0.5 * dt) * k2, t + 0.5 * dt)
         k4 = rhs(rho + dt * k3, t + dt)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        total = complex(rho.sum())
-        if not (np.isfinite(total.real) and np.isfinite(total.imag)):
+        if not np.isfinite(rho).all():
             raise IntegrationDivergedError(step + 1, (step + 1) * dt)
     # the powered transfer matrix overflowed although single steps did not
     raise IntegrationDivergedError(stop, stop * dt)

@@ -8,6 +8,9 @@ GME-concurrence.  For the three-qubit catalog states it specializes to
 over complementary index pairs.  The bound may go negative; negative
 values mean the bound is uninformative, not that entanglement is gone,
 so nothing here clamps them.
+
+Each takes one (8, 8) matrix, giving a float, or a stack (..., 8, 8),
+giving the per-matrix results (purity to rounding, the rest bit for bit).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .engine import dephasing_rate_matrix
 from .environments import EnvironmentSpec
+from .states import scalar_or_stack
 
 # ABC-family partners: complementary basis pairs of the 3-qubit register.
 GME_ABC_PAIRS = ((1, 8), (2, 7), (3, 6), (4, 5))
@@ -61,28 +65,32 @@ def family_of_pair(i: int, j: int) -> EntanglementFamily:
     return families[differing]
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2) = sum of |rho_mn|^2."""
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """Tr(rho^2) = sum of |rho_mn|^2, one vector dot product per matrix."""
     rho = np.asarray(rho)
-    return float(np.vdot(rho, rho).real)
+    flat = rho.reshape(*rho.shape[:-2], 1, -1)
+    return scalar_or_stack((flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real)
 
 
 def partial_trace(rho: np.ndarray, traced_qubit: int) -> np.ndarray:
     """Reduced 4x4 density matrix after tracing out one qubit of three.
 
-    Kept-qubit order is preserved (qubit 1 before 2 before 3).
+    Kept-qubit order is preserved (qubit 1 before 2 before 3).  A stack
+    (..., 8, 8) gives a stack (..., 4, 4).
     """
     rho = np.asarray(rho)
-    if rho.shape != (8, 8):
+    if rho.shape[-2:] != (8, 8):
         raise ValueError(f"partial_trace supports 3 qubits only, got shape {rho.shape}")
     if traced_qubit not in (1, 2, 3):
         raise ValueError(f"traced_qubit must be 1, 2, or 3, got {traced_qubit}")
-    tensor = rho.reshape(2, 2, 2, 2, 2, 2)
-    reduced = np.trace(tensor, axis1=traced_qubit - 1, axis2=traced_qubit + 2)
-    return reduced.reshape(4, 4)
+    lead = rho.shape[:-2]
+    tensor = rho.reshape(*lead, 2, 2, 2, 2, 2, 2)
+    # row bit k sits on axis k - 7 from the end, column bit k on k - 4
+    reduced = np.trace(tensor, axis1=traced_qubit - 7, axis2=traced_qubit - 4)
+    return reduced.reshape(*lead, 4, 4)
 
 
-def gme_abc(rho: np.ndarray, pair: tuple[int, int]) -> float:
+def gme_abc(rho: np.ndarray, pair: tuple[int, int]) -> float | np.ndarray:
     """GME-concurrence lower bound for a tripartite catalog pair.
 
     2|rho_ij| minus 2 sum over the three complementary pairs (p, q) of
@@ -93,17 +101,15 @@ def gme_abc(rho: np.ndarray, pair: tuple[int, int]) -> float:
         raise ValueError(f"pair {pair} is not one of the tripartite pairs {GME_ABC_PAIRS}")
     rho = np.asarray(rho)
     i, j = pair
-    coherence = abs(rho[i - 1, j - 1])
-    cross = 0.0
-    for p, q in GME_ABC_PAIRS:
-        if (p, q) == pair:
-            continue
-        cross += np.sqrt(_pop(rho, p) * _pop(rho, q))
-    return float(2.0 * coherence - 2.0 * cross)
+    coherence = np.abs(rho[..., i - 1, j - 1])
+    pops = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
+    cross = sum(np.sqrt(pops[..., p - 1] * pops[..., q - 1])
+                for p, q in GME_ABC_PAIRS if (p, q) != pair)
+    return scalar_or_stack(2.0 * coherence - 2.0 * cross)
 
 
 def gme_pair(rho: np.ndarray, family: EntanglementFamily,
-             pair: tuple[int, int]) -> float:
+             pair: tuple[int, int]) -> float | np.ndarray:
     """GME-concurrence lower bound for a bipartite catalog pair.
 
     Traces out the non-participating qubit and evaluates the two-qubit
@@ -120,16 +126,16 @@ def gme_pair(rho: np.ndarray, family: EntanglementFamily,
     reduced = partial_trace(rho, family.traced_qubit)
     kept = _kept_bits(i - 1, family.traced_qubit)
     if kept == (0, 0):
-        coherence = abs(reduced[0, 3])
-        pops = reduced[1, 1].real * reduced[2, 2].real
+        coherence = np.abs(reduced[..., 0, 3])
+        pops = reduced[..., 1, 1].real * reduced[..., 2, 2].real
     else:  # kept == (0, 1)
-        coherence = abs(reduced[1, 2])
-        pops = reduced[0, 0].real * reduced[3, 3].real
-    return float(2.0 * (coherence - np.sqrt(max(pops, 0.0))))
+        coherence = np.abs(reduced[..., 1, 2])
+        pops = reduced[..., 0, 0].real * reduced[..., 3, 3].real
+    return scalar_or_stack(2.0 * (coherence - np.sqrt(np.maximum(pops, 0.0))))
 
 
 def gme(rho: np.ndarray, pair: tuple[int, int],
-        family: EntanglementFamily | None = None) -> float:
+        family: EntanglementFamily | None = None) -> float | np.ndarray:
     """Dispatch to the tripartite or bipartite bound for any catalog pair."""
     i, j = int(pair[0]), int(pair[1])
     if family is None:
@@ -157,13 +163,7 @@ def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],
     t = np.asarray(t, dtype=float)
     gme_value = 2.0 * 0.5 * np.exp(-rate * t)
     purity_value = 0.25 + 0.25 + 2.0 * 0.25 * np.exp(-2.0 * rate * t)
-    if t.ndim == 0:
-        return float(gme_value), float(purity_value)
-    return gme_value, purity_value
-
-
-def _pop(rho: np.ndarray, m: int) -> float:
-    return max(float(rho[m - 1, m - 1].real), 0.0)
+    return scalar_or_stack(gme_value), scalar_or_stack(purity_value)
 
 
 def _kept_bits(index0: int, traced_qubit: int) -> tuple[int, int]:

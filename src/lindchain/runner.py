@@ -250,43 +250,40 @@ def _parse_int(key, item) -> int:
 
 # -------------------------------------------------------------- execution
 
-def simulate_trajectory(cfg: RunConfig) -> Trajectory:
-    rho0 = initial_bell_density(*cfg.pair, n_qubits=cfg.params.n_qubits)
-    return rk4_evolve(rho0, cfg.evolution, cfg.params, cfg.env)
-
-
 def trajectory_table(traj: Trajectory, pair: tuple[int, int],
-                     family: EntanglementFamily) -> list[tuple[float, ...]]:
-    """Per-record CSV rows: tau, purity, gme, populations, tracked
-    coherence magnitude, and physicality diagnostics.
-
-    The diagnostics come from one `diagnostics` call on the whole stack of
-    records; populations and the coherence are read off the same stack.
+                     family: EntanglementFamily) -> np.ndarray:
+    """Per-record CSV rows as one (n_records, 15) float array, columns as in
+    CSV_HEADER: tau, purity, gme, populations, tracked coherence
+    magnitude, and physicality diagnostics, each from one call on the
+    whole (n, 8, 8) record stack.
     """
-    i, j = pair
     rhos = traj.rhos
-    populations = np.diagonal(rhos, axis1=1, axis2=2).real.tolist()
-    coherence = np.abs(rhos[:, i - 1, j - 1]).tolist()
-    checks = np.column_stack(diagnostics(rhos)).tolist()
-    return [(tau, purity(rho), gme(rho, pair, family), *pops, coh, *check)
-            for tau, rho, pops, coh, check
-            in zip(traj.taus.tolist(), rhos, populations, coherence, checks)]
+    return np.column_stack((traj.taus, purity(rhos), gme(rhos, pair, family),
+                            np.diagonal(rhos, axis1=1, axis2=2).real,
+                            np.abs(rhos[:, pair[0] - 1, pair[1] - 1]), *diagnostics(rhos)))
 
 
 def render_csv(header: tuple[str, ...], rows) -> str:
-    """Deterministic CSV text: 12 significant digits, LF endings."""
+    """Deterministic CSV text: 12 significant digits, LF endings.
+
+    rows is a sequence of rows or a 2-D array; the cell kinds of the first
+    row (str, int but not bool, else float) fix one %-template for all.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()  # Python floats format faster than numpy scalars
+    if len(rows):
+        template = ",".join(_conversion(cell) for cell in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _format_cell(cell) -> str:
+def _conversion(cell) -> str:
     if isinstance(cell, str):
-        return cell
+        return "%s"
     if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
-        return str(int(cell))
-    return f"{float(cell):.11e}"
+        return "%d"
+    return "%.11e"
 
 
 def run_scenario(cfg: RunConfig, out_path: str | Path | None = None) -> Path:
@@ -296,7 +293,8 @@ def run_scenario(cfg: RunConfig, out_path: str | Path | None = None) -> Path:
     purity and gme columns is rendered next to it.
     """
     path = Path(out_path or cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
-    traj = simulate_trajectory(cfg)
+    rho0 = initial_bell_density(*cfg.pair, n_qubits=cfg.params.n_qubits)
+    traj = rk4_evolve(rho0, cfg.evolution, cfg.params, cfg.env)
     rows = trajectory_table(traj, cfg.pair, cfg.family)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(render_csv(CSV_HEADER, rows), encoding="utf-8", newline="\n")
@@ -401,8 +399,7 @@ def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
             run_path = out / f"{entry.name}_{model.value}.csv"
             run_path.write_text(render_csv(CSV_HEADER, rows), encoding="utf-8",
                                 newline="\n")
-            gme_values = np.array([row[2] for row in rows])
-            tau_star = tau_first_below(traj.taus, gme_values)
+            tau_star = tau_first_below(traj.taus, rows[:, 2])
             summary_rows.append((
                 entry.name, entry.family.value, entry.pair[0], entry.pair[1],
                 model.value, entry.paper_delta_e, entry.computed_delta_e, tau_star,

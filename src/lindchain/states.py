@@ -38,25 +38,21 @@ def initial_bell_density(i: int, j: int, n_qubits: int = 3) -> np.ndarray:
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check hermiticity, unit trace, and positivity; return a complex copy.
 
-    Raises ValueError when any check fails.  Positivity allows eigenvalues
-    down to -1e-12 to absorb rounding.
+    Raises ValueError when any check fails.  The three errors come from
+    `diagnostics`; positivity allows eigenvalues down to -1e-12 to absorb
+    rounding.
     """
     arr = np.asarray(rho)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("density matrix has non-finite entries")
-    arr = arr.astype(complex)
-    herm = float(np.max(np.abs(arr - arr.conj().T)))
+    trace_error, herm, low = diagnostics(arr)  # raises on non-finite entries
     if herm > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian (max asymmetry {herm:.3e})")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} differs from 1")
-    low = float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0])
+    if trace_error > TRACE_TOL:
+        raise ValueError(f"density matrix trace differs from 1 by {trace_error:.3e}")
     if low < EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-    return arr.copy()
+    return arr.astype(complex)
 
 
 def diagnostics(rho: np.ndarray) -> Diagnostics:
@@ -81,6 +77,10 @@ def diagnostics(rho: np.ndarray) -> Diagnostics:
     adjoint += arr
     adjoint *= 0.5
     low = np.linalg.eigvalsh(adjoint)[..., 0]
-    if arr.ndim == 2:
-        return Diagnostics(float(trace_error), float(hermiticity_error), float(low))
-    return Diagnostics(trace_error, hermiticity_error, low)
+    return Diagnostics(*map(scalar_or_stack, (trace_error, hermiticity_error, low)))
+
+
+def scalar_or_stack(value: np.ndarray) -> float | np.ndarray:
+    """A per-matrix result: a Python float when it came from one matrix
+    (0-d), the array of the stack's leading shape otherwise."""
+    return float(value) if np.ndim(value) == 0 else value

@@ -78,6 +78,8 @@ def test_partial_trace_validation():
         lc.partial_trace(np.eye(4) / 4.0, 1)
     with pytest.raises(ValueError):
         lc.partial_trace(MIXED, 4)
+    with pytest.raises(ValueError):
+        lc.partial_trace(np.zeros((3, 4, 4)), 1)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -169,6 +171,58 @@ def test_gme_stays_in_bounds(seed):
         for pair in pairs:
             value = lc.gme(rho, pair, family)
             assert -2.0 <= value <= 1.0 + 1e-12
+
+
+# ------------------------------------------------------------ record stacks
+
+@pytest.fixture(scope="module", params=["dissipative_trajectory", "random_states"])
+def record_stack(request):
+    """A (n, 8, 8) stack: the records of a correlated-dissipation run from
+    a generic initial state, or independent random states."""
+    rng = np.random.default_rng(11)
+    if request.param == "random_states":
+        return np.array([random_density(rng) for _ in range(24)])
+    params, envs = _cached_setup()
+    cfg = lc.EvolutionConfig(t_max=2.0, dt=1e-2, record_stride=10)
+    return lc.rk4_evolve(random_density(rng), cfg, params,
+                         envs[lc.EnvironmentModel.CORRELATED_DISSIPATION]).rhos
+
+
+def test_stacked_metrics_match_per_record_loop(record_stack):
+    for family, pairs in CATALOG_PAIRS.items():
+        for pair in pairs:
+            loop = np.array([lc.gme(rho, pair, family) for rho in record_stack])
+            assert np.array_equal(lc.gme(record_stack, pair, family), loop)
+    for qubit in (1, 2, 3):
+        loop = np.array([lc.partial_trace(rho, qubit) for rho in record_stack])
+        assert np.array_equal(lc.partial_trace(record_stack, qubit), loop)
+    loop = np.array([lc.purity(rho) for rho in record_stack])
+    assert np.max(np.abs(lc.purity(record_stack) - loop)) <= 1e-15
+
+
+def test_single_matrix_metrics_return_floats(record_stack):
+    rho = record_stack[-1]
+    assert type(lc.purity(rho)) is float
+    for family, pairs in CATALOG_PAIRS.items():
+        for pair in pairs:
+            assert type(lc.gme(rho, pair, family)) is float
+    assert type(lc.gme_abc(rho, (2, 7))) is float
+    assert type(lc.gme_pair(rho, F.BC, (1, 4))) is float
+
+
+def test_metrics_accept_nested_stacks(record_stack):
+    k = len(record_stack) // 2
+    flat = record_stack[:2 * k]
+    nested = flat.reshape(2, k, 8, 8)
+    assert lc.purity(nested).shape == (2, k)
+    assert np.array_equal(lc.purity(nested), lc.purity(flat).reshape(2, k))
+    for family, pairs in CATALOG_PAIRS.items():
+        for pair in pairs:
+            assert np.array_equal(lc.gme(nested, pair, family),
+                                  lc.gme(flat, pair, family).reshape(2, k))
+    for qubit in (1, 2, 3):
+        assert np.array_equal(lc.partial_trace(nested, qubit),
+                              lc.partial_trace(flat, qubit).reshape(2, k, 4, 4))
 
 
 # ------------------------------------------------------------ decay oracles

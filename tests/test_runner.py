@@ -143,6 +143,43 @@ def test_render_csv_format():
         assert re.fullmatch(r"-?\d\.\d{11}e[+-]\d{2}", cell)
 
 
+def _format_cell_reference(cell) -> str:
+    """The per-cell formatter the row template must reproduce."""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
+        return str(int(cell))
+    return f"{float(cell):.11e}"
+
+
+def test_render_csv_array_matches_tuples():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(6, 4)) * np.array([1e-17, 1.0, 1e5, -3e12])
+    rows[2, 1] = np.nan
+    header = ("a", "b", "c", "d")
+    text = render_csv(header, rows)
+    assert text.encode() == render_csv(header, [tuple(r) for r in rows.tolist()]).encode()
+    expected = [",".join(header)] + [",".join(_format_cell_reference(c) for c in row)
+                                     for row in rows]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_render_csv_mixed_cell_kinds():
+    rows = [("psi_18", 3, np.int64(-7), True, 0.25, float("nan"), np.float64(-1e-300)),
+            ("xi_47", 12, np.int64(0), False, -2.0, float("inf"), np.float64(5.0))]
+    text = render_csv(tuple("abcdefg"), rows)
+    lines = text.split("\n")
+    assert lines[1] == ("psi_18,3,-7,1.00000000000e+00,2.50000000000e-01,nan,"
+                        "-1.00000000000e-300")
+    assert lines[1:3] == [",".join(_format_cell_reference(c) for c in row) for row in rows]
+    assert lines[3] == ""
+
+
+def test_render_csv_empty_rows_give_header_only():
+    assert render_csv(("a", "b"), []) == "a,b\n"
+    assert render_csv(("a", "b"), np.empty((0, 2))) == "a,b\n"
+
+
 def test_run_scenario_writes_expected_csv(tmp_path):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 10\n"
                        "dt = 0.001\nstride = 1000\n")

@@ -2,11 +2,9 @@
 states in an Ising nuclear-spin chain under Lindblad environments."""
 
 from .catalog import CatalogEntry, catalog_entry, catalog_states, default_parameters
-from .engine import (EngineKind, EvolutionConfig, IntegrationDivergedError,
-                     JumpOperatorSet, Trajectory, closed_form_dephasing,
-                     dephasing_rate_matrix, lindblad_rhs_operator, make_rhs,
-                     rhs_dephasing, rhs_dissipation, rk4_evolve,
-                     tilde_jump_operators)
+from .engine import (EngineKind, EvolutionConfig, IntegrationDivergedError, Trajectory,
+                     closed_form_dephasing, dephasing_rate_matrix, lindblad_rhs_operator,
+                     make_rhs, rk4_evolve, tilde_jump_operators)
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
 from .metrics import (EntanglementFamily, analytic_decay_oracle, family_of_pair,
                       gme, gme_abc, gme_pair, partial_trace, purity)
@@ -23,15 +21,15 @@ __version__ = "0.1.0"
 __all__ = [
     "CatalogEntry", "ConfigError", "Diagnostics", "EngineKind",
     "EntanglementFamily", "EnvironmentModel", "EnvironmentSpec",
-    "EvolutionConfig", "IntegrationDivergedError", "JumpOperatorSet",
-    "RunConfig", "SpinChainParams", "Trajectory", "all_energies",
+    "EvolutionConfig", "IntegrationDivergedError", "RunConfig",
+    "SpinChainParams", "Trajectory", "all_energies",
     "analytic_decay_oracle", "bit_of", "catalog_entry", "catalog_states",
     "closed_form_dephasing", "compare_engines", "default_parameters",
     "dephasing_rate_matrix", "diagnostics", "eigen_energy", "emit_svg_plot",
-    "energy_gap", "family_of_pair", "flip_bit", "gme", "gme_abc", "gme_pair",
-    "initial_bell_density", "lindblad_rhs_operator", "make_environment",
-    "make_rhs", "omega_eigenvalue", "omega_table", "parse_config",
-    "partial_trace", "purity", "rhs_dephasing", "rhs_dissipation",
-    "rk4_evolve", "run_scenario", "sweep", "tau_first_below",
-    "tilde_jump_operators", "validate_density_matrix",
+    "energy_gap", "family_of_pair", "flip_bit", "gme", "gme_abc",
+    "gme_pair", "initial_bell_density", "lindblad_rhs_operator",
+    "make_environment", "make_rhs", "omega_eigenvalue", "omega_table",
+    "parse_config", "partial_trace", "purity", "rk4_evolve", "run_scenario",
+    "sweep", "tau_first_below", "tilde_jump_operators",
+    "validate_density_matrix",
 ]

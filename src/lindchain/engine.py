@@ -26,12 +26,12 @@ run whose records turn non-finite diverged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .environments import EnvironmentModel, EnvironmentSpec
+from .environments import EnvironmentSpec
 from .register import SpinChainParams, all_energies, omega_table
 from .states import validate_density_matrix
 
@@ -114,23 +114,9 @@ def sz_operators(n_qubits: int) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True, eq=False)
-class JumpOperatorSet:
-    """Jump operators at a fixed time plus their pairwise rate weights."""
-
-    model: EnvironmentModel
-    time: float
-    operators: np.ndarray = field(repr=False)  # (n_qubits, dim, dim)
-    rates: np.ndarray = field(repr=False)      # (n_qubits, n_qubits)
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[1]
-
-
 def tilde_jump_operators(t: float, params: SpinChainParams,
-                         env: EnvironmentSpec) -> JumpOperatorSet:
-    """Rotating-frame jump operators at time t.
+                         env: EnvironmentSpec) -> np.ndarray:
+    """Rotating-frame jump operators at time t, stacked as (n_qubits, dim, dim).
 
     Dissipative models: S_k^- with column phases exp(-i Omega_{k,p} t),
     Omega being the neighbour-conditioned transition frequency.  Dephasing
@@ -139,26 +125,25 @@ def tilde_jump_operators(t: float, params: SpinChainParams,
     _check_sizes(params, env)
     if env.model.dissipative:
         phases = np.exp(omega_table(params) * (-1j * t))  # (n, dim) per source column
-        ops = lowering_operators(params.n_qubits) * phases[:, None, :]
-        return JumpOperatorSet(env.model, t, ops, env.gamma)
-    ops = sz_operators(params.n_qubits).astype(complex)
-    return JumpOperatorSet(env.model, t, ops, env.gamma_dephase)
+        return lowering_operators(params.n_qubits) * phases[:, None, :]
+    return sz_operators(params.n_qubits).astype(complex)
 
 
-def lindblad_rhs_operator(rho: np.ndarray, t: float,
-                          ops: JumpOperatorSet) -> np.ndarray:
-    """d(rho)/dt from operator products of the supplied jump operators.
+def lindblad_rhs_operator(rho: np.ndarray, t: float, params: SpinChainParams,
+                          env: EnvironmentSpec) -> np.ndarray:
+    """d(rho)/dt at time t, literally from operator products of the jump
+    operators: the reference both compiled engines are tested against.
 
     sum_{k,l} c_kl (2 O_k rho O_l^dagger - O_l^dagger O_k rho
     - rho O_l^dagger O_k), with c = gamma/2 for dissipation and c = Gamma
     for dephasing.
     """
+    stack = tilde_jump_operators(t, params, env)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ops.dim, ops.dim):
-        raise ValueError(f"rho shape {rho.shape} does not match operators of dim {ops.dim}")
-    fac = 0.5 if ops.model.dissipative else 1.0
-    stack = ops.operators
-    w = ops.rates
+    if rho.shape != (params.dim, params.dim):
+        raise ValueError(f"rho shape {rho.shape} does not match operators of dim {params.dim}")
+    fac = 0.5 if env.model.dissipative else 1.0
+    w = env.active_rates()
     prod = stack @ rho  # (n, dim, dim)
     feed = np.einsum("kl,kab,lcb->ac", w, prod, stack.conj())
     anti = np.einsum("kl,lba,kbc->ac", w, stack.conj(), stack)
@@ -188,21 +173,14 @@ def dephasing_rate_matrix(env: EnvironmentSpec) -> np.ndarray:
     return 0.25 * (diag[:, None] + diag[None, :] - 2.0 * quad)
 
 
-def rhs_dephasing(rho: np.ndarray, env: EnvironmentSpec) -> np.ndarray:
-    """Element-wise dephasing right-hand side, valid for both Gamma models."""
-    if env.model.dissipative:
-        raise ValueError(f"rhs_dephasing called with dissipative model {env.model.value}")
-    rho = np.asarray(rho, dtype=complex)
-    _check_rho_dim(rho, env.n_qubits)
-    return -dephasing_rate_matrix(env) * rho
-
-
 def closed_form_dephasing(rho0: np.ndarray, t, env: EnvironmentSpec) -> np.ndarray:
     """Exact dephasing solution rho_mn(t) = rho_mn(0) exp(-R_mn t)."""
     if env.model.dissipative:
         raise ValueError(f"closed_form_dephasing called with dissipative model {env.model.value}")
     rho0 = np.asarray(rho0, dtype=complex)
-    _check_rho_dim(rho0, env.n_qubits)
+    dim = 2 ** env.n_qubits
+    if rho0.shape != (dim, dim):
+        raise ValueError(f"rho shape {rho0.shape} does not match {env.n_qubits} qubits")
     rates = dephasing_rate_matrix(env)
     t = np.asarray(t, dtype=float)
     return rho0 * np.exp(-rates * t[..., None, None])
@@ -242,7 +220,6 @@ class _ElementWiseDephasing(_Generator):
     """d(rho_mn)/dt = -R_mn rho_mn: a static diagonal Liouville matrix."""
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        _check_sizes(params, env)
         self._dim = params.dim
         self._rates = -dephasing_rate_matrix(env).reshape(-1).astype(complex)
 
@@ -268,9 +245,6 @@ class _ElementWiseDissipation(_Generator):
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        if not env.model.dissipative:
-            raise ValueError(f"dissipation engine built with model {env.model.value}")
-        _check_sizes(params, env)
         n = params.n_qubits
         dim = params.dim
         gamma = env.gamma
@@ -338,16 +312,6 @@ class _ElementWiseDissipation(_Generator):
         return mat
 
 
-def rhs_dissipation(rho: np.ndarray, t: float, params: SpinChainParams,
-                    env: EnvironmentSpec) -> np.ndarray:
-    """Element-wise dissipation right-hand side at time t."""
-    if not env.model.dissipative:
-        raise ValueError(f"rhs_dissipation called with model {env.model.value}")
-    rho = np.asarray(rho, dtype=complex)
-    _check_rho_dim(rho, env.n_qubits)
-    return _ElementWiseDissipation(params, env)(rho, t)
-
-
 # ------------------------------------------------------ operator-built path
 
 class _OperatorBuilt(_Generator):
@@ -360,16 +324,15 @@ class _OperatorBuilt(_Generator):
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        _check_sizes(params, env)
-        ops = tilde_jump_operators(0.0, params, env)
-        dim = ops.dim
+        stack = tilde_jump_operators(0.0, params, env)
+        rates = env.active_rates()
+        dim = params.dim
         fac = 0.5 if env.model.dissipative else 1.0
         eye = np.eye(dim)
         liouville = np.zeros((dim * dim, dim * dim), dtype=complex)
-        stack = ops.operators
         for k in range(params.n_qubits):
             for l in range(params.n_qubits):
-                w = float(ops.rates[k, l])
+                w = float(rates[k, l])
                 if w == 0.0:
                     continue
                 anti = stack[l].conj().T @ stack[k]
@@ -392,6 +355,7 @@ class _OperatorBuilt(_Generator):
 def make_rhs(params: SpinChainParams, env: EnvironmentSpec, kind: EngineKind) -> _Generator:
     """Compile the right-hand side f(rho, t) for the chosen engine; its
     matrix(t) method returns the Liouville matrix A(t) acting on vec(rho)."""
+    _check_sizes(params, env)
     if kind is EngineKind.OPERATOR_BUILT:
         return _OperatorBuilt(params, env)
     if kind is not EngineKind.ELEMENT_WISE:
@@ -427,20 +391,23 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
 
     steps = [*range(0, n_steps, stride), n_steps]
     taus = np.asarray(steps) * dt
-    hop = np.linalg.matrix_power(transfer, stride)
     vecs = np.empty((len(steps), rho.size), dtype=complex)
     vecs[0] = rho.reshape(-1)
-    for i in range(1, len(steps)):
-        gap = steps[i] - steps[i - 1]
-        power = hop if gap == stride else np.linalg.matrix_power(transfer, gap)
-        np.matmul(power, vecs[i - 1], out=vecs[i])
-    finite = np.isfinite(vecs).all(axis=1)
-    # phase first: a fused complex product is not symmetric in the last bit
-    np.multiply(np.exp(np.outer(taus, delta) * 1j), vecs, out=vecs)
-    rhos = vecs.reshape(len(steps), *rho.shape)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        _locate_divergence(rhs, rhos[first - 1], steps[first - 1], steps[first], dt)
+    # a diverging run overflows here; the finiteness check turns every inf
+    # or NaN into IntegrationDivergedError, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        hop = np.linalg.matrix_power(transfer, stride)
+        for i in range(1, len(steps)):
+            gap = steps[i] - steps[i - 1]
+            power = hop if gap == stride else np.linalg.matrix_power(transfer, gap)
+            np.matmul(power, vecs[i - 1], out=vecs[i])
+        finite = np.isfinite(vecs).all(axis=1)
+        # phase first: a fused complex product is not symmetric in the last bit
+        np.multiply(np.exp(np.outer(taus, delta) * 1j), vecs, out=vecs)
+        rhos = vecs.reshape(len(steps), *rho.shape)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            _locate_divergence(rhs, rhos[first - 1], steps[first - 1], steps[first], dt)
     return Trajectory(taus=taus, rhos=rhos)
 
 
@@ -496,12 +463,6 @@ def _locate_divergence(rhs: _Generator, rho: np.ndarray, start: int, stop: int,
             raise IntegrationDivergedError(step + 1, (step + 1) * dt)
     # the powered transfer matrix overflowed although single steps did not
     raise IntegrationDivergedError(stop, stop * dt)
-
-
-def _check_rho_dim(rho: np.ndarray, n_qubits: int) -> None:
-    dim = 2 ** n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"rho shape {rho.shape} does not match {n_qubits} qubits")
 
 
 def _check_sizes(params: SpinChainParams, env: EnvironmentSpec) -> None:

@@ -42,14 +42,6 @@ ENGINE_DELTA_THRESHOLD = 1e-6
 CSV_HEADER = ("tau", "purity", "gme", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8",
               "coh_abs", "trace_err", "herm_err", "min_eig")
 
-MODEL_ORDER = (
-    EnvironmentModel.INDEPENDENT_DISSIPATION,
-    EnvironmentModel.CORRELATED_DISSIPATION,
-    EnvironmentModel.DEPHASING,
-    EnvironmentModel.CORRELATED_DEPHASING,
-)
-
-
 class ConfigError(ValueError):
     """Configuration problem, carrying the offending line when known."""
 
@@ -62,8 +54,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: EnvironmentModel
-    engine: EngineKind
     state_name: str | None
     pair: tuple[int, int]
     family: EntanglementFamily
@@ -72,6 +62,10 @@ class RunConfig:
     evolution: EvolutionConfig
     out: str | None = None
     plot: str | None = None
+
+    @property
+    def model(self) -> EnvironmentModel:
+        return self.env.model
 
     @property
     def label(self) -> str:
@@ -108,26 +102,22 @@ def parse_config(text: str) -> RunConfig:
     def take(key):
         return entries.pop(key, None)
 
-    model = _parse_model(take("model"))
-    engine = _parse_engine(take("engine"))
+    def number(key, default):
+        item = take(key)
+        return default if item is None else _parse_float(key, item)
+
+    model = _parse_member("model", EnvironmentModel, take("model"))
+    if model is None:
+        raise ConfigError("missing required key 'model'")
+    engine = _parse_member("engine", EngineKind, take("engine")) or EvolutionConfig.engine
 
     state_name, pair, family = _parse_state(take("state"), take("pair_i"), take("pair_j"))
 
-    omegas = [400.0, 200.0, 100.0]
-    for k in (1, 2, 3):
-        item = take(f"omega_{k}")
-        if item is not None:
-            omegas[k - 1] = _parse_float(f"omega_{k}", item)
-    coupling_j = 10.0
-    item = take("J")
-    if item is not None:
-        coupling_j = _parse_float("J", item)
-    coupling_jp = 0.4
-    item = take("Jp")
-    if item is not None:
-        coupling_jp = _parse_float("Jp", item)
+    chain = SpinChainParams()
+    omegas = tuple(number(f"omega_{k}", w) for k, w in enumerate(chain.omegas, start=1))
     try:
-        params = SpinChainParams(tuple(omegas), coupling_j, coupling_jp)
+        params = SpinChainParams(omegas, number("J", chain.coupling_j),
+                                 number("Jp", chain.coupling_jp))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -156,9 +146,10 @@ def parse_config(text: str) -> RunConfig:
             target[j - 1][i - 1] = rate
 
     dt_item, t_max_item, stride_item = take("dt"), take("t_max"), take("stride")
-    dt = 1e-3 if dt_item is None else _parse_float("dt", dt_item)
+    dt = EvolutionConfig.dt if dt_item is None else _parse_float("dt", dt_item)
     t_max = 50.0 if t_max_item is None else _parse_float("t_max", t_max_item)
-    stride = 100 if stride_item is None else _parse_int("stride", stride_item)
+    stride = (EvolutionConfig.record_stride if stride_item is None
+              else _parse_int("stride", stride_item))
 
     out = take("out")
     plot = take("plot")
@@ -180,31 +171,21 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(model=model, engine=engine, state_name=state_name, pair=pair,
-                     family=family, params=params, env=env, evolution=evolution,
+    return RunConfig(state_name=state_name, pair=pair, family=family, params=params,
+                     env=env, evolution=evolution,
                      out=out[0] if out else None, plot=plot[0] if plot else None)
 
 
-def _parse_model(item) -> EnvironmentModel:
+def _parse_member(key, kind, item):
+    """The member of the enum kind whose value item names; None when unset."""
     if item is None:
-        raise ConfigError("missing required key 'model'")
+        return None
     value, lineno = item
     try:
-        return EnvironmentModel(value)
+        return kind(value)
     except ValueError:
-        valid = ", ".join(m.value for m in EnvironmentModel)
-        raise ConfigError(f"unknown model {value!r}; valid models: {valid}", lineno) from None
-
-
-def _parse_engine(item) -> EngineKind:
-    if item is None:
-        return EngineKind.ELEMENT_WISE
-    value, lineno = item
-    try:
-        return EngineKind(value)
-    except ValueError:
-        valid = ", ".join(e.value for e in EngineKind)
-        raise ConfigError(f"unknown engine {value!r}; valid engines: {valid}", lineno) from None
+        valid = ", ".join(member.value for member in kind)
+        raise ConfigError(f"unknown {key} {value!r}; valid {key}s: {valid}", lineno) from None
 
 
 def _parse_state(state_item, pair_i_item, pair_j_item):
@@ -393,7 +374,7 @@ def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
     summary_rows = []
     for entry in catalog_states(params):
         rho0 = initial_bell_density(*entry.pair, n_qubits=params.n_qubits)
-        for model in MODEL_ORDER:
+        for model in EnvironmentModel:
             traj = rk4_evolve(rho0, evolution, params, environments[model])
             rows = trajectory_table(traj, entry.pair, entry.family)
             run_path = out / f"{entry.name}_{model.value}.csv"

@@ -49,9 +49,8 @@ def test_sz_operators_are_half_signs():
 def test_tilde_operators_at_zero_time(default_setup):
     params, envs = default_setup
     ops = lc.tilde_jump_operators(0.0, params, envs[M.INDEPENDENT_DISSIPATION])
-    assert ops.dim == 8
-    assert np.array_equal(ops.operators, lowering_operators(3).astype(complex))
-    assert np.array_equal(ops.rates, envs[M.INDEPENDENT_DISSIPATION].gamma)
+    assert ops.shape == (3, 8, 8)
+    assert np.array_equal(ops, lowering_operators(3).astype(complex))
 
 
 def test_tilde_operators_carry_transition_phases(default_setup):
@@ -60,17 +59,16 @@ def test_tilde_operators_carry_transition_phases(default_setup):
     ops = lc.tilde_jump_operators(t, params, envs[M.CORRELATED_DISSIPATION])
     table = lc.omega_table(params)
     # entry (m, p) of qubit k oscillates at the source column's frequency
-    assert ops.operators[0, 0, 4] == pytest.approx(np.exp(-1j * table[0, 4] * t))
-    assert ops.operators[2, 6, 7] == pytest.approx(np.exp(-1j * table[2, 7] * t))
-    assert abs(ops.operators[0, 0, 0]) == 0.0
+    assert ops[0, 0, 4] == pytest.approx(np.exp(-1j * table[0, 4] * t))
+    assert ops[2, 6, 7] == pytest.approx(np.exp(-1j * table[2, 7] * t))
+    assert abs(ops[0, 0, 0]) == 0.0
 
 
 def test_tilde_operators_dephasing_is_static(default_setup):
     params, envs = default_setup
     env = envs[M.CORRELATED_DEPHASING]
     ops = lc.tilde_jump_operators(7.7, params, env)
-    assert np.array_equal(ops.operators, sz_operators(3).astype(complex))
-    assert np.array_equal(ops.rates, env.gamma_dephase)
+    assert np.array_equal(ops, sz_operators(3).astype(complex))
 
 
 # ------------------------------------------------------------ dephasing rates
@@ -91,11 +89,11 @@ def test_dephasing_rate_values(default_setup):
         assert np.array_equal(mat, mat.T)
 
 
-def test_rhs_dephasing_and_closed_form(default_setup):
+def test_dephasing_rhs_and_closed_form(default_setup):
     params, envs = default_setup
     env = envs[M.DEPHASING]
     rho = lc.initial_bell_density(1, 8)
-    rhs = lc.rhs_dephasing(rho, env)
+    rhs = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(rho, 0.0)
     assert rhs[0, 7] == pytest.approx(-0.075, abs=1e-15)
     assert rhs[0, 0] == 0.0
     assert rhs[7, 7] == 0.0
@@ -108,14 +106,10 @@ def test_rhs_dephasing_and_closed_form(default_setup):
 
 
 def test_dephasing_model_guards(default_setup):
-    params, envs = default_setup
+    _, envs = default_setup
     rho = lc.initial_bell_density(1, 8)
     with pytest.raises(ValueError, match="dissipative"):
-        lc.rhs_dephasing(rho, envs[M.INDEPENDENT_DISSIPATION])
-    with pytest.raises(ValueError, match="dissipative"):
         lc.closed_form_dephasing(rho, 1.0, envs[M.CORRELATED_DISSIPATION])
-    with pytest.raises(ValueError, match="model"):
-        lc.rhs_dissipation(rho, 0.0, params, envs[M.DEPHASING])
 
 
 # -------------------------------------------------------- right-hand sides
@@ -124,7 +118,7 @@ def test_bell_rhs_values_independent_dissipation(default_setup):
     params, envs = default_setup
     env = envs[M.INDEPENDENT_DISSIPATION]
     rho = lc.initial_bell_density(1, 8)
-    rhs = lc.rhs_dissipation(rho, 0.0, params, env)
+    rhs = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(rho, 0.0)
     # the all-excited population decays at (gamma/2) * 6, feeding state 4
     assert rhs[7, 7].real == pytest.approx(-0.075, abs=1e-15)
     assert rhs[3, 3].real == pytest.approx(0.025, abs=1e-15)
@@ -142,11 +136,8 @@ def test_element_wise_matches_operator_form(seed, t, model_index):
     params, envs = _setup()
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
-    if env.model.dissipative:
-        element = lc.rhs_dissipation(rho, t, params, env)
-    else:
-        element = lc.rhs_dephasing(rho, env)
-    operator = lc.lindblad_rhs_operator(rho, t, lc.tilde_jump_operators(t, params, env))
+    element = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(rho, t)
+    operator = lc.lindblad_rhs_operator(rho, t, params, env)
     assert np.max(np.abs(element - operator)) < 1e-12
 
 
@@ -158,7 +149,7 @@ def test_compiled_engines_match_literal_operator_form(seed, t, model_index):
     params, envs = _setup()
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
-    literal = lc.lindblad_rhs_operator(rho, t, lc.tilde_jump_operators(t, params, env))
+    literal = lc.lindblad_rhs_operator(rho, t, params, env)
     for kind in (EngineKind.ELEMENT_WISE, EngineKind.OPERATOR_BUILT):
         compiled = lc.make_rhs(params, env, kind)
         assert np.max(np.abs(compiled(rho, t) - literal)) < 1e-12
@@ -172,8 +163,7 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, model_index):
     params, envs = _setup()
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
-    ops = lc.tilde_jump_operators(t, params, env)
-    rhs = lc.lindblad_rhs_operator(rho, t, ops)
+    rhs = lc.lindblad_rhs_operator(rho, t, params, env)
     assert abs(np.trace(rhs)) < 1e-13
     assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-13
 
@@ -183,28 +173,26 @@ def test_two_qubit_chain_equivalence():
     env = lc.make_environment(M.CORRELATED_DISSIPATION,
                               [[0.05, 0.02], [0.02, 0.04]], 0.05, n_qubits=2)
     rho = random_density(np.random.default_rng(11), dim=4)
-    for t in (0.0, 0.7, 3.1):
-        element = lc.rhs_dissipation(rho, t, params, env)
-        operator = lc.lindblad_rhs_operator(rho, t, lc.tilde_jump_operators(t, params, env))
-        fast = lc.make_rhs(params, env, EngineKind.OPERATOR_BUILT)(rho, t)
-        assert np.max(np.abs(element - operator)) < 1e-12
-        assert np.max(np.abs(fast - operator)) < 1e-12
+    for kind in EngineKind:
+        rhs = lc.make_rhs(params, env, kind)
+        for t in (0.0, 0.7, 3.1):
+            literal = lc.lindblad_rhs_operator(rho, t, params, env)
+            assert np.max(np.abs(rhs(rho, t) - literal)) < 1e-12
 
 
 def test_zeroed_correlations_reduce_bitwise(default_setup):
     params, _ = default_setup
     diag = [0.05, 0.03, 0.02]
-    independent = lc.make_environment(M.INDEPENDENT_DISSIPATION, diag, diag)
-    zeroed = lc.make_environment(M.CORRELATED_DISSIPATION, np.diag(diag), np.diag(diag))
     rho = random_density(np.random.default_rng(21))
-    for t in (0.0, 0.45, 2.3):
-        for kind in EngineKind:
-            a = lc.make_rhs(params, independent, kind)(rho, t)
-            b = lc.make_rhs(params, zeroed, kind)(rho, t)
-            assert np.array_equal(a, b)
-    dep = lc.make_environment(M.DEPHASING, diag, diag)
-    dep_zeroed = lc.make_environment(M.CORRELATED_DEPHASING, np.diag(diag), np.diag(diag))
-    assert np.array_equal(lc.rhs_dephasing(rho, dep), lc.rhs_dephasing(rho, dep_zeroed))
+    for plain, correlated in ((M.INDEPENDENT_DISSIPATION, M.CORRELATED_DISSIPATION),
+                              (M.DEPHASING, M.CORRELATED_DEPHASING)):
+        independent = lc.make_environment(plain, diag, diag)
+        zeroed = lc.make_environment(correlated, np.diag(diag), np.diag(diag))
+        for t in (0.0, 0.45, 2.3):
+            for kind in EngineKind:
+                a = lc.make_rhs(params, independent, kind)(rho, t)
+                b = lc.make_rhs(params, zeroed, kind)(rho, t)
+                assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------- Liouville matrices
@@ -292,10 +280,9 @@ def test_rk4_warns_outside_stability_region(default_setup):
     params, envs = default_setup
     hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)
     cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=100)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.warns(UserWarning, match="spectral radius"):
-            with pytest.raises(lc.IntegrationDivergedError):
-                lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
+    with pytest.warns(UserWarning, match="spectral radius"):
+        with pytest.raises(lc.IntegrationDivergedError):
+            lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for env in envs.values():
@@ -318,7 +305,7 @@ def test_rk4_divergence_raises(default_setup):
     # the replay from the last finite record names the first non-finite step
     for gamma, step in ((5000.0, 95), (3000.0, 135)):
         hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, gamma, 0.05)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="spectral radius"):
             with pytest.raises(lc.IntegrationDivergedError, match="step") as err:
                 lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
         assert err.value.step == step
@@ -334,8 +321,7 @@ def test_rk4_input_validation(default_setup):
         lc.rk4_evolve(np.zeros((8, 8)), cfg, params, envs[M.DEPHASING])
     two_qubit = lc.SpinChainParams(omegas=(300.0, 150.0))
     with pytest.raises(ValueError, match="qubits"):
-        lc.rhs_dissipation(lc.initial_bell_density(1, 4, n_qubits=2), 0.0,
-                           two_qubit, envs[M.INDEPENDENT_DISSIPATION])
+        lc.make_rhs(two_qubit, envs[M.INDEPENDENT_DISSIPATION], EngineKind.ELEMENT_WISE)
 
 
 def test_evolution_config_validation():

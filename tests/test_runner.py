@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ MINIMAL = "model = dephasing\nstate = psi_18\nt_max = 50\n"
 def test_minimal_config_takes_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.model is EnvironmentModel.DEPHASING
-    assert cfg.engine is EngineKind.ELEMENT_WISE
+    assert cfg.evolution.engine is EngineKind.ELEMENT_WISE
     assert cfg.state_name == "psi_18"
     assert cfg.pair == (1, 8)
     assert cfg.family is lc.EntanglementFamily.ABC
@@ -59,6 +60,25 @@ def test_comments_blank_lines_and_overrides():
 def test_unknown_model_names_line_and_choices():
     with pytest.raises(ConfigError, match=r"line 1.*warp.*independent_dissipation"):
         parse_config("model = warp\nstate = psi_18\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config("model = dephasing\nengine = turbo\nstate = psi_18\n")
+    assert str(err.value) == ("line 2: unknown engine 'turbo'; "
+                              "valid engines: element_wise, operator_built")
+
+
+def test_model_is_the_environment_model(tmp_path, monkeypatch):
+    cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 0.1\ndt = 0.01\n")
+    env = lc.make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION, 0.05, 0.05)
+    moved = replace(cfg, env=env)
+    assert moved.model is EnvironmentModel.INDEPENDENT_DISSIPATION
+    assert cfg.model is EnvironmentModel.DEPHASING
+    # the default CSV is named after the model that was integrated
+    monkeypatch.chdir(tmp_path)
+    assert run_scenario(moved).name == "psi_18_independent_dissipation.csv"
+    for stale in ({"model": EnvironmentModel.DEPHASING},
+                  {"engine": EngineKind.OPERATOR_BUILT}):
+        with pytest.raises(TypeError):
+            replace(cfg, **stale)
 
 
 def test_error_line_numbers():

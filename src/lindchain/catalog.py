@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
 from .metrics import EntanglementFamily
-from .register import SpinChainParams, energy_gap
+from .register import N_QUBITS, SpinChainParams, energy_gap
 
 DEFAULT_DIAGONAL_RATE = 0.05
 # off-diagonal rates keyed by qubit pair, same numbers for gamma and Gamma
@@ -54,8 +54,8 @@ _TABLE = (
 def default_rate_matrix() -> list[list[float]]:
     """Fresh 3x3 default rate matrix: DEFAULT_DIAGONAL_RATE on the diagonal,
     DEFAULT_CROSS_RATES mirrored off it.  Used for both gamma and Gamma."""
-    mat = [[0.0] * 3 for _ in range(3)]
-    for k in range(3):
+    mat = [[0.0] * N_QUBITS for _ in range(N_QUBITS)]
+    for k in range(N_QUBITS):
         mat[k][k] = DEFAULT_DIAGONAL_RATE
     for (a, b), rate in DEFAULT_CROSS_RATES.items():
         mat[a - 1][b - 1] = rate
@@ -73,25 +73,26 @@ def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, Enviro
     """
     params = SpinChainParams()
     rates = default_rate_matrix()
-    environments = {model: make_environment(model, rates, rates, params.n_qubits)
+    environments = {model: make_environment(model, rates, rates)
                     for model in EnvironmentModel}
     return params, environments
 
 
 def catalog_states(params: SpinChainParams | None = None) -> list[CatalogEntry]:
     """All 16 catalog entries with quoted and recomputed energy gaps."""
-    if params is None:
-        params = SpinChainParams()
-    return [
-        CatalogEntry(name, family, pair, quoted, energy_gap(pair[0], pair[1], params))
-        for name, family, pair, quoted in _TABLE
-    ]
+    params = params or SpinChainParams()
+    return [_entry(row, params) for row in _TABLE]
 
 
 def catalog_entry(name: str, params: SpinChainParams | None = None) -> CatalogEntry:
     """Look up a single entry by name, e.g. "psi_18"."""
-    for entry in catalog_states(params):
-        if entry.name == name:
-            return entry
+    for row in _TABLE:
+        if row[0] == name:
+            return _entry(row, params or SpinChainParams())
     known = ", ".join(row[0] for row in _TABLE)
     raise KeyError(f"unknown catalog state {name!r}; known states: {known}")
+
+
+def _entry(row, params: SpinChainParams) -> CatalogEntry:
+    name, family, pair, quoted = row
+    return CatalogEntry(name, family, pair, quoted, energy_gap(pair[0], pair[1], params))

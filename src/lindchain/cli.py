@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .catalog import catalog_states
 from .engine import IntegrationDivergedError
-from .runner import (ConfigError, compare_engines, parse_config, render_csv,
-                     run_scenario, sweep)
+from .runner import (ConfigError, compare_engines, parse_config, run_scenario, sweep,
+                     write_csv)
 from .svgplot import PlotDataError, emit_svg_plot
 
 CATALOG_HEADER = ("state", "family", "pair_i", "pair_j", "paper_delta_e",
@@ -120,8 +120,7 @@ def _cmd_catalog(args) -> int:
     for name, family, i, j, quoted, computed in rows:
         print(f"{name:<10} {family:<7} ({i},{j})   {quoted:>10.4g} {computed:>12.4g}")
     if args.csv:
-        Path(args.csv).write_text(render_csv(CATALOG_HEADER, rows),
-                                  encoding="utf-8", newline="\n")
+        write_csv(args.csv, CATALOG_HEADER, rows)
     return 0
 
 

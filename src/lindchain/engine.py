@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .environments import EnvironmentSpec
-from .register import SpinChainParams, all_energies, omega_table
+from .register import SpinChainParams, all_energies, basis_bits, omega_table
 from .states import validate_density_matrix
 
 
@@ -93,25 +93,16 @@ class IntegrationDivergedError(RuntimeError):
 
 def lowering_operators(n_qubits: int) -> np.ndarray:
     """Stack of S_k^- matrices; entry (m, p) = 1 when m = p with bit k lowered."""
-    dim = 2 ** n_qubits
-    ops = np.zeros((n_qubits, dim, dim))
-    for k in range(n_qubits):
-        shift = 1 << (n_qubits - 1 - k)
-        for p in range(dim):
-            if (p >> (n_qubits - 1 - k)) & 1:
-                ops[k, p - shift, p] = 1.0
-    return ops
+    bits = basis_bits(n_qubits)
+    one_flip = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1) == 1  # [m, p]
+    lowered = (bits.T[:, :, None] == 0) & (bits.T[:, None, :] == 1)  # [k, m, p]
+    return (lowered & one_flip).astype(float)
 
 
 def sz_operators(n_qubits: int) -> np.ndarray:
     """Stack of S_k^z matrices, diagonal with entries +-1/2."""
-    dim = 2 ** n_qubits
-    ops = np.zeros((n_qubits, dim, dim))
-    for k in range(n_qubits):
-        for m in range(dim):
-            bit = (m >> (n_qubits - 1 - k)) & 1
-            ops[k, m, m] = 0.5 * (1.0 - 2.0 * bit)
-    return ops
+    halves = 0.5 * (1.0 - 2.0 * basis_bits(n_qubits))
+    return np.stack([np.diag(column) for column in halves.T])
 
 
 def tilde_jump_operators(t: float, params: SpinChainParams,
@@ -160,14 +151,8 @@ def dephasing_rate_matrix(env: EnvironmentSpec) -> np.ndarray:
     with a diagonal Gamma this reduces to the sum of Gamma_k over the
     qubits whose bits differ between m and n.
     """
-    gamma = env.gamma_dephase
-    n = env.n_qubits
-    dim = 2 ** n
-    signs = np.empty((dim, n))
-    for m in range(dim):
-        for k in range(n):
-            signs[m, k] = 1.0 - 2.0 * ((m >> (n - 1 - k)) & 1)
-    quad = signs @ gamma @ signs.T
+    signs = 1.0 - 2.0 * basis_bits(env.n_qubits)
+    quad = signs @ env.gamma_dephase @ signs.T
     quad = 0.5 * (quad + quad.T)  # matmul rounding must not break R = R^T
     diag = np.diag(quad)
     return 0.25 * (diag[:, None] + diag[None, :] - 2.0 * quad)
@@ -249,7 +234,7 @@ class _ElementWiseDissipation(_Generator):
         dim = params.dim
         gamma = env.gamma
         om = omega_table(params)
-        bit = lambda m, k: (m >> (n - 1 - k)) & 1
+        bits = basis_bits(n).tolist()
 
         slots: list[int] = []
         coeffs: list[complex] = []
@@ -265,7 +250,7 @@ class _ElementWiseDissipation(_Generator):
 
         # static decay on the superoperator diagonal
         half_rate = 0.5 * np.array(
-            [sum(gamma[k, k] * bit(m, k) for k in range(n)) for m in range(dim)]
+            [sum(gamma[k, k] * bits[m][k] for k in range(n)) for m in range(dim)]
         )
         for m in range(dim):
             for nn in range(dim):
@@ -280,18 +265,18 @@ class _ElementWiseDissipation(_Generator):
                 sl = 1 << (n - 1 - l)
                 for m in range(dim):
                     for nn in range(dim):
-                        if not bit(m, k) and not bit(nn, l):
+                        if not bits[m][k] and not bits[nn][l]:
                             add(m, nn, m + sk, nn + sl, g, om[l, nn] - om[k, m])
                 if k == l:
                     continue  # phase-free decay already in the static part
                 for m in range(dim):
-                    if bit(m, l) and not bit(m, k):
+                    if bits[m][l] and not bits[m][k]:
                         r = m - sl
                         freq = om[l, r] - om[k, r]
                         for nn in range(dim):
                             add(m, nn, r + sk, nn, -0.5 * g, freq)
                 for nn in range(dim):
-                    if bit(nn, k) and not bit(nn, l):
+                    if bits[nn][k] and not bits[nn][l]:
                         r = nn - sk
                         freq = om[l, r] - om[k, r]
                         for m in range(dim):

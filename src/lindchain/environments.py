@@ -8,6 +8,8 @@ from enum import Enum
 
 import numpy as np
 
+from .register import N_QUBITS
+
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 
@@ -72,7 +74,7 @@ def _as_rate_matrix(rates, n_qubits: int, name: str) -> np.ndarray:
 
 
 def make_environment(model: EnvironmentModel, gamma, gamma_dephase,
-                     n_qubits: int = 3) -> EnvironmentSpec:
+                     n_qubits: int = N_QUBITS) -> EnvironmentSpec:
     """Validate and freeze an EnvironmentSpec.
 
     Rates may be scalars, per-qubit vectors, or full symmetric matrices.

@@ -21,6 +21,7 @@ import numpy as np
 
 from .engine import dephasing_rate_matrix
 from .environments import EnvironmentSpec
+from .register import N_QUBITS, basis_bits
 from .states import scalar_or_stack
 
 # ABC-family partners: complementary basis pairs of the 3-qubit register.
@@ -49,14 +50,16 @@ class EntanglementFamily(Enum):
 
 def family_of_pair(i: int, j: int) -> EntanglementFamily:
     """Entanglement family of the Bell pair (i, j) from which qubits differ."""
-    if not (1 <= i < j <= 8):
-        raise ValueError(f"pair ({i}, {j}) must satisfy 1 <= i < j <= 8")
-    differing = (i - 1) ^ (j - 1)
+    dim = 2 ** N_QUBITS
+    if not (1 <= i < j <= dim):
+        raise ValueError(f"pair ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
+    bits = basis_bits(N_QUBITS)
+    differing = tuple((bits[i - 1] != bits[j - 1]).tolist())
     families = {
-        0b111: EntanglementFamily.ABC,
-        0b110: EntanglementFamily.AB,
-        0b011: EntanglementFamily.BC,
-        0b101: EntanglementFamily.AC,
+        (True, True, True): EntanglementFamily.ABC,
+        (True, True, False): EntanglementFamily.AB,
+        (False, True, True): EntanglementFamily.BC,
+        (True, False, True): EntanglementFamily.AC,
     }
     if differing not in families:
         raise ValueError(
@@ -124,11 +127,11 @@ def gme_pair(rho: np.ndarray, family: EntanglementFamily,
     if family_of_pair(i, j) is not family:
         raise ValueError(f"pair ({i}, {j}) does not belong to family {family.value}")
     reduced = partial_trace(rho, family.traced_qubit)
-    kept = _kept_bits(i - 1, family.traced_qubit)
-    if kept == (0, 0):
+    kept = np.delete(basis_bits(N_QUBITS)[i - 1], family.traced_qubit - 1)
+    if kept[0] == kept[1]:
         coherence = np.abs(reduced[..., 0, 3])
         pops = reduced[..., 1, 1].real * reduced[..., 2, 2].real
-    else:  # kept == (0, 1)
+    else:
         coherence = np.abs(reduced[..., 1, 2])
         pops = reduced[..., 0, 0].real * reduced[..., 3, 3].real
     return scalar_or_stack(2.0 * (coherence - np.sqrt(np.maximum(pops, 0.0))))
@@ -165,8 +168,3 @@ def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],
     purity_value = 0.25 + 0.25 + 2.0 * 0.25 * np.exp(-2.0 * rate * t)
     return scalar_or_stack(gme_value), scalar_or_stack(purity_value)
 
-
-def _kept_bits(index0: int, traced_qubit: int) -> tuple[int, int]:
-    bits = [(index0 >> shift) & 1 for shift in (2, 1, 0)]
-    del bits[traced_qubit - 1]
-    return tuple(bits)

@@ -5,6 +5,11 @@ significant bit, so state m carries the bit string of m-1 read left to
 right: state 1 is |00..0> and state 2**N is |11..1>.  Bit 0 is the
 single-qubit ground state (spin up, S^z eigenvalue +1/2); dissipation
 drives every bit toward 0.
+
+`basis_bits` is the one place that convention is written down: every other
+module reads a state's bits from that table.  N_QUBITS is the size of the
+paper's chain, which the CSV columns, the config keys, the default rates
+and the entanglement metrics assume.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+N_QUBITS = 3
 
 
 @dataclass(frozen=True)
@@ -47,82 +54,47 @@ class SpinChainParams:
         return 2 ** self.n_qubits
 
 
-def _check_qubit(k: int, n_qubits: int) -> None:
-    if not 1 <= k <= n_qubits:
-        raise ValueError(f"qubit index {k} outside 1..{n_qubits}")
+def basis_bits(n_qubits: int) -> np.ndarray:
+    """(2**n, n) table of 0/1 ints: row m-1 holds the bits of state m and
+    column k-1 the bit of qubit k."""
+    states = np.arange(2 ** n_qubits)
+    return (states[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
 
 
-def _check_state(m: int, n_qubits: int) -> None:
-    if not 1 <= m <= 2 ** n_qubits:
-        raise ValueError(f"state index {m} outside 1..{2 ** n_qubits}")
-
-
-def bit_of(m: int, k: int, n_qubits: int = 3) -> int:
-    """Bit of qubit k (1 = most significant) in state index m."""
-    _check_state(m, n_qubits)
-    _check_qubit(k, n_qubits)
-    return ((m - 1) >> (n_qubits - k)) & 1
-
-
-def flip_bit(m: int, k: int, n_qubits: int = 3) -> int:
-    """State index with qubit k's bit toggled."""
-    _check_state(m, n_qubits)
-    _check_qubit(k, n_qubits)
-    return ((m - 1) ^ (1 << (n_qubits - k))) + 1
-
-
-def _signs(m: int, n_qubits: int) -> list[float]:
-    # (-1)**bit for each qubit, index 0 = qubit 1
-    return [1.0 - 2.0 * bit_of(m, k, n_qubits) for k in range(1, n_qubits + 1)]
-
-
-def eigen_energy(m: int, params: SpinChainParams) -> float:
-    """Diagonal energy of basis state m (hbar = 1).
+def all_energies(params: SpinChainParams) -> np.ndarray:
+    """Diagonal energy of every basis state (hbar = 1), index 0 holding state 1.
 
     Zeeman term -(1/2) sum_k (-1)^bit_k omega_k plus Ising terms
     -(J/2) sum over nearest-neighbour bit products and -(J'/2) over
     next-nearest neighbours.
     """
     n = params.n_qubits
-    s = _signs(m, n)
-    e = -0.5 * sum(w * s[k] for k, w in enumerate(params.omegas))
-    e -= 0.5 * params.coupling_j * sum(s[k] * s[k + 1] for k in range(n - 1))
-    e -= 0.5 * params.coupling_jp * sum(s[k] * s[k + 2] for k in range(n - 2))
+    s = 1.0 - 2.0 * basis_bits(n)  # (-1)**bit, column k-1 = qubit k
+    e = -0.5 * sum(w * s[:, k] for k, w in enumerate(params.omegas))
+    e -= 0.5 * params.coupling_j * sum(s[:, k] * s[:, k + 1] for k in range(n - 1))
+    e -= 0.5 * params.coupling_jp * sum(s[:, k] * s[:, k + 2] for k in range(n - 2))
     return e
 
 
 def energy_gap(i: int, j: int, params: SpinChainParams) -> float:
     """E_j - E_i between basis states i and j."""
-    return eigen_energy(j, params) - eigen_energy(i, params)
-
-
-def omega_eigenvalue(k: int, m: int, params: SpinChainParams) -> float:
-    """Transition frequency of qubit k conditioned on the neighbour bits of m.
-
-    omega_k plus (J/2) times the spin signs of qubits k-1, k+1 plus (J'/2)
-    times those of k-2, k+2; neighbours outside the open chain are dropped.
-    Independent of bit k itself.
-    """
-    n = params.n_qubits
-    _check_qubit(k, n)
-    _check_state(m, n)
-    s = _signs(m, n)
-    value = params.omegas[k - 1]
-    for step, coupling in ((1, params.coupling_j), (2, params.coupling_jp)):
-        for j in (k - step, k + step):
-            if 1 <= j <= n:
-                value += 0.5 * coupling * s[j - 1]
-    return value
-
-
-def all_energies(params: SpinChainParams) -> np.ndarray:
-    """eigen_energy for every basis state, index 0 holding state 1."""
-    return np.array([eigen_energy(m, params) for m in range(1, params.dim + 1)])
+    for m in (i, j):
+        if not 1 <= m <= params.dim:
+            raise ValueError(f"state index {m} outside 1..{params.dim}")
+    energies = all_energies(params)
+    return float(energies[j - 1] - energies[i - 1])
 
 
 def omega_table(params: SpinChainParams) -> np.ndarray:
-    """omega_eigenvalue on a (n_qubits, dim) grid; [k-1, m-1] = Omega_{k,m}."""
-    return np.array(
-        [[omega_eigenvalue(k, m, params) for m in range(1, params.dim + 1)]
-         for k in range(1, params.n_qubits + 1)]
-    )
+    """Transition frequencies on a (n_qubits, dim) grid; [k-1, m-1] = Omega_{k,m}.
+
+    Omega_{k,m} is omega_k plus (J/2) times the spin signs of qubits k-1,
+    k+1 in state m plus (J'/2) times those of k-2, k+2; neighbours outside
+    the open chain are dropped.  Independent of bit k itself.
+    """
+    s = 1.0 - 2.0 * basis_bits(params.n_qubits)
+    table = np.repeat(np.asarray(params.omegas)[:, None], params.dim, axis=1)
+    for step, coupling in ((1, params.coupling_j), (2, params.coupling_jp)):
+        table[step:] += 0.5 * coupling * s[:, :-step].T  # neighbour k - step
+        table[:-step] += 0.5 * coupling * s[:, step:].T  # neighbour k + step
+    return table

@@ -34,12 +34,12 @@ from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephas
                      rk4_evolve)
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
 from .metrics import EntanglementFamily, family_of_pair, gme, purity
-from .register import SpinChainParams
+from .register import N_QUBITS, SpinChainParams
 from .states import diagnostics, initial_bell_density
 
 ENGINE_DELTA_THRESHOLD = 1e-6
 
-CSV_HEADER = ("tau", "purity", "gme", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8",
+CSV_HEADER = ("tau", "purity", "gme", *(f"p{m}" for m in range(1, 2 ** N_QUBITS + 1)),
               "coh_abs", "trace_err", "herm_err", "min_eig")
 
 class ConfigError(ValueError):
@@ -76,7 +76,7 @@ class RunConfig:
 
 # ------------------------------------------------------------- config text
 
-_RATE_KEY = re.compile(r"^(gamma|Gamma)_([1-3])([1-3])?$")
+_RATE_KEY = re.compile(rf"^(gamma|Gamma)_([1-{N_QUBITS}])([1-{N_QUBITS}])?$")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -167,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
                 "record_stride": stride_item}.get(str(exc).split()[0])
         raise ConfigError(str(exc), item and item[1]) from exc
     try:
-        env = make_environment(model, gamma, big_gamma, params.n_qubits)
+        env = make_environment(model, gamma, big_gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -274,21 +274,33 @@ def run_scenario(cfg: RunConfig, out_path: str | Path | None = None) -> Path:
     purity and gme columns is rendered next to it.
     """
     path = Path(out_path or cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
-    rho0 = initial_bell_density(*cfg.pair, n_qubits=cfg.params.n_qubits)
-    traj = rk4_evolve(rho0, cfg.evolution, cfg.params, cfg.env)
-    rows = trajectory_table(traj, cfg.pair, cfg.family)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(CSV_HEADER, rows), encoding="utf-8", newline="\n")
+    _run_to_csv(path, cfg.pair, cfg.family, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
         from .svgplot import emit_svg_plot
         emit_svg_plot([path], ["purity", "gme"], cfg.plot)
     return path
 
 
+def _run_to_csv(path: Path, pair: tuple[int, int], family: EntanglementFamily,
+                evolution: EvolutionConfig, params: SpinChainParams,
+                env: EnvironmentSpec) -> np.ndarray:
+    """Integrate the Bell state of pair, write its CSV to path and return
+    the rows (columns as in CSV_HEADER)."""
+    traj = rk4_evolve(initial_bell_density(*pair), evolution, params, env)
+    rows = trajectory_table(traj, pair, family)
+    write_csv(path, CSV_HEADER, rows)
+    return rows
+
+
+def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
+    """Write render_csv(header, rows) to path as UTF-8 with LF endings."""
+    Path(path).write_text(render_csv(header, rows), encoding="utf-8", newline="\n")
+
+
 @dataclass(frozen=True)
 class EngineComparison:
     max_delta: float
-    threshold: float
     passed: bool
     n_records: int
     closed_form_delta: float | None = None
@@ -296,7 +308,7 @@ class EngineComparison:
     def summary(self) -> str:
         lines = [
             f"max entrywise |delta rho| over {self.n_records} records: {self.max_delta:.3e}",
-            f"threshold: {self.threshold:.1e}",
+            f"threshold: {ENGINE_DELTA_THRESHOLD:.1e}",
         ]
         if self.closed_form_delta is not None:
             lines.append(f"closed-form dephasing |delta rho|: {self.closed_form_delta:.3e}")
@@ -310,7 +322,7 @@ def compare_engines(cfg: RunConfig) -> EngineComparison:
     For dephasing models the element-wise trajectory is additionally
     compared against the exact closed form.
     """
-    rho0 = initial_bell_density(*cfg.pair, n_qubits=cfg.params.n_qubits)
+    rho0 = initial_bell_density(*cfg.pair)
     element = rk4_evolve(rho0, replace(cfg.evolution, engine=EngineKind.ELEMENT_WISE),
                          cfg.params, cfg.env)
     operator = rk4_evolve(rho0, replace(cfg.evolution, engine=EngineKind.OPERATOR_BUILT),
@@ -322,7 +334,6 @@ def compare_engines(cfg: RunConfig) -> EngineComparison:
         closed_delta = float(np.max(np.abs(element.rhos - exact)))
     return EngineComparison(
         max_delta=max_delta,
-        threshold=ENGINE_DELTA_THRESHOLD,
         passed=max_delta < ENGINE_DELTA_THRESHOLD,
         n_records=element.n_records,
         closed_form_delta=closed_delta,
@@ -354,8 +365,7 @@ SWEEP_HEADER = ("state", "family", "pair_i", "pair_j", "model",
 
 
 def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
-          record_stride: int = 10,
-          engine: EngineKind = EngineKind.ELEMENT_WISE) -> Path:
+          record_stride: int = 10) -> Path:
     """Run all 16 catalog states under all four models.
 
     Writes one CSV per run plus summary.csv with the interpolated time
@@ -369,23 +379,17 @@ def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params, environments = default_parameters()
-    evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=record_stride,
-                                engine=engine)
+    evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=record_stride)
     summary_rows = []
     for entry in catalog_states(params):
-        rho0 = initial_bell_density(*entry.pair, n_qubits=params.n_qubits)
         for model in EnvironmentModel:
-            traj = rk4_evolve(rho0, evolution, params, environments[model])
-            rows = trajectory_table(traj, entry.pair, entry.family)
-            run_path = out / f"{entry.name}_{model.value}.csv"
-            run_path.write_text(render_csv(CSV_HEADER, rows), encoding="utf-8",
-                                newline="\n")
-            tau_star = tau_first_below(traj.taus, rows[:, 2])
+            rows = _run_to_csv(out / f"{entry.name}_{model.value}.csv", entry.pair,
+                               entry.family, evolution, params, environments[model])
+            tau_star = tau_first_below(rows[:, 0], rows[:, 2])
             summary_rows.append((
                 entry.name, entry.family.value, entry.pair[0], entry.pair[1],
                 model.value, entry.paper_delta_e, entry.computed_delta_e, tau_star,
             ))
     summary_path = out / "summary.csv"
-    summary_path.write_text(render_csv(SWEEP_HEADER, summary_rows), encoding="utf-8",
-                            newline="\n")
+    write_csv(summary_path, SWEEP_HEADER, summary_rows)
     return summary_path

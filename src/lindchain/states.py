@@ -6,6 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .register import N_QUBITS
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
@@ -19,7 +21,7 @@ class Diagnostics(NamedTuple):
     min_eigenvalue: float | np.ndarray
 
 
-def initial_bell_density(i: int, j: int, n_qubits: int = 3) -> np.ndarray:
+def initial_bell_density(i: int, j: int, n_qubits: int = N_QUBITS) -> np.ndarray:
     """Density matrix of (|i> + |j>)/sqrt(2) for basis states i < j.
 
     All four nonzero entries are exactly 0.5.

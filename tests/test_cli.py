@@ -75,7 +75,7 @@ def test_compare_engines_success(quick_config, capsys):
 def test_compare_engines_failure_exits_3(quick_config, capsys, monkeypatch):
     cfg, _ = quick_config
     monkeypatch.setattr(cli, "compare_engines", lambda _cfg: EngineComparison(
-        max_delta=1.0, threshold=1e-6, passed=False, n_records=3))
+        max_delta=1.0, passed=False, n_records=3))
     assert cli.main(["compare-engines", cfg]) == 3
     assert "FAIL" in capsys.readouterr().out
 

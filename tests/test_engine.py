@@ -31,18 +31,20 @@ def test_lowering_operators_move_one_excitation():
     # qubit 1 lowers state 5 (|100>) to state 1 with unit matrix element
     assert ops[0, 0, 4] == 1.0
     assert ops[0].sum() == 4.0  # four states have bit 1 set
+    bits = lc.basis_bits(3)
     for k in range(3):
-        for m in range(1, 9):
-            if lc.bit_of(m, k + 1) == 1:
-                assert ops[k, lc.flip_bit(m, k + 1) - 1, m - 1] == 1.0
+        assert ops[k].sum() == 4.0
+        # qubit k + 1 carries place value 2**(2 - k) in the 0-based state index
+        for p in np.flatnonzero(bits[:, k]):
+            assert ops[k, p - 2 ** (2 - k), p] == 1.0
 
 
 def test_sz_operators_are_half_signs():
     ops = sz_operators(3)
+    bits = lc.basis_bits(3)
     for k in range(3):
         diag = np.diag(ops[k])
-        expected = [0.5 * (1 - 2 * lc.bit_of(m, k + 1)) for m in range(1, 9)]
-        assert np.array_equal(diag, expected)
+        assert np.array_equal(diag, 0.5 * (1 - 2 * bits[:, k]))
         assert np.array_equal(ops[k], np.diag(diag))
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindchain import (SpinChainParams, all_energies, bit_of, eigen_energy,
-                       energy_gap, flip_bit, omega_eigenvalue, omega_table)
+from lindchain import SpinChainParams, all_energies, basis_bits, energy_gap, omega_table
 
 # spectrum of the default chain (omega = 400, 200, 100; J = 10, J' = 0.4)
 EXPECTED_ENERGIES = (-360.2, -249.8, -140.2, -49.8, 50.2, 159.8, 250.2, 339.8)
@@ -15,11 +14,39 @@ def params():
     return SpinChainParams()
 
 
+def _loop_energies(p):
+    """Reference: the energy of each state summed term by term from its bits,
+    in the order all_energies accumulates them."""
+    energies = []
+    for row in basis_bits(p.n_qubits):
+        s = [1.0 - 2.0 * int(b) for b in row]
+        e = -0.5 * sum(w * s[k] for k, w in enumerate(p.omegas))
+        e -= 0.5 * p.coupling_j * sum(s[k] * s[k + 1] for k in range(p.n_qubits - 1))
+        e -= 0.5 * p.coupling_jp * sum(s[k] * s[k + 2] for k in range(p.n_qubits - 2))
+        energies.append(e)
+    return np.array(energies)
+
+
+def _loop_omegas(p):
+    """Reference: Omega_{k,m} neighbour by neighbour, in omega_table's order."""
+    n = p.n_qubits
+    table = np.empty((n, p.dim))
+    for m, row in enumerate(basis_bits(n)):
+        s = [1.0 - 2.0 * int(b) for b in row]
+        for k in range(n):
+            value = p.omegas[k]
+            for step, coupling in ((1, p.coupling_j), (2, p.coupling_jp)):
+                for j in (k - step, k + step):
+                    if 0 <= j < n:
+                        value += 0.5 * coupling * s[j]
+            table[k, m] = value
+    return table
+
+
 def test_default_energies(params):
     energies = all_energies(params)
     assert np.allclose(energies, EXPECTED_ENERGIES, atol=1e-12)
-    for m in range(1, 9):
-        assert eigen_energy(m, params) == energies[m - 1]
+    assert np.array_equal(energies, _loop_energies(params))
 
 
 def test_energy_gaps(params):
@@ -32,45 +59,41 @@ def test_energy_gaps(params):
 
 
 def test_omega_eigenvalues(params):
-    assert omega_eigenvalue(1, 1, params) == pytest.approx(405.2, abs=1e-12)
-    assert omega_eigenvalue(2, 1, params) == pytest.approx(210.0, abs=1e-12)
-    assert omega_eigenvalue(3, 8, params) == pytest.approx(94.8, abs=1e-12)
     table = omega_table(params)
     assert table.shape == (3, 8)
-    for k in range(1, 4):
-        for m in range(1, 9):
-            assert table[k - 1, m - 1] == omega_eigenvalue(k, m, params)
+    assert table[0, 0] == pytest.approx(405.2, abs=1e-12)  # Omega_{1,1}
+    assert table[1, 0] == pytest.approx(210.0, abs=1e-12)  # Omega_{2,1}
+    assert table[2, 7] == pytest.approx(94.8, abs=1e-12)  # Omega_{3,8}
+    assert np.array_equal(table, _loop_omegas(params))
 
 
 def test_bit_convention():
     # qubit 1 is the most significant bit; state 1 is all zeros
-    assert [bit_of(1, k) for k in (1, 2, 3)] == [0, 0, 0]
-    assert [bit_of(8, k) for k in (1, 2, 3)] == [1, 1, 1]
-    assert [bit_of(2, k) for k in (1, 2, 3)] == [0, 0, 1]
-    assert [bit_of(5, k) for k in (1, 2, 3)] == [1, 0, 0]
+    bits = basis_bits(3)
+    assert bits.shape == (8, 3)
+    assert bits[0].tolist() == [0, 0, 0]
+    assert bits[7].tolist() == [1, 1, 1]
+    assert bits[1].tolist() == [0, 0, 1]
+    assert bits[4].tolist() == [1, 0, 0]
 
 
-def test_flip_bit():
-    assert flip_bit(1, 1) == 5
-    assert flip_bit(1, 3) == 2
-    assert flip_bit(8, 2) == 6
-    for m in range(1, 9):
-        for k in (1, 2, 3):
-            flipped = flip_bit(m, k)
-            assert flip_bit(flipped, k) == m
-            for other in (1, 2, 3):
-                if other != k:
-                    assert bit_of(flipped, other) == bit_of(m, other)
-            assert bit_of(flipped, k) == 1 - bit_of(m, k)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_basis_bits_read_as_binary(n):
+    # row m-1 spells m-1 in binary, most significant qubit first
+    rows = ["".join(map(str, row)) for row in basis_bits(n)]
+    assert rows == [np.binary_repr(m, width=n) for m in range(2 ** n)]
 
 
 def test_omega_ignores_own_bit(params):
-    # the transition frequency of qubit k depends on its neighbours only
-    for k in (1, 2, 3):
-        for m in range(1, 9):
-            if bit_of(m, k) == 0:
-                assert omega_eigenvalue(k, m, params) == omega_eigenvalue(
-                    k, flip_bit(m, k), params)
+    # the transition frequency of qubit k depends on its neighbours only:
+    # states that differ in bit k alone share Omega_k
+    bits = basis_bits(3)
+    table = omega_table(params)
+    for k in range(3):
+        for m in range(8):
+            for other in range(8):
+                if np.flatnonzero(bits[m] != bits[other]).tolist() == [k]:
+                    assert table[k, m] == table[k, other]
 
 
 @st.composite
@@ -91,13 +114,12 @@ def test_omega_equals_half_coupling_energy_difference(p):
     couplings are halved; this identity powers the operator-built engine."""
     half = SpinChainParams(p.omegas, 0.5 * p.coupling_j, 0.5 * p.coupling_jp)
     eps = all_energies(half)
-    n = p.n_qubits
-    for k in range(1, n + 1):
-        shift = 1 << (n - k)
-        for m in range(1, p.dim + 1):
-            if bit_of(m, k, n) == 0:
-                expected = eps[m - 1 + shift] - eps[m - 1]
-                assert omega_eigenvalue(k, m, p) == pytest.approx(expected, abs=1e-9)
+    table = omega_table(p)
+    bits = basis_bits(p.n_qubits)
+    for k in range(p.n_qubits):
+        for m in np.flatnonzero(bits[:, k] == 0):
+            excited = 2 ** (p.n_qubits - 1 - k) + m  # same state with bit k set
+            assert table[k, m] == pytest.approx(eps[excited] - eps[m], abs=1e-9)
 
 
 @given(chain_params())
@@ -105,6 +127,13 @@ def test_omega_equals_half_coupling_energy_difference(p):
 def test_energies_are_traceless(p):
     # every term of the diagonal Hamiltonian is traceless
     assert abs(all_energies(p).sum()) < 1e-9
+
+
+@given(chain_params())
+@settings(max_examples=60, deadline=None)
+def test_tables_equal_loop_reference(p):
+    assert np.array_equal(all_energies(p), _loop_energies(p))
+    assert np.array_equal(omega_table(p), _loop_omegas(p))
 
 
 def test_validation():
@@ -115,16 +144,10 @@ def test_validation():
     with pytest.raises(ValueError):
         SpinChainParams(coupling_j=float("inf"))
     p = SpinChainParams()
-    with pytest.raises(ValueError):
-        bit_of(0, 1)
-    with pytest.raises(ValueError):
-        bit_of(9, 1)
-    with pytest.raises(ValueError):
-        bit_of(1, 4)
-    with pytest.raises(ValueError):
-        omega_eigenvalue(0, 1, p)
-    with pytest.raises(ValueError):
-        eigen_energy(99, p)
+    # a 0 or negative index would otherwise wrap around to the last states
+    for i, j in ((0, 1), (1, 9), (9, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="outside 1..8"):
+            energy_gap(i, j, p)
 
 
 def test_small_chains_drop_missing_couplings():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
 from .metrics import EntanglementFamily
-from .register import N_QUBITS, SpinChainParams, energy_gap
+from .register import N_QUBITS, SpinChainParams, all_energies
 
 DEFAULT_DIAGONAL_RATE = 0.05
 # off-diagonal rates keyed by qubit pair, same numbers for gamma and Gamma
@@ -80,19 +80,20 @@ def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, Enviro
 
 def catalog_states(params: SpinChainParams | None = None) -> list[CatalogEntry]:
     """All 16 catalog entries with quoted and recomputed energy gaps."""
-    params = params or SpinChainParams()
-    return [_entry(row, params) for row in _TABLE]
+    energies = all_energies(params or SpinChainParams())
+    return [_entry(row, energies) for row in _TABLE]
 
 
 def catalog_entry(name: str, params: SpinChainParams | None = None) -> CatalogEntry:
     """Look up a single entry by name, e.g. "psi_18"."""
     for row in _TABLE:
         if row[0] == name:
-            return _entry(row, params or SpinChainParams())
+            return _entry(row, all_energies(params or SpinChainParams()))
     known = ", ".join(row[0] for row in _TABLE)
     raise KeyError(f"unknown catalog state {name!r}; known states: {known}")
 
 
-def _entry(row, params: SpinChainParams) -> CatalogEntry:
-    name, family, pair, quoted = row
-    return CatalogEntry(name, family, pair, quoted, energy_gap(pair[0], pair[1], params))
+def _entry(row, energies) -> CatalogEntry:
+    """The entry of one _TABLE row, its gap E_j - E_i read from energies."""
+    name, family, (i, j), quoted = row
+    return CatalogEntry(name, family, (i, j), quoted, float(energies[j - 1] - energies[i - 1]))

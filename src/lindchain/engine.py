@@ -1,6 +1,6 @@
 """Open-system generators for the spin chain and a fixed-step RK4 integrator.
 
-Two independently derived engines produce the same right-hand side:
+Two independently derived engines produce the same generator:
 
 * element-wise: per-entry rate equations for d(rho_mn)/dt, written with
   bit tests, index shifts, and oscillating phase factors;
@@ -9,8 +9,8 @@ Two independently derived engines produce the same right-hand side:
 
 Everything evolves in the rotating frame that removes the fast Larmor
 phases, so trajectories carry coherence magnitudes directly.  Each engine
-exposes its 64x64 (for three qubits) Liouville matrix A(t) acting on
-vec(rho).
+is a callable returning its 64x64 (for three qubits) Liouville matrix A(t)
+acting on vec(rho).
 
 Both generators are covariant under that frame: A(t + c) = D(t) A(c) D(-t)
 with D(t) = diag(exp(i Delta t)) and Delta_mn = eps_m - eps_n from the
@@ -19,13 +19,14 @@ D(s dt) M0 D(-s dt), M0 being the step matrix at t = 0, and N steps
 collapse to D(N dt) Q^N with the constant transfer matrix
 Q = D(-dt) M0.  The integrator builds Q once and jumps between recorded
 samples with Q^stride, which is the same RK4 discretization without a
-per-step loop.  The step loop survives only to locate the step at which a
-run whose records turn non-finite diverged.
+per-step loop.  When a record turns non-finite, single products with Q
+from the last finite record name the step at which the run diverged.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -188,31 +189,17 @@ def frame_frequencies(params: SpinChainParams, env: EnvironmentSpec) -> np.ndarr
     return eps[:, None] - eps[None, :]
 
 
-class _Generator:
-    """Right-hand side f(rho, t) = unvec(A(t) vec rho); subclasses supply
-    the Liouville matrix A(t) from their own construction."""
-
-    _dim: int
-
-    def matrix(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, rho: np.ndarray, t: float) -> np.ndarray:
-        return (self.matrix(t) @ rho.reshape(-1)).reshape(self._dim, self._dim)
-
-
-class _ElementWiseDephasing(_Generator):
+class _ElementWiseDephasing:
     """d(rho_mn)/dt = -R_mn rho_mn: a static diagonal Liouville matrix."""
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        self._dim = params.dim
         self._rates = -dephasing_rate_matrix(env).reshape(-1).astype(complex)
 
-    def matrix(self, t: float) -> np.ndarray:
+    def __call__(self, t: float) -> np.ndarray:
         return np.diag(self._rates)
 
 
-class _ElementWiseDissipation(_Generator):
+class _ElementWiseDissipation:
     """Per-entry rate equations compiled to a frequency-tagged sparse form.
 
     For each ordered qubit pair (k, l) with rate gamma_kl, entry (m, n)
@@ -285,21 +272,20 @@ class _ElementWiseDissipation(_Generator):
         slot_arr = np.asarray(slots, dtype=np.intp)
         if len(np.unique(slot_arr)) != len(slot_arr):
             raise AssertionError("element-wise term slots collide")
-        self._dim = dim
+        self._size = size
         self._slots = slot_arr
         self._coeffs = np.asarray(coeffs, dtype=complex)
         self._freqs = np.asarray(freqs, dtype=float)
 
-    def matrix(self, t: float) -> np.ndarray:
-        size = self._dim * self._dim
-        mat = np.zeros((size, size), dtype=complex)
+    def __call__(self, t: float) -> np.ndarray:
+        mat = np.zeros((self._size, self._size), dtype=complex)
         mat.flat[self._slots] = self._coeffs * np.exp(self._freqs * (1j * t))
         return mat
 
 
 # ------------------------------------------------------ operator-built path
 
-class _OperatorBuilt(_Generator):
+class _OperatorBuilt:
     """Constant superoperator from jump-operator products, conjugated by the
     diagonal frame unitary.
 
@@ -326,20 +312,20 @@ class _OperatorBuilt(_Generator):
                     - np.kron(anti, eye)
                     - np.kron(eye, anti.T)
                 )
-        self._dim = dim
         self._liouville = liouville
         self._delta = frame_frequencies(params, env).reshape(-1)
 
-    def matrix(self, t: float) -> np.ndarray:
+    def __call__(self, t: float) -> np.ndarray:
         frame = np.exp(self._delta * (1j * t))
         return frame[:, None] * self._liouville * frame.conj()[None, :]
 
 
 # ----------------------------------------------------------------- stepping
 
-def make_rhs(params: SpinChainParams, env: EnvironmentSpec, kind: EngineKind) -> _Generator:
-    """Compile the right-hand side f(rho, t) for the chosen engine; its
-    matrix(t) method returns the Liouville matrix A(t) acting on vec(rho)."""
+def make_rhs(params: SpinChainParams, env: EnvironmentSpec,
+             kind: EngineKind) -> Callable[[float], np.ndarray]:
+    """Compile the chosen engine's generator: a callable A with A(t) the
+    (dim**2, dim**2) Liouville matrix, so d(vec rho)/dt = A(t) vec rho."""
     _check_sizes(params, env)
     if kind is EngineKind.OPERATOR_BUILT:
         return _OperatorBuilt(params, env)
@@ -365,13 +351,13 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
         raise ValueError(f"rho dim {rho.shape[0]} does not match params dim {params.dim}")
-    rhs = make_rhs(params, env, cfg.engine)
+    generator = make_rhs(params, env, cfg.engine)
     dt = cfg.dt
     stride = int(cfg.record_stride)
     n_steps = int(round(cfg.t_max / dt))
     delta = frame_frequencies(params, env).reshape(-1)
-    _check_covariance(rhs, delta, n_steps * dt)
-    transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(rhs, dt)
+    _check_covariance(generator, delta, n_steps * dt)
+    transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, dt)
     _warn_if_unstable(transfer, dt)
 
     steps = [*range(0, n_steps, stride), n_steps]
@@ -387,19 +373,18 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
             power = hop if gap == stride else np.linalg.matrix_power(transfer, gap)
             np.matmul(power, vecs[i - 1], out=vecs[i])
         finite = np.isfinite(vecs).all(axis=1)
-        # phase first: a fused complex product is not symmetric in the last bit
-        np.multiply(np.exp(np.outer(taus, delta) * 1j), vecs, out=vecs)
-        rhos = vecs.reshape(len(steps), *rho.shape)
         if not finite.all():
             first = int(np.argmin(finite))
-            _locate_divergence(rhs, rhos[first - 1], steps[first - 1], steps[first], dt)
-    return Trajectory(taus=taus, rhos=rhos)
+            _locate_divergence(transfer, vecs[first - 1], steps[first - 1], steps[first], dt)
+        # phase first: a fused complex product is not symmetric in the last bit
+        np.multiply(np.exp(np.outer(taus, delta) * 1j), vecs, out=vecs)
+    return Trajectory(taus=taus, rhos=vecs.reshape(len(steps), *rho.shape))
 
 
-def _rk4_step_matrix(rhs: _Generator, dt: float) -> np.ndarray:
+def _rk4_step_matrix(generator, dt: float) -> np.ndarray:
     """M0, the matrix of one RK4 step from t = 0 for the linear ODE
     d(vec rho)/dt = A(t) vec rho."""
-    a0, a_half, a1 = rhs.matrix(0.0), rhs.matrix(0.5 * dt), rhs.matrix(dt)
+    a0, a_half, a1 = generator(0.0), generator(0.5 * dt), generator(dt)
     eye = np.eye(len(a0))
     k2 = a_half @ (eye + (0.5 * dt) * a0)
     k3 = a_half @ (eye + (0.5 * dt) * k2)
@@ -407,7 +392,7 @@ def _rk4_step_matrix(rhs: _Generator, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_covariance(rhs: _Generator, delta: np.ndarray, t: float) -> None:
+def _check_covariance(generator, delta: np.ndarray, t: float) -> None:
     """Raise unless A(t) = D(t) A(0) D(-t), the symmetry the transfer
     matrix rests on.
 
@@ -415,8 +400,8 @@ def _check_covariance(rhs: _Generator, delta: np.ndarray, t: float) -> None:
     is measured relative to max|A(0)| (1 + max|Delta| t).
     """
     frame = np.exp(delta * (1j * t))
-    a0 = rhs.matrix(0.0)
-    mismatch = np.max(np.abs(rhs.matrix(t) - frame[:, None] * a0 * frame.conj()[None, :]))
+    a0 = generator(0.0)
+    mismatch = np.max(np.abs(generator(t) - frame[:, None] * a0 * frame.conj()[None, :]))
     if mismatch > 1e-12 * np.max(np.abs(a0)) * (1.0 + np.max(np.abs(delta)) * t):
         raise RuntimeError(f"generator is not covariant under the rotating frame: "
                            f"|A(t) - D(t) A(0) D(-t)| = {mismatch:.3e} at t = {t:g}")
@@ -433,19 +418,15 @@ def _warn_if_unstable(transfer: np.ndarray, dt: float) -> None:
                       UserWarning, stacklevel=3)
 
 
-def _locate_divergence(rhs: _Generator, rho: np.ndarray, start: int, stop: int,
+def _locate_divergence(transfer: np.ndarray, vec: np.ndarray, start: int, stop: int,
                        dt: float) -> None:
-    """Replay the RK4 steps start..stop one by one from the finite state rho
-    and raise IntegrationDivergedError at the first non-finite one."""
-    for step in range(start, stop):
-        t = step * dt
-        k1 = rhs(rho, t)
-        k2 = rhs(rho + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = rhs(rho + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = rhs(rho + dt * k3, t + dt)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(rho).all():
-            raise IntegrationDivergedError(step + 1, (step + 1) * dt)
+    """Apply the one-step transfer matrix to the finite co-rotating state
+    vec of step start, one step at a time up to stop, and raise
+    IntegrationDivergedError at the first non-finite state."""
+    for step in range(start + 1, stop + 1):
+        vec = transfer @ vec
+        if not np.isfinite(vec).all():
+            raise IntegrationDivergedError(step, step * dt)
     # the powered transfer matrix overflowed although single steps did not
     raise IntegrationDivergedError(stop, stop * dt)
 

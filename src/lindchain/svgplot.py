@@ -24,10 +24,12 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 
 
 class PlotDataError(ValueError):
-    """CSV input unusable for plotting (missing column, no rows)."""
+    """CSV input unusable for plotting (missing column, no rows, a cell
+    that is missing or not a finite number)."""
 
 
 def read_csv_columns(path: str | Path) -> dict[str, list[float]]:
+    """Every column of a CSV file as floats, keyed by header name."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -36,7 +38,15 @@ def read_csv_columns(path: str | Path) -> dict[str, list[float]]:
         columns: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
         for row in reader:
             for name in reader.fieldnames:
-                columns[name].append(float(row[name]))
+                cell = row[name]  # None when the row is short
+                try:
+                    value = float(cell)
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    found = "missing value" if cell is None else f"{cell!r} is not a finite number"
+                    raise PlotDataError(f"{path}: line {reader.line_num}, column {name!r}: {found}")
+                columns[name].append(value)
     if not columns or not next(iter(columns.values())):
         raise PlotDataError(f"{path}: no data rows")
     return columns

@@ -17,6 +17,11 @@ def random_density(rng: np.random.Generator, dim: int = 8,
     return (1.0 - noise) * rho + noise * mixer
 
 
+def apply_generator(generator, rho: np.ndarray, t: float) -> np.ndarray:
+    """d(rho)/dt = unvec(A(t) vec rho) for a generator A returned by make_rhs."""
+    return (generator(t) @ rho.reshape(-1)).reshape(rho.shape)
+
+
 # Full-matrix bipartite GME bounds, written directly against the 8x8 rho
 # (no partial trace), as an oracle independent of the library's reduction
 # route.  Per pair: the two coherence entries to sum, then the two

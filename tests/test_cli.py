@@ -61,7 +61,7 @@ def test_simulate_divergence_exits_2(tmp_path, capsys):
         code = cli.main(["simulate", cfg])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "numerical failure: state became non-finite at step 95 (tau = 0.095)\n"
+    assert err == "numerical failure: state became non-finite at step 96 (tau = 0.096)\n"
 
 
 def test_compare_engines_success(quick_config, capsys):
@@ -120,6 +120,16 @@ def test_plot_empty_columns_exits_1(quick_config, tmp_path, capsys):
     assert cli.main(["plot", str(out), "--columns", " , ",
                      "--out", str(tmp_path / "f.svg")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_row", ["1", "1,inf", "1,nan", "1,abc"])
+def test_plot_bad_cell_exits_1(tmp_path, capsys, last_row):
+    csv_path = write(tmp_path / "bad.csv", f"tau,purity\n0,1\n{last_row}\n")
+    assert cli.main(["plot", csv_path, "--columns", "purity",
+                     "--out", str(tmp_path / "f.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: line 3, column 'purity': ")
+    assert not (tmp_path / "f.svg").exists()
 
 
 def test_catalog_prints_all_states(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
-from helpers import random_density
+from helpers import apply_generator, random_density
 from lindchain import EngineKind, EnvironmentModel, EvolutionConfig
 from lindchain.engine import frame_frequencies, lowering_operators, sz_operators
 
@@ -95,7 +95,7 @@ def test_dephasing_rhs_and_closed_form(default_setup):
     params, envs = default_setup
     env = envs[M.DEPHASING]
     rho = lc.initial_bell_density(1, 8)
-    rhs = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(rho, 0.0)
+    rhs = apply_generator(lc.make_rhs(params, env, EngineKind.ELEMENT_WISE), rho, 0.0)
     assert rhs[0, 7] == pytest.approx(-0.075, abs=1e-15)
     assert rhs[0, 0] == 0.0
     assert rhs[7, 7] == 0.0
@@ -120,7 +120,7 @@ def test_bell_rhs_values_independent_dissipation(default_setup):
     params, envs = default_setup
     env = envs[M.INDEPENDENT_DISSIPATION]
     rho = lc.initial_bell_density(1, 8)
-    rhs = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(rho, 0.0)
+    rhs = apply_generator(lc.make_rhs(params, env, EngineKind.ELEMENT_WISE), rho, 0.0)
     # the all-excited population decays at (gamma/2) * 6, feeding state 4
     assert rhs[7, 7].real == pytest.approx(-0.075, abs=1e-15)
     assert rhs[3, 3].real == pytest.approx(0.025, abs=1e-15)
@@ -138,7 +138,7 @@ def test_element_wise_matches_operator_form(seed, t, model_index):
     params, envs = _setup()
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
-    element = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(rho, t)
+    element = apply_generator(lc.make_rhs(params, env, EngineKind.ELEMENT_WISE), rho, t)
     operator = lc.lindblad_rhs_operator(rho, t, params, env)
     assert np.max(np.abs(element - operator)) < 1e-12
 
@@ -153,8 +153,8 @@ def test_compiled_engines_match_literal_operator_form(seed, t, model_index):
     rho = random_density(np.random.default_rng(seed))
     literal = lc.lindblad_rhs_operator(rho, t, params, env)
     for kind in (EngineKind.ELEMENT_WISE, EngineKind.OPERATOR_BUILT):
-        compiled = lc.make_rhs(params, env, kind)
-        assert np.max(np.abs(compiled(rho, t) - literal)) < 1e-12
+        compiled = apply_generator(lc.make_rhs(params, env, kind), rho, t)
+        assert np.max(np.abs(compiled - literal)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -176,10 +176,10 @@ def test_two_qubit_chain_equivalence():
                               [[0.05, 0.02], [0.02, 0.04]], 0.05, n_qubits=2)
     rho = random_density(np.random.default_rng(11), dim=4)
     for kind in EngineKind:
-        rhs = lc.make_rhs(params, env, kind)
+        generator = lc.make_rhs(params, env, kind)
         for t in (0.0, 0.7, 3.1):
             literal = lc.lindblad_rhs_operator(rho, t, params, env)
-            assert np.max(np.abs(rhs(rho, t) - literal)) < 1e-12
+            assert np.max(np.abs(apply_generator(generator, rho, t) - literal)) < 1e-12
 
 
 def test_zeroed_correlations_reduce_bitwise(default_setup):
@@ -192,8 +192,8 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
         zeroed = lc.make_environment(correlated, np.diag(diag), np.diag(diag))
         for t in (0.0, 0.45, 2.3):
             for kind in EngineKind:
-                a = lc.make_rhs(params, independent, kind)(rho, t)
-                b = lc.make_rhs(params, zeroed, kind)(rho, t)
+                a = apply_generator(lc.make_rhs(params, independent, kind), rho, t)
+                b = apply_generator(lc.make_rhs(params, zeroed, kind), rho, t)
                 assert np.array_equal(a, b)
 
 
@@ -202,18 +202,6 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
 TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
 TWO_QUBIT_ENV = lc.make_environment(M.CORRELATED_DISSIPATION,
                                     [[0.05, 0.02], [0.02, 0.04]], 0.05, n_qubits=2)
-
-
-def test_engine_matrix_applies_the_rhs(default_setup):
-    params, envs = default_setup
-    rng = np.random.default_rng(5)
-    for env in envs.values():
-        for kind in EngineKind:
-            rhs = lc.make_rhs(params, env, kind)
-            for t in (0.0, 0.61, 17.3):
-                rho = random_density(rng)
-                applied = (rhs.matrix(t) @ rho.reshape(-1)).reshape(8, 8)
-                assert np.max(np.abs(applied - rhs(rho, t))) < 1e-12
 
 
 def test_generators_are_frame_covariant(default_setup):
@@ -227,11 +215,11 @@ def test_generators_are_frame_covariant(default_setup):
     for chain, env in cases:
         delta = frame_frequencies(chain, env).reshape(-1)
         for kind in EngineKind:
-            rhs = lc.make_rhs(chain, env, kind)
+            generator = lc.make_rhs(chain, env, kind)
             for t, c in ((0.37, 0.0), (2.9, 0.0005), (4.4, 1.3)):
                 frame = np.exp(1j * delta * t)
-                moved = frame[:, None] * rhs.matrix(c) * frame.conj()[None, :]
-                assert np.max(np.abs(rhs.matrix(t + c) - moved)) < 1e-12
+                moved = frame[:, None] * generator(c) * frame.conj()[None, :]
+                assert np.max(np.abs(generator(t + c) - moved)) < 1e-12
 
 
 # ------------------------------------------------------------------ stepping
@@ -248,8 +236,12 @@ def test_rk4_recording_grid(default_setup):
     assert single.taus == pytest.approx([0.0])
 
 
-def _reference_rk4(rhs, rho, n_steps, dt, stride):
-    """The classical step-by-step RK4 loop, four RHS calls per step."""
+def _reference_rk4(generator, rho, n_steps, dt, stride):
+    """The classical step-by-step RK4 loop, four RHS evaluations per step."""
+
+    def rhs(rho, t):
+        return apply_generator(generator, rho, t)
+
     records = []
     for step in range(n_steps):
         if step % stride == 0:
@@ -301,11 +293,13 @@ def test_rk4_matches_closed_form_dephasing(default_setup):
     assert np.max(np.abs(traj.rhos - exact)) < 1e-12
 
 
-def test_rk4_divergence_raises(default_setup):
+@pytest.mark.parametrize("stride", [1, 2, 5, 10, 94, 95, 96, 100, 1000])
+def test_rk4_divergence_raises(default_setup, stride):
     params, _ = default_setup
-    cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=100)
-    # the replay from the last finite record names the first non-finite step
-    for gamma, step in ((5000.0, 95), (3000.0, 135)):
+    cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=stride)
+    # one-step products with Q from the last finite record name the first
+    # non-finite step, wherever the records fall
+    for gamma, step in ((5000.0, 96), (3000.0, 137)):
         hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, gamma, 0.05)
         with pytest.warns(UserWarning, match="spectral radius"):
             with pytest.raises(lc.IntegrationDivergedError, match="step") as err:

@@ -96,3 +96,18 @@ def test_flat_series_still_renders(tmp_path):
     assert len(pts) == 1
     ys = {pair.split(",")[1] for pair in pts[0].split()}
     assert len(ys) == 1  # horizontal line at a finite pixel row
+
+
+@pytest.mark.parametrize("last_row, found", [
+    ("1", "missing value"),
+    ("1,inf", "'inf' is not a finite number"),
+    ("1,nan", "'nan' is not a finite number"),
+    ("1,abc", "'abc' is not a finite number"),
+], ids=["short_row", "inf", "nan", "not_a_number"])
+def test_bad_cell_names_file_line_and_column(tmp_path, last_row, found):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"tau,purity\n0,1\n{last_row}\n", encoding="utf-8")
+    with pytest.raises(PlotDataError) as err:
+        emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+    assert str(err.value) == f"{path}: line 3, column 'purity': {found}"
+    assert not (tmp_path / "fig.svg").exists()

@@ -4,14 +4,18 @@
 Each config in configs/ writes its own CSV and SVG under figures/ (paths
 are set inside the config files).  On top of those, this script overlays
 the psi_18 runs into two comparison charts so the four environments can
-be read off a single axis pair.
+be read off a single axis pair, and runs the default `lindchain sweep`
+into a temporary directory, keeping its summary (the 64 tau* values of
+the 16-state x 4-environment decay table) as figures/sweep_summary.csv.
 """
 
 import argparse
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
-from lindchain.runner import parse_config, run_scenario
+from lindchain.runner import parse_config, run_scenario, sweep
 from lindchain.svgplot import emit_svg_plot
 
 REPO = Path(__file__).resolve().parent.parent
@@ -37,6 +41,11 @@ def main(argv=None) -> int:
         for column in ("gme", "purity"):
             out = emit_svg_plot(overlays, [column], figures / f"overlay_{column}.svg")
             print(f"{'overlay':<34} -> {out}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path("figures") / "sweep_summary.csv"  # next to the configs' outputs
+        shutil.copyfile(sweep(tmp), out)
+        print(f"{'sweep':<34} -> {out}")
     return 0
 
 

@@ -21,10 +21,23 @@ Q = D(-dt) M0.  The integrator builds Q once and jumps between recorded
 samples with Q^stride, which is the same RK4 discretization without a
 per-step loop.  When a record turns non-finite, single products with Q
 from the last finite record name the step at which the run diverged.
+
+Everything that depends only on (params, env, cfg) is built once and
+cached with one entry: the generator, Delta and the covariance check, Q,
+its spectral radius, Q^stride and the power for a final shorter gap, the
+record times and the frame-phase table exp(i tau Delta).  The key hashes
+params and cfg by value and env by identity; an EnvironmentSpec's rates
+are read-only, so a spec cannot change under its entry.  A sweep runs the 16
+states of one model back to back and builds 4 transfer matrices, not 64.
+Each state still gets its own rk4_evolve call rather than one product
+over a (64, 16) block of states: the bench tracer (bench/tracing.py)
+counts integrated steps once per call, so batching waits until it counts
+states as well.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -351,6 +364,43 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
         raise ValueError(f"rho dim {rho.shape[0]} does not match params dim {params.dim}")
+    transfer, hop, last_hop, radius, steps, taus, phases = _propagator(params, env, cfg)
+    if radius > 1.0 + 1e-9:
+        warnings.warn(f"dt = {cfg.dt:g} lies outside the RK4 stability region: the one-step "
+                      f"transfer matrix has spectral radius {radius:.6g} > 1",
+                      UserWarning, stacklevel=2)
+
+    vecs = np.empty((len(steps), rho.size), dtype=complex)
+    vecs[0] = rho.reshape(-1)
+    # a diverging run overflows here; the finiteness check turns every inf
+    # or NaN into IntegrationDivergedError, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(steps)):
+            np.matmul(hop if i < len(steps) - 1 else last_hop, vecs[i - 1], out=vecs[i])
+        finite = np.isfinite(vecs).all(axis=1)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            _locate_divergence(transfer, vecs[first - 1], steps[first - 1], steps[first],
+                               cfg.dt)
+        # phase first: a fused complex product is not symmetric in the last bit
+        np.multiply(phases, vecs, out=vecs)
+    return Trajectory(taus=taus.copy(), rhos=vecs.reshape(len(steps), *rho.shape))
+
+
+@functools.lru_cache(maxsize=1)
+def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionConfig):
+    """What rk4_evolve needs that depends only on (params, env, cfg):
+
+    transfer   Q, one RK4 step in the co-rotating variable;
+    hop        Q^stride, between consecutive records;
+    last_hop   Q^gap for the final, possibly shorter gap;
+    radius     the spectral radius of Q;
+    steps      the step index of each record;
+    taus       the record times;
+    phases     exp(i tau Delta) per record.
+
+    Every returned array is read-only: cache hits share them.
+    """
     generator = make_rhs(params, env, cfg.engine)
     dt = cfg.dt
     stride = int(cfg.record_stride)
@@ -358,27 +408,18 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     delta = frame_frequencies(params, env).reshape(-1)
     _check_covariance(generator, delta, n_steps * dt)
     transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, dt)
-    _warn_if_unstable(transfer, dt)
+    radius = _spectral_radius(transfer)
 
-    steps = [*range(0, n_steps, stride), n_steps]
+    steps = (*range(0, n_steps, stride), n_steps)
     taus = np.asarray(steps) * dt
-    vecs = np.empty((len(steps), rho.size), dtype=complex)
-    vecs[0] = rho.reshape(-1)
-    # a diverging run overflows here; the finiteness check turns every inf
-    # or NaN into IntegrationDivergedError, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
         hop = np.linalg.matrix_power(transfer, stride)
-        for i in range(1, len(steps)):
-            gap = steps[i] - steps[i - 1]
-            power = hop if gap == stride else np.linalg.matrix_power(transfer, gap)
-            np.matmul(power, vecs[i - 1], out=vecs[i])
-        finite = np.isfinite(vecs).all(axis=1)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            _locate_divergence(transfer, vecs[first - 1], steps[first - 1], steps[first], dt)
-        # phase first: a fused complex product is not symmetric in the last bit
-        np.multiply(np.exp(np.outer(taus, delta) * 1j), vecs, out=vecs)
-    return Trajectory(taus=taus, rhos=vecs.reshape(len(steps), *rho.shape))
+        last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
+        last_hop = hop if last_gap == stride else np.linalg.matrix_power(transfer, last_gap)
+    phases = np.exp(np.outer(taus, delta) * 1j)
+    for array in (transfer, hop, last_hop, taus, phases):
+        array.setflags(write=False)
+    return transfer, hop, last_hop, radius, steps, taus, phases
 
 
 def _rk4_step_matrix(generator, dt: float) -> np.ndarray:
@@ -407,15 +448,10 @@ def _check_covariance(generator, delta: np.ndarray, t: float) -> None:
                            f"|A(t) - D(t) A(0) D(-t)| = {mismatch:.3e} at t = {t:g}")
 
 
-def _warn_if_unstable(transfer: np.ndarray, dt: float) -> None:
-    if np.isfinite(transfer).all():
-        radius = float(np.max(np.abs(np.linalg.eigvals(transfer))))
-    else:
-        radius = float("inf")
-    if radius > 1.0 + 1e-9:
-        warnings.warn(f"dt = {dt:g} lies outside the RK4 stability region: the one-step "
-                      f"transfer matrix has spectral radius {radius:.6g} > 1",
-                      UserWarning, stacklevel=3)
+def _spectral_radius(transfer: np.ndarray) -> float:
+    if not np.isfinite(transfer).all():
+        return float("inf")
+    return float(np.max(np.abs(np.linalg.eigvals(transfer))))
 
 
 def _locate_divergence(transfer: np.ndarray, vec: np.ndarray, start: int, stop: int,

@@ -36,13 +36,23 @@ class EnvironmentSpec:
     """A model tag plus dissipation (gamma) and dephasing (Gamma) rate matrices.
 
     Both matrices are (n_qubits, n_qubits), symmetric, with nonnegative
-    diagonals.  For the uncorrelated models the off-diagonal entries are
-    zeroed at construction so the engines never see them.
+    diagonals, and held as read-only copies.  For the uncorrelated models
+    the off-diagonal entries are zeroed at construction so the engines
+    never see them.
     """
 
     model: EnvironmentModel
     gamma: np.ndarray = field(repr=False)
     gamma_dephase: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # the integrator caches its transfer matrices per spec object, which
+        # is only sound while the rates cannot change: keep read-only copies,
+        # so neither the spec nor a caller's array (or its base) can alter them
+        for name in ("gamma", "gamma_dephase"):
+            rates = np.array(getattr(self, name), dtype=float)
+            rates.setflags(write=False)
+            object.__setattr__(self, name, rates)
 
     @property
     def n_qubits(self) -> int:
@@ -98,6 +108,4 @@ def make_environment(model: EnvironmentModel, gamma, gamma_dephase,
             UserWarning,
             stacklevel=2,
         )
-    g.setflags(write=False)
-    gd.setflags(write=False)
     return EnvironmentSpec(model=model, gamma=g, gamma_dephase=gd)

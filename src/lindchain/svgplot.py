@@ -28,25 +28,38 @@ class PlotDataError(ValueError):
     that is missing or not a finite number)."""
 
 
-def read_csv_columns(path: str | Path) -> dict[str, list[float]]:
-    """Every column of a CSV file as floats, keyed by header name."""
+def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
+    """The named columns of a CSV file as floats, keyed by header name.
+    Cells of other columns are not parsed, so they are not validated."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise PlotDataError(f"{path}: empty CSV")
-        columns: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
+        for name in names:
+            if name not in header:
+                if name == "tau":  # the x axis
+                    raise PlotDataError(f"{path}: missing 'tau' column")
+                have = ", ".join(sorted(header))
+                raise PlotDataError(f"{path}: missing column {name!r} (have: {have})")
+        # in file order, so that the first bad cell reported is the first in the file
+        wanted = sorted({header.index(name) for name in names})
+        columns: dict[str, list[float]] = {header[index]: [] for index in wanted}
         for row in reader:
-            for name in reader.fieldnames:
-                cell = row[name]  # None when the row is short
+            if not row:  # blank lines are skipped
+                continue
+            for index in wanted:
+                cell = row[index] if index < len(row) else None
                 try:
                     value = float(cell)
                 except (TypeError, ValueError):
                     value = math.nan
                 if not math.isfinite(value):
                     found = "missing value" if cell is None else f"{cell!r} is not a finite number"
-                    raise PlotDataError(f"{path}: line {reader.line_num}, column {name!r}: {found}")
-                columns[name].append(value)
+                    raise PlotDataError(f"{path}: line {reader.line_num}, "
+                                        f"column {header[index]!r}: {found}")
+                columns[header[index]].append(value)
     if not columns or not next(iter(columns.values())):
         raise PlotDataError(f"{path}: no data rows")
     return columns
@@ -55,18 +68,14 @@ def read_csv_columns(path: str | Path) -> dict[str, list[float]]:
 def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
     """Write one SVG containing a polyline per (csv file, column) pair.
 
-    All CSVs must share a "tau" column, which becomes the x axis.
+    All CSVs must share a "tau" column, which becomes the x axis.  Only
+    tau and the plotted columns are read.
     """
     series = []
     for path in csv_paths:
-        table = read_csv_columns(path)
-        if "tau" not in table:
-            raise PlotDataError(f"{path}: missing 'tau' column")
+        table = read_csv_columns(path, ["tau", *columns])
         taus = table["tau"]
         for column in columns:
-            if column not in table:
-                have = ", ".join(sorted(table))
-                raise PlotDataError(f"{path}: missing column {column!r} (have: {have})")
             values = table[column]
             if column == "gme":
                 values = [max(0.0, v) for v in values]  # display clamp only

@@ -15,3 +15,15 @@ def default_setup():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return default_parameters()
+
+
+@pytest.fixture
+def propagator_cache():
+    """The integrator's transfer-matrix cache, emptied before and after the
+    test, so entries built under monkeypatched engine internals never leak
+    into other tests."""
+    from lindchain import engine
+
+    engine._propagator.cache_clear()
+    yield engine._propagator
+    engine._propagator.cache_clear()

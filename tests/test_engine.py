@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lindchain as lc
 from helpers import apply_generator, random_density
-from lindchain import EngineKind, EnvironmentModel, EvolutionConfig
+from lindchain import EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig, engine
 from lindchain.engine import frame_frequencies, lowering_operators, sz_operators
 
 M = EnvironmentModel
@@ -318,6 +318,82 @@ def test_rk4_input_validation(default_setup):
     two_qubit = lc.SpinChainParams(omegas=(300.0, 150.0))
     with pytest.raises(ValueError, match="qubits"):
         lc.make_rhs(two_qubit, envs[M.INDEPENDENT_DISSIPATION], EngineKind.ELEMENT_WISE)
+
+
+# ------------------------------------------------------ transfer-matrix cache
+
+def test_cache_hit_miss_and_fresh_environment_agree(default_setup, propagator_cache):
+    params, envs = default_setup
+    rho0 = lc.initial_bell_density(2, 7)
+    cfg = EvolutionConfig(t_max=0.5, dt=1e-2, record_stride=7)
+    for env in envs.values():
+        miss = lc.rk4_evolve(rho0, cfg, params, env)
+        hits = propagator_cache.cache_info().hits
+        hit = lc.rk4_evolve(rho0, cfg, params, env)
+        assert propagator_cache.cache_info().hits == hits + 1
+        # a spec with equal rates is another key: it hashes by identity
+        copy = EnvironmentSpec(env.model, env.gamma.copy(), env.gamma_dephase.copy())
+        fresh = lc.rk4_evolve(rho0, cfg, params, copy)
+        assert propagator_cache.cache_info().hits == hits + 1
+        for traj in (hit, fresh):
+            assert np.array_equal(traj.taus, miss.taus)
+            assert np.array_equal(traj.rhos, miss.rhos)
+
+
+def test_stability_warning_fires_on_every_call(propagator_cache):
+    params = lc.SpinChainParams()
+    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)
+    cfg = EvolutionConfig(t_max=0.05, dt=1e-3, record_stride=10)  # stops before step 96
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="spectral radius") as caught:
+            lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
+        assert [w.filename for w in caught] == [__file__]  # the caller's line
+    assert propagator_cache.cache_info().hits == 1
+
+
+def test_covariance_error_is_not_cached(default_setup, monkeypatch, propagator_cache):
+    params, envs = default_setup
+    builds = []
+    make_rhs = engine.make_rhs
+
+    def skewed_make_rhs(*args):
+        builds.append(args)
+        generator = make_rhs(*args)
+        return lambda t: generator(t) * (1.0 + t)  # breaks A(t) = D(t) A(0) D(-t)
+
+    monkeypatch.setattr(engine, "make_rhs", skewed_make_rhs)
+    cfg = EvolutionConfig(t_max=0.1, dt=1e-2, record_stride=5)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="not covariant"):
+            lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, envs[M.DEPHASING])
+    assert len(builds) == 2
+
+
+def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
+    params, envs = default_setup
+    env = envs[M.CORRELATED_DISSIPATION]
+    rho0 = lc.initial_bell_density(1, 8)
+    cfg = EvolutionConfig(t_max=0.3, dt=1e-2, record_stride=10)
+    traj = lc.rk4_evolve(rho0, cfg, params, env)
+    traj.taus[:] = -1.0
+    traj.rhos[:] = 0.0
+    again = lc.rk4_evolve(rho0, cfg, params, env)
+    assert propagator_cache.cache_info().hits == 1
+    assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])
+    assert np.array_equal(again.rhos[0], rho0)
+    transfer, hop, last_hop, _, _, taus, phases = propagator_cache(params, env, cfg)
+    for array in (transfer, hop, last_hop, taus, phases):
+        assert not array.flags.writeable
+
+
+def test_directly_built_environment_is_read_only():
+    base = np.full((3, 3), 0.05)
+    spec = EnvironmentSpec(M.CORRELATED_DEPHASING, base[:], base[:])
+    for rates in (spec.gamma, spec.gamma_dephase):
+        with pytest.raises(ValueError, match="read-only"):
+            rates[0, 0] = 1.0
+    base[0, 0] = 1.0  # the caller's array stays its own
+    assert spec.gamma[0, 0] == spec.gamma_dephase[0, 0] == 0.05
 
 
 def test_evolution_config_validation():

@@ -280,13 +280,30 @@ def test_tau_first_below():
     assert tau_first_below(taus, values, threshold=0.9) == pytest.approx(0.5)
 
 
-def test_sweep(tmp_path):
+def test_sweep(tmp_path, monkeypatch, propagator_cache):
+    builds = []
+    make_rhs = lc.engine.make_rhs
+
+    def counted_make_rhs(*args):
+        builds.append(args[1].model)
+        return make_rhs(*args)
+
+    monkeypatch.setattr(lc.engine, "make_rhs", counted_make_rhs)
     summary = sweep(tmp_path, t_max=10.0, dt=0.05, record_stride=4)
+    assert builds == list(EnvironmentModel)  # one transfer matrix per model
     files = sorted(p.name for p in tmp_path.iterdir())
     assert len(files) == 65  # 16 states x 4 models + summary
     with summary.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 64
+    assert [(r["state"], r["model"]) for r in rows] == [
+        (entry.name, model.value)
+        for entry in lc.catalog_states(lc.SpinChainParams()) for model in EnvironmentModel]
+    for row in rows:
+        with (tmp_path / f"{row['state']}_{row['model']}.csv").open(newline="") as fh:
+            table = np.array([[float(r["tau"]), float(r["gme"])] for r in csv.DictReader(fh)])
+        # the run's CSV holds its gme to 12 significant digits
+        assert float(row["tau_star"]) == pytest.approx(
+            tau_first_below(table[:, 0], table[:, 1]), abs=1e-9, nan_ok=True)
 
     by_run = {(r["state"], r["model"]): r for r in rows}
     params = lc.SpinChainParams()

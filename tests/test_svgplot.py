@@ -18,8 +18,22 @@ def polyline_points(svg_text):
 
 def test_read_csv_columns(tmp_path):
     path = make_csv(tmp_path / "t.csv", ("tau", "purity"), [(0.0, 1.0), (1.0, 0.5)])
-    cols = read_csv_columns(path)
+    cols = read_csv_columns(path, ["tau", "purity"])
     assert cols == {"tau": [0.0, 1.0], "purity": [1.0, 0.5]}
+
+
+def test_read_csv_columns_parses_only_the_named_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("tau,purity,note\n0,1,abc\n\n1,0.5,\n", encoding="utf-8")
+    assert read_csv_columns(path, ["purity", "tau", "purity"]) == {
+        "purity": [1.0, 0.5], "tau": [0.0, 1.0]}
+    out = emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+    assert len(polyline_points(out.read_text())) == 1
+    with pytest.raises(PlotDataError, match="line 2, column 'note'"):
+        read_csv_columns(path, ["tau", "note"])
+    path.write_text("purity,tau\n1\n", encoding="utf-8")
+    with pytest.raises(PlotDataError, match="line 2, column 'tau': missing value"):
+        read_csv_columns(path, ["tau"])
 
 
 def test_two_files_two_columns(tmp_path):

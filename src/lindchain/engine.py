@@ -17,22 +17,25 @@ with D(t) = diag(exp(i Delta t)) and Delta_mn = eps_m - eps_n from the
 half-coupling energies.  One classical RK4 step from time s*dt is therefore
 D(s dt) M0 D(-s dt), M0 being the step matrix at t = 0, and N steps
 collapse to D(N dt) Q^N with the constant transfer matrix
-Q = D(-dt) M0.  The integrator builds Q once and jumps between recorded
-samples with Q^stride, which is the same RK4 discretization without a
-per-step loop.  When a record turns non-finite, single products with Q
-from the last finite record name the step at which the run diverged.
+Q = D(-dt) M0.  The integrator builds Q once and fills the records by
+doubling: record i is H^i vec(rho0) with H = Q^stride, so once records
+0..m-1 exist, one product with H^m yields records m..2m-1.  Of n records,
+the first n - 1 take ceil(log2(n - 1)) matrix products instead of n - 2
+matrix-vector products; the last is one product with H, or with its own
+power of Q when the final gap is shorter.  This is the same RK4
+discretization without a per-step loop.  When a record turns non-finite,
+single products with Q from the last finite record name the step at
+which the run diverged.
 
 Everything that depends only on (params, env, cfg) is built once and
 cached with one entry: the generator, Delta and the covariance check, Q,
-its spectral radius, Q^stride and the power for a final shorter gap, the
-record times and the frame-phase table exp(i tau Delta).  The key hashes
-params and cfg by value and env by identity; an EnvironmentSpec's rates
-are read-only, so a spec cannot change under its entry.  A sweep runs the 16
-states of one model back to back and builds 4 transfer matrices, not 64.
-Each state still gets its own rk4_evolve call rather than one product
-over a (64, 16) block of states: the bench tracer (bench/tracing.py)
-counts integrated steps once per call, so batching waits until it counts
-states as well.
+its spectral radius, the doubling powers H^(2^j) (one squaring each, up
+to the record count of the grid, stored transposed for the row-major
+record stack), the power for a final shorter gap, the record times and
+the frame-phase table exp(i tau Delta).  The key hashes params and cfg by
+value and env by identity; an EnvironmentSpec's rates are read-only, so
+a spec cannot change under its entry.  A sweep runs the 16 states of one
+model back to back and builds 4 transfer matrices, not 64.
 """
 
 from __future__ import annotations
@@ -354,8 +357,9 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     """Integrate d(rho)/dt with classical fixed-step fourth-order Runge-Kutta.
 
     The steps are applied as powers of the constant transfer matrix Q (see
-    the module docstring): one product with Q^stride advances the state
-    from one recorded sample to the next.  The state is never
+    the module docstring): the record stack is filled by doubling, each
+    product with a cached power of Q^stride advancing a block of records
+    at once.  The state is never
     renormalized; trace and positivity drift are left visible for the
     diagnostics.  Warns before integrating when the spectral radius of Q
     exceeds 1, i.e. dt lies outside RK4's stability region.  Raises
@@ -364,19 +368,28 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
         raise ValueError(f"rho dim {rho.shape[0]} does not match params dim {params.dim}")
-    transfer, hop, last_hop, radius, steps, taus, phases = _propagator(params, env, cfg)
+    transfer, powers, last_hop, radius, steps, taus, phases = _propagator(params, env, cfg)
     if radius > 1.0 + 1e-9:
         warnings.warn(f"dt = {cfg.dt:g} lies outside the RK4 stability region: the one-step "
                       f"transfer matrix has spectral radius {radius:.6g} > 1",
                       UserWarning, stacklevel=2)
 
-    vecs = np.empty((len(steps), rho.size), dtype=complex)
+    n = len(steps)
+    vecs = np.empty((n, rho.size), dtype=complex)
     vecs[0] = rho.reshape(-1)
     # a diverging run overflows here; the finiteness check turns every inf
     # or NaN into IntegrationDivergedError, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, len(steps)):
-            np.matmul(hop if i < len(steps) - 1 else last_hop, vecs[i - 1], out=vecs[i])
+        # rows 0..n-2 are H^i vec(rho0), H = Q^stride: with the first m rows
+        # known, one product with (H^m)^T yields the next m
+        for j, power in enumerate(powers):
+            done = 1 << j
+            if done >= n - 1:
+                break
+            cut = min(2 * done, n - 1)
+            np.matmul(vecs[:cut - done], power, out=vecs[done:cut])
+        if n > 1:
+            np.matmul(vecs[-2], last_hop, out=vecs[-1])
         finite = np.isfinite(vecs).all(axis=1)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -384,7 +397,7 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
                                cfg.dt)
         # phase first: a fused complex product is not symmetric in the last bit
         np.multiply(phases, vecs, out=vecs)
-    return Trajectory(taus=taus.copy(), rhos=vecs.reshape(len(steps), *rho.shape))
+    return Trajectory(taus=taus.copy(), rhos=vecs.reshape(n, *rho.shape))
 
 
 @functools.lru_cache(maxsize=1)
@@ -392,8 +405,9 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
     """What rk4_evolve needs that depends only on (params, env, cfg):
 
     transfer   Q, one RK4 step in the co-rotating variable;
-    hop        Q^stride, between consecutive records;
-    last_hop   Q^gap for the final, possibly shorter gap;
+    powers     (H^(2^j))^T for j = 0, 1, ..., H = Q^stride, as many as the
+               doubling over the records needs (at least H^T);
+    last_hop   (Q^gap)^T for the final gap, powers[0] when gap = stride;
     radius     the spectral radius of Q;
     steps      the step index of each record;
     taus       the record times;
@@ -413,13 +427,17 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
     steps = (*range(0, n_steps, stride), n_steps)
     taus = np.asarray(steps) * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        hop = np.linalg.matrix_power(transfer, stride)
+        powers = [np.linalg.matrix_power(transfer, stride).T]
+        # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
+        for _ in range(1, (len(steps) - 2).bit_length()):
+            powers.append(powers[-1] @ powers[-1])
         last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
-        last_hop = hop if last_gap == stride else np.linalg.matrix_power(transfer, last_gap)
+        last_hop = (powers[0] if last_gap == stride
+                    else np.linalg.matrix_power(transfer, last_gap).T)
     phases = np.exp(np.outer(taus, delta) * 1j)
-    for array in (transfer, hop, last_hop, taus, phases):
+    for array in (transfer, *powers, last_hop, taus, phases):
         array.setflags(write=False)
-    return transfer, hop, last_hop, radius, steps, taus, phases
+    return transfer, tuple(powers), last_hop, radius, steps, taus, phases
 
 
 def _rk4_step_matrix(generator, dt: float) -> np.ndarray:

@@ -248,13 +248,21 @@ def render_csv(header: tuple[str, ...], rows) -> str:
     """Deterministic CSV text: 12 significant digits, LF endings.
 
     rows is a sequence of rows or a 2-D array; the cell kinds of the first
-    row (str, int but not bool, else float) fix one %-template for all.
+    row (str, int but not bool, else float) fix one %-template for all.  An
+    array column whose cells all have the same bits is formatted once, into
+    the template (bits, not ==: 0.0 and -0.0 print differently).
     """
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()  # Python floats format faster than numpy scalars
     if len(rows):
-        template = ",".join(_conversion(cell) for cell in rows[0])
+        first = rows[0].tolist() if isinstance(rows, np.ndarray) else rows[0]
+        cells = [_conversion(cell) for cell in first]
+        if isinstance(rows, np.ndarray):
+            bits = rows.view(f"i{rows.itemsize}") if rows.dtype.kind == "f" else rows
+            constant = (bits == bits[0]).all(axis=0)
+            for j in np.flatnonzero(constant):
+                cells[j] = (cells[j] % first[j]).replace("%", "%%")
+            rows = rows[:, ~constant].tolist()  # Python floats format faster than numpy scalars
+        template = ",".join(cells)
         lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 

@@ -270,6 +270,38 @@ def test_transfer_matrix_matches_step_loop(default_setup):
             assert np.max(np.abs(traj.rhos - reference)) < 1e-12
 
 
+def _sequential_records(transfer, rho0, steps, dt, delta):
+    """The record loop the doubling replaced: one product with Q^stride per
+    record, then Q^gap for the final gap, then the frame phases."""
+    hop = np.linalg.matrix_power(transfer, steps[1] - steps[0]) if len(steps) > 1 else None
+    vecs = [rho0.reshape(-1).astype(complex)]
+    for i in range(1, len(steps)):
+        gap = steps[i] - steps[i - 1]
+        power = hop if gap == steps[1] - steps[0] else np.linalg.matrix_power(transfer, gap)
+        vecs.append(power @ vecs[-1])
+    taus = np.asarray(steps) * dt
+    phased = np.exp(1j * np.outer(taus, delta)) * np.asarray(vecs)
+    return phased.reshape(len(steps), *rho0.shape)
+
+
+@pytest.mark.parametrize("n_steps, n_records", [
+    (0, 1), (3, 2), (6, 3), (90, 31), (93, 32), (96, 33), (99, 34), (1200, 401), (100, 35),
+], ids=["1", "2", "3", "2^5-1", "2^5", "2^5+1", "2^5+2", "sweep_401", "short_final_gap"])
+def test_doubled_records_match_sequential_loop(default_setup, propagator_cache,
+                                               n_steps, n_records):
+    params, envs = default_setup
+    rho0 = lc.initial_bell_density(2, 7)
+    cfg = EvolutionConfig(t_max=n_steps * 1e-2, dt=1e-2, record_stride=3)
+    for env in envs.values():
+        traj = lc.rk4_evolve(rho0, cfg, params, env)
+        transfer, powers, _, _, steps, _, _ = propagator_cache(params, env, cfg)
+        assert traj.n_records == len(steps) == n_records
+        assert len(powers) == max(1, (n_records - 2).bit_length())
+        reference = _sequential_records(transfer, rho0, steps, cfg.dt,
+                                        frame_frequencies(params, env).reshape(-1))
+        assert np.max(np.abs(traj.rhos - reference)) < 1e-13
+
+
 def test_rk4_warns_outside_stability_region(default_setup):
     params, envs = default_setup
     hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)
@@ -381,8 +413,9 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
     assert propagator_cache.cache_info().hits == 1
     assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])
     assert np.array_equal(again.rhos[0], rho0)
-    transfer, hop, last_hop, _, _, taus, phases = propagator_cache(params, env, cfg)
-    for array in (transfer, hop, last_hop, taus, phases):
+    transfer, powers, last_hop, _, _, taus, phases = propagator_cache(params, env, cfg)
+    assert len(powers) == 2  # 3 rows from one by doubling: H^T and (H^2)^T
+    for array in (transfer, *powers, last_hop, taus, phases):
         assert not array.flags.writeable
 
 

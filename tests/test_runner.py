@@ -184,6 +184,30 @@ def test_render_csv_array_matches_tuples():
     assert text == "\n".join(expected) + "\n"
 
 
+def test_render_csv_constant_columns_match_per_row_template():
+    rng = np.random.default_rng(5)
+    rows = np.column_stack([
+        np.full(5, 0.125),                 # constant: formatted once
+        [0.0, -0.0, 0.0, -0.0, 0.0],       # equal under ==, but not in bits
+        np.full(5, np.nan),                # constant although nan != nan
+        rng.normal(size=5),                # varying
+        np.full(5, -0.0),                  # constant negative zero
+    ])
+    integers = np.array([[3, -7, 12], [3, 0, 12], [3, 5, 12]])
+    for table in (rows, integers, rows[:1]):
+        header = tuple("abcde"[:table.shape[1]])
+        text = render_csv(header, table)
+        assert text.encode() == render_csv(header, [tuple(r) for r in table.tolist()]).encode()
+        expected = [",".join(header)] + [",".join(_format_cell_reference(c) for c in row)
+                                         for row in table.tolist()]
+        assert text == "\n".join(expected) + "\n"
+    lines = render_csv(tuple("abcde"), rows).split("\n")
+    assert [line.split(",")[1] for line in lines[1:3]] == ["0.00000000000e+00",
+                                                           "-0.00000000000e+00"]
+    assert lines[1].split(",")[2] == "nan" and lines[1].split(",")[4] == "-0.00000000000e+00"
+    assert render_csv(("a", "b", "c"), integers).split("\n")[2] == "3,0,12"
+
+
 def test_render_csv_mixed_cell_kinds():
     rows = [("psi_18", 3, np.int64(-7), True, 0.25, float("nan"), np.float64(-1e-300)),
             ("xi_47", 12, np.int64(0), False, -2.0, float("inf"), np.float64(5.0))]

@@ -22,19 +22,23 @@ doubling: record i is H^i vec(rho0) with H = Q^stride, so once records
 0..m-1 exist, one product with H^m yields records m..2m-1.  Of n records,
 the first n - 1 take ceil(log2(n - 1)) matrix products instead of n - 2
 matrix-vector products; the last is one product with H, or with its own
-power of Q when the final gap is shorter.  This is the same RK4
-discretization without a per-step loop.  When a record turns non-finite,
-single products with Q from the last finite record name the step at
-which the run diverged.
+power of Q when the final gap is shorter.  Squaring stops at the first
+power that is not finite, and the largest finite power then advances the
+rest in blocks of its size: an unstable mode the state does not carry can
+overflow a power, and 0 * inf would turn a finite record into NaN.  This
+is the same RK4 discretization without a per-step loop.  When a record
+turns non-finite, single products with Q from the last finite record
+name the step at which the run diverged.
 
 Everything that depends only on (params, env, cfg) is built once and
 cached with one entry: the generator, Delta and the covariance check, Q,
 its spectral radius, the doubling powers H^(2^j) (one squaring each, up
-to the record count of the grid, stored transposed for the row-major
-record stack), the power for a final shorter gap, the record times and
-the frame-phase table exp(i tau Delta).  The key hashes params and cfg by
-value and env by identity; an EnvironmentSpec's rates are read-only, so
-a spec cannot change under its entry.  A sweep runs the 16 states of one
+to the record count of the grid or the first power that overflows,
+stored transposed for the row-major record stack), the power for a final
+shorter gap, the record times and the frame-phase table exp(i tau
+Delta).  The key hashes params and cfg by value and env by identity; an
+EnvironmentSpec's rates are read-only, so a spec cannot change under its
+entry.  A sweep runs the 16 states of one
 model back to back and builds 4 transfer matrices, not 64.
 """
 
@@ -359,10 +363,10 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     The steps are applied as powers of the constant transfer matrix Q (see
     the module docstring): the record stack is filled by doubling, each
     product with a cached power of Q^stride advancing a block of records
-    at once.  The state is never
-    renormalized; trace and positivity drift are left visible for the
-    diagnostics.  Warns before integrating when the spectral radius of Q
-    exceeds 1, i.e. dt lies outside RK4's stability region.  Raises
+    at once.  The state is never renormalized; trace and positivity drift
+    are left visible for the diagnostics.  Warns before integrating when
+    the spectral radius of Q exceeds 1, i.e. dt lies outside RK4's
+    stability region.  Raises
     IntegrationDivergedError at the first step whose state is non-finite.
     """
     rho = validate_density_matrix(rho0)
@@ -380,14 +384,16 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     # a diverging run overflows here; the finiteness check turns every inf
     # or NaN into IntegrationDivergedError, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
-        # rows 0..n-2 are H^i vec(rho0), H = Q^stride: with the first m rows
-        # known, one product with (H^m)^T yields the next m
-        for j, power in enumerate(powers):
-            done = 1 << j
-            if done >= n - 1:
-                break
-            cut = min(2 * done, n - 1)
-            np.matmul(vecs[:cut - done], power, out=vecs[done:cut])
+        # rows 0..n-2 are H^i vec(rho0), H = Q^stride: with rows 0..m-1 known,
+        # one product with (H^h)^T, h = 2^j <= m, yields rows m..m+h-1; h
+        # doubles while the powers last, then stays at the largest
+        m, j = 1, 0
+        while m < n - 1:
+            hop = 1 << j
+            block = vecs[m:min(m + hop, n - 1)]
+            np.matmul(vecs[m - hop:m - hop + len(block)], powers[j], out=block)
+            m += len(block)
+            j = min(j + 1, len(powers) - 1)
         if n > 1:
             np.matmul(vecs[-2], last_hop, out=vecs[-1])
         finite = np.isfinite(vecs).all(axis=1)
@@ -406,7 +412,8 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
 
     transfer   Q, one RK4 step in the co-rotating variable;
     powers     (H^(2^j))^T for j = 0, 1, ..., H = Q^stride, as many as the
-               doubling over the records needs (at least H^T);
+               doubling over the records needs and stay finite (at least
+               H^T);
     last_hop   (Q^gap)^T for the final gap, powers[0] when gap = stride;
     radius     the spectral radius of Q;
     steps      the step index of each record;
@@ -430,7 +437,10 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
         powers = [np.linalg.matrix_power(transfer, stride).T]
         # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
         for _ in range(1, (len(steps) - 2).bit_length()):
-            powers.append(powers[-1] @ powers[-1])
+            square = powers[-1] @ powers[-1]
+            if not np.isfinite(square).all():
+                break  # rk4_evolve goes on with the largest finite power
+            powers.append(square)
         last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
         last_hop = (powers[0] if last_gap == stride
                     else np.linalg.matrix_power(transfer, last_gap).T)

@@ -302,6 +302,25 @@ def test_doubled_records_match_sequential_loop(default_setup, propagator_cache,
         assert np.max(np.abs(traj.rhos - reference)) < 1e-13
 
 
+def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
+    # Gamma dt = 1: the 3-bit coherences decay at 3 Gamma, past RK4's limit
+    # (|R(-3)| = 1.375), the 2-bit ones at 2 Gamma are stable.  H^256 =
+    # Q^2560 overflows on those 3-bit entries, which this state leaves at 0
+    params = lc.SpinChainParams()
+    env = lc.make_environment(M.DEPHASING, 0.05, 1.0)
+    cfg = EvolutionConfig(t_max=4000.0, dt=1.0, record_stride=10)
+    rho0 = lc.initial_bell_density(1, 7)
+    with pytest.warns(UserWarning, match="spectral radius"):
+        traj = lc.rk4_evolve(rho0, cfg, params, env)
+    transfer, powers, _, _, steps, _, _ = propagator_cache(params, env, cfg)
+    assert traj.n_records == len(steps) == 401
+    assert len(powers) < (401 - 2).bit_length()  # squaring stopped at the overflow
+    reference = _sequential_records(transfer, rho0, steps, cfg.dt,
+                                    frame_frequencies(params, env).reshape(-1))
+    assert np.isfinite(traj.rhos).all()
+    assert np.max(np.abs(traj.rhos - reference)) < 1e-13
+
+
 def test_rk4_warns_outside_stability_region(default_setup):
     params, envs = default_setup
     hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)

@@ -2,10 +2,11 @@
 
 The catalog lists every two-basis-state Bell superposition of the 3-qubit
 chain, grouped by entanglement family and ordered by the energy separation
-quoted in the source table.  Each entry carries that quoted gap alongside
-the gap recomputed from the Ising energies; several bipartite rows
-disagree (the quoted values mix the J/2 and J conventions), and the
-discrepancy is reported rather than reconciled.
+quoted in the source table.  A row names only the pair; its family is
+read from the pair's bits (metrics.family_of_pair).  Each entry carries
+the quoted gap alongside the gap recomputed from the Ising energies;
+several bipartite rows disagree (the quoted values mix the J/2 and J
+conventions), and the discrepancy is reported rather than reconciled.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
-from .metrics import EntanglementFamily
+from .metrics import EntanglementFamily, family_of_pair
 from .register import N_QUBITS, SpinChainParams, all_energies
 
 DEFAULT_DIAGONAL_RATE = 0.05
@@ -24,30 +25,33 @@ DEFAULT_CROSS_RATES = {(1, 2): 0.05, (2, 3): 0.025, (1, 3): 0.0125}
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    family: EntanglementFamily
     pair: tuple[int, int]
     paper_delta_e: float
     computed_delta_e: float
 
+    @property
+    def family(self) -> EntanglementFamily:
+        return family_of_pair(*self.pair)
 
-# (name, family, pair, quoted gap)
+
+# (name, pair, quoted gap)
 _TABLE = (
-    ("psi_18", EntanglementFamily.ABC, (1, 8), 700.0),
-    ("psi_27", EntanglementFamily.ABC, (2, 7), 500.0),
-    ("psi_36", EntanglementFamily.ABC, (3, 6), 300.0),
-    ("psi_45", EntanglementFamily.ABC, (4, 5), 100.0),
-    ("alpha_17", EntanglementFamily.AB, (1, 7), 605.2),
-    ("alpha_28", EntanglementFamily.AB, (2, 8), 594.8),
-    ("alpha_46", EntanglementFamily.AB, (4, 6), 209.8),
-    ("alpha_35", EntanglementFamily.AB, (3, 5), 195.2),
-    ("beta_14", EntanglementFamily.BC, (1, 4), 305.2),
-    ("beta_58", EntanglementFamily.BC, (5, 8), 294.8),
-    ("beta_23", EntanglementFamily.BC, (2, 3), 104.8),
-    ("beta_67", EntanglementFamily.BC, (6, 7), 95.2),
-    ("xi_16", EntanglementFamily.AC, (1, 6), 510.0),
-    ("xi_38", EntanglementFamily.AC, (3, 8), 490.0),
-    ("xi_25", EntanglementFamily.AC, (2, 5), 300.0),
-    ("xi_47", EntanglementFamily.AC, (4, 7), 300.0),
+    ("psi_18", (1, 8), 700.0),
+    ("psi_27", (2, 7), 500.0),
+    ("psi_36", (3, 6), 300.0),
+    ("psi_45", (4, 5), 100.0),
+    ("alpha_17", (1, 7), 605.2),
+    ("alpha_28", (2, 8), 594.8),
+    ("alpha_46", (4, 6), 209.8),
+    ("alpha_35", (3, 5), 195.2),
+    ("beta_14", (1, 4), 305.2),
+    ("beta_58", (5, 8), 294.8),
+    ("beta_23", (2, 3), 104.8),
+    ("beta_67", (6, 7), 95.2),
+    ("xi_16", (1, 6), 510.0),
+    ("xi_38", (3, 8), 490.0),
+    ("xi_25", (2, 5), 300.0),
+    ("xi_47", (4, 7), 300.0),
 )
 
 
@@ -95,5 +99,5 @@ def catalog_entry(name: str, params: SpinChainParams | None = None) -> CatalogEn
 
 def _entry(row, energies) -> CatalogEntry:
     """The entry of one _TABLE row, its gap E_j - E_i read from energies."""
-    name, family, (i, j), quoted = row
-    return CatalogEntry(name, family, (i, j), quoted, float(energies[j - 1] - energies[i - 1]))
+    name, (i, j), quoted = row
+    return CatalogEntry(name, (i, j), quoted, float(energies[j - 1] - energies[i - 1]))

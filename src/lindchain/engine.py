@@ -427,8 +427,9 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
     stride = int(cfg.record_stride)
     n_steps = int(round(cfg.t_max / dt))
     delta = frame_frequencies(params, env).reshape(-1)
-    _check_covariance(generator, delta, n_steps * dt)
-    transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, dt)
+    a0 = generator(0.0)
+    _check_covariance(generator, a0, delta, n_steps * dt)
+    transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, a0, dt)
     radius = _spectral_radius(transfer)
 
     steps = (*range(0, n_steps, stride), n_steps)
@@ -450,10 +451,10 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
     return transfer, tuple(powers), last_hop, radius, steps, taus, phases
 
 
-def _rk4_step_matrix(generator, dt: float) -> np.ndarray:
+def _rk4_step_matrix(generator, a0: np.ndarray, dt: float) -> np.ndarray:
     """M0, the matrix of one RK4 step from t = 0 for the linear ODE
-    d(vec rho)/dt = A(t) vec rho."""
-    a0, a_half, a1 = generator(0.0), generator(0.5 * dt), generator(dt)
+    d(vec rho)/dt = A(t) vec rho, given a0 = A(0)."""
+    a_half, a1 = generator(0.5 * dt), generator(dt)
     eye = np.eye(len(a0))
     k2 = a_half @ (eye + (0.5 * dt) * a0)
     k3 = a_half @ (eye + (0.5 * dt) * k2)
@@ -461,15 +462,14 @@ def _rk4_step_matrix(generator, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_covariance(generator, delta: np.ndarray, t: float) -> None:
-    """Raise unless A(t) = D(t) A(0) D(-t), the symmetry the transfer
-    matrix rests on.
+def _check_covariance(generator, a0: np.ndarray, delta: np.ndarray, t: float) -> None:
+    """Raise unless A(t) = D(t) a0 D(-t) with a0 = A(0), the symmetry the
+    transfer matrix rests on.
 
     Round-off in the phase arguments grows as |Delta| t, so the mismatch
     is measured relative to max|A(0)| (1 + max|Delta| t).
     """
     frame = np.exp(delta * (1j * t))
-    a0 = generator(0.0)
     mismatch = np.max(np.abs(generator(t) - frame[:, None] * a0 * frame.conj()[None, :]))
     if mismatch > 1e-12 * np.max(np.abs(a0)) * (1.0 + np.max(np.abs(delta)) * t):
         raise RuntimeError(f"generator is not covariant under the rotating frame: "

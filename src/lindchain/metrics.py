@@ -5,7 +5,10 @@ GME-concurrence.  For the three-qubit catalog states it specializes to
 
     C >= 2 |rho_ij| - 2 * sum of sqrt(rho_pp rho_qq)
 
-over complementary index pairs.  The bound may go negative; negative
+over complementary index pairs.  The pair (i, j) is the whole
+description of a state: gme(rho, pair) reads from the bits of i and j
+whether the state is tripartite (no shared bit) or which qubit to trace
+out (the one bit they share).  The bound may go negative; negative
 values mean the bound is uninformative, not that entanglement is gone,
 so nothing here clamps them.
 
@@ -29,23 +32,13 @@ GME_ABC_PAIRS = ((1, 8), (2, 7), (3, 6), (4, 5))
 
 
 class EntanglementFamily(Enum):
-    """Which qubits the catalog state entangles; bipartite families carry
-    the qubit that gets traced out."""
+    """Which qubits a catalog state entangles, read from its pair by
+    family_of_pair."""
 
     ABC = "ABC"
     AB = "AB"
     BC = "BC"
     AC = "AC"
-
-    @property
-    def traced_qubit(self) -> int:
-        if self is EntanglementFamily.AB:
-            return 3
-        if self is EntanglementFamily.BC:
-            return 1
-        if self is EntanglementFamily.AC:
-            return 2
-        raise ValueError("ABC is tripartite; nothing is traced out")
 
 
 def family_of_pair(i: int, j: int) -> EntanglementFamily:
@@ -75,7 +68,7 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
     return scalar_or_stack((flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real)
 
 
-def partial_trace(rho: np.ndarray, traced_qubit: int) -> np.ndarray:
+def partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
     """Reduced 4x4 density matrix after tracing out one qubit of three.
 
     Kept-qubit order is preserved (qubit 1 before 2 before 3).  A stack
@@ -84,50 +77,38 @@ def partial_trace(rho: np.ndarray, traced_qubit: int) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"partial_trace supports 3 qubits only, got shape {rho.shape}")
-    if traced_qubit not in (1, 2, 3):
-        raise ValueError(f"traced_qubit must be 1, 2, or 3, got {traced_qubit}")
+    if qubit not in (1, 2, 3):
+        raise ValueError(f"qubit must be 1, 2, or 3, got {qubit}")
     lead = rho.shape[:-2]
     tensor = rho.reshape(*lead, 2, 2, 2, 2, 2, 2)
     # row bit k sits on axis k - 7 from the end, column bit k on k - 4
-    reduced = np.trace(tensor, axis1=traced_qubit - 7, axis2=traced_qubit - 4)
+    reduced = np.trace(tensor, axis1=qubit - 7, axis2=qubit - 4)
     return reduced.reshape(*lead, 4, 4)
 
 
-def gme_abc(rho: np.ndarray, pair: tuple[int, int]) -> float | np.ndarray:
-    """GME-concurrence lower bound for a tripartite catalog pair.
+def gme(rho: np.ndarray, pair: tuple[int, int]) -> float | np.ndarray:
+    """GME-concurrence lower bound for the catalog pair (i, j).
 
-    2|rho_ij| minus 2 sum over the three complementary pairs (p, q) of
-    sqrt(rho_pp rho_qq).  No clamping.
+    When i and j share no bit the state is tripartite: 2|rho_ij| minus 2
+    sum over the three complementary pairs (p, q) of sqrt(rho_pp rho_qq).
+    Otherwise the qubit whose bit they share is traced out and the
+    two-qubit bound |<il|rho|kj>| - sqrt(<ij|rho|ij><kl|rho|kl>) (times 2)
+    is evaluated on the reduced state.  The kept bits of state i select
+    which reduced coherence carries the entanglement: equal bits pair
+    |00> with |11>, unequal bits pair |01> with |10>.  No clamping.
     """
-    pair = (int(pair[0]), int(pair[1]))
-    if pair not in GME_ABC_PAIRS:
-        raise ValueError(f"pair {pair} is not one of the tripartite pairs {GME_ABC_PAIRS}")
-    rho = np.asarray(rho)
-    i, j = pair
-    coherence = np.abs(rho[..., i - 1, j - 1])
-    pops = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
-    cross = sum(np.sqrt(pops[..., p - 1] * pops[..., q - 1])
-                for p, q in GME_ABC_PAIRS if (p, q) != pair)
-    return scalar_or_stack(2.0 * coherence - 2.0 * cross)
-
-
-def gme_pair(rho: np.ndarray, family: EntanglementFamily,
-             pair: tuple[int, int]) -> float | np.ndarray:
-    """GME-concurrence lower bound for a bipartite catalog pair.
-
-    Traces out the non-participating qubit and evaluates the two-qubit
-    bound |<il|rho|kj>| - sqrt(<ij|rho|ij><kl|rho|kl>) (times 2) on the
-    reduced state.  The kept bits of state i select which reduced
-    coherence carries the entanglement: equal bits pair |00> with |11>,
-    unequal bits pair |01> with |10>.
-    """
-    if family is EntanglementFamily.ABC:
-        raise ValueError("gme_pair handles bipartite families; use gme_abc for ABC")
     i, j = int(pair[0]), int(pair[1])
-    if family_of_pair(i, j) is not family:
-        raise ValueError(f"pair ({i}, {j}) does not belong to family {family.value}")
-    reduced = partial_trace(rho, family.traced_qubit)
-    kept = np.delete(basis_bits(N_QUBITS)[i - 1], family.traced_qubit - 1)
+    rho = np.asarray(rho)
+    if family_of_pair(i, j) is EntanglementFamily.ABC:
+        coherence = np.abs(rho[..., i - 1, j - 1])
+        pops = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
+        cross = sum(np.sqrt(pops[..., p - 1] * pops[..., q - 1])
+                    for p, q in GME_ABC_PAIRS if (p, q) != (i, j))
+        return scalar_or_stack(2.0 * coherence - 2.0 * cross)
+    bits = basis_bits(N_QUBITS)
+    traced = int(np.flatnonzero(bits[i - 1] == bits[j - 1])[0]) + 1
+    reduced = partial_trace(rho, traced)
+    kept = np.delete(bits[i - 1], traced - 1)
     if kept[0] == kept[1]:
         coherence = np.abs(reduced[..., 0, 3])
         pops = reduced[..., 1, 1].real * reduced[..., 2, 2].real
@@ -135,17 +116,6 @@ def gme_pair(rho: np.ndarray, family: EntanglementFamily,
         coherence = np.abs(reduced[..., 1, 2])
         pops = reduced[..., 0, 0].real * reduced[..., 3, 3].real
     return scalar_or_stack(2.0 * (coherence - np.sqrt(np.maximum(pops, 0.0))))
-
-
-def gme(rho: np.ndarray, pair: tuple[int, int],
-        family: EntanglementFamily | None = None) -> float | np.ndarray:
-    """Dispatch to the tripartite or bipartite bound for any catalog pair."""
-    i, j = int(pair[0]), int(pair[1])
-    if family is None:
-        family = family_of_pair(i, j)
-    if family is EntanglementFamily.ABC:
-        return gme_abc(rho, (i, j))
-    return gme_pair(rho, family, (i, j))
 
 
 def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],

@@ -56,12 +56,15 @@ class ConfigError(ValueError):
 class RunConfig:
     state_name: str | None
     pair: tuple[int, int]
-    family: EntanglementFamily
     params: SpinChainParams
     env: EnvironmentSpec
     evolution: EvolutionConfig
     out: str | None = None
     plot: str | None = None
+
+    @property
+    def family(self) -> EntanglementFamily:
+        return family_of_pair(*self.pair)
 
     @property
     def model(self) -> EnvironmentModel:
@@ -111,7 +114,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required key 'model'")
     engine = _parse_member("engine", EngineKind, take("engine")) or EvolutionConfig.engine
 
-    state_name, pair, family = _parse_state(take("state"), take("pair_i"), take("pair_j"))
+    state_name, pair = _parse_state(take("state"), take("pair_i"), take("pair_j"))
 
     chain = SpinChainParams()
     omegas = tuple(number(f"omega_{k}", w) for k, w in enumerate(chain.omegas, start=1))
@@ -171,9 +174,9 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(state_name=state_name, pair=pair, family=family, params=params,
-                     env=env, evolution=evolution,
-                     out=out[0] if out else None, plot=plot[0] if plot else None)
+    return RunConfig(state_name=state_name, pair=pair, params=params, env=env,
+                     evolution=evolution, out=out[0] if out else None,
+                     plot=plot[0] if plot else None)
 
 
 def _parse_member(key, kind, item):
@@ -198,16 +201,17 @@ def _parse_state(state_item, pair_i_item, pair_j_item):
             entry = catalog_entry(value)
         except KeyError as exc:
             raise ConfigError(str(exc.args[0]), lineno) from None
-        return entry.name, entry.pair, entry.family
+        return entry.name, entry.pair
     if pair_i_item is None or pair_j_item is None:
         raise ConfigError("config must set 'state' or both 'pair_i' and 'pair_j'")
     i = _parse_int("pair_i", pair_i_item)
     j = _parse_int("pair_j", pair_j_item)
+    pair = (min(i, j), max(i, j))
     try:
-        family = family_of_pair(min(i, j), max(i, j))
+        family_of_pair(*pair)
     except ValueError as exc:
         raise ConfigError(str(exc), pair_i_item[1]) from exc
-    return None, (min(i, j), max(i, j)), family
+    return None, pair
 
 
 def _parse_float(key, item) -> float:
@@ -231,15 +235,14 @@ def _parse_int(key, item) -> int:
 
 # -------------------------------------------------------------- execution
 
-def trajectory_table(traj: Trajectory, pair: tuple[int, int],
-                     family: EntanglementFamily) -> np.ndarray:
+def trajectory_table(traj: Trajectory, pair: tuple[int, int]) -> np.ndarray:
     """Per-record CSV rows as one (n_records, 15) float array, columns as in
     CSV_HEADER: tau, purity, gme, populations, tracked coherence
     magnitude, and physicality diagnostics, each from one call on the
     whole (n, 8, 8) record stack.
     """
     rhos = traj.rhos
-    return np.column_stack((traj.taus, purity(rhos), gme(rhos, pair, family),
+    return np.column_stack((traj.taus, purity(rhos), gme(rhos, pair),
                             np.diagonal(rhos, axis1=1, axis2=2).real,
                             np.abs(rhos[:, pair[0] - 1, pair[1] - 1]), *diagnostics(rhos)))
 
@@ -283,20 +286,19 @@ def run_scenario(cfg: RunConfig, out_path: str | Path | None = None) -> Path:
     """
     path = Path(out_path or cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
     path.parent.mkdir(parents=True, exist_ok=True)
-    _run_to_csv(path, cfg.pair, cfg.family, cfg.evolution, cfg.params, cfg.env)
+    _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
         from .svgplot import emit_svg_plot
         emit_svg_plot([path], ["purity", "gme"], cfg.plot)
     return path
 
 
-def _run_to_csv(path: Path, pair: tuple[int, int], family: EntanglementFamily,
-                evolution: EvolutionConfig, params: SpinChainParams,
-                env: EnvironmentSpec) -> np.ndarray:
+def _run_to_csv(path: Path, pair: tuple[int, int], evolution: EvolutionConfig,
+                params: SpinChainParams, env: EnvironmentSpec) -> np.ndarray:
     """Integrate the Bell state of pair, write its CSV to path and return
     the rows (columns as in CSV_HEADER)."""
     traj = rk4_evolve(initial_bell_density(*pair), evolution, params, env)
-    rows = trajectory_table(traj, pair, family)
+    rows = trajectory_table(traj, pair)
     write_csv(path, CSV_HEADER, rows)
     return rows
 
@@ -395,7 +397,7 @@ def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
     for model in EnvironmentModel:
         for entry in entries:
             rows = _run_to_csv(out / f"{entry.name}_{model.value}.csv", entry.pair,
-                               entry.family, evolution, params, environments[model])
+                               evolution, params, environments[model])
             tau_stars[entry.name, model] = tau_first_below(rows[:, 0], rows[:, 2])
     summary_rows = [
         (entry.name, entry.family.value, entry.pair[0], entry.pair[1], model.value,

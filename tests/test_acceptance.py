@@ -110,7 +110,7 @@ def test_criterion_2_dephasing_closed_form(runs50, family_runs):
 
     families = {}
     for entry, traj in family_runs.values():
-        curve = np.array([gme(r, entry.pair, entry.family) for r in traj.rhos])
+        curve = np.array([gme(r, entry.pair) for r in traj.rhos])
         families.setdefault(entry.family, []).append(curve)
         taus = traj.taus
     rates = {lc.EntanglementFamily.ABC: 0.15, lc.EntanglementFamily.AB: 0.1,
@@ -202,19 +202,18 @@ def test_criterion_8_metric_oracles():
     for _ in range(1000):
         rho = random_density(rng)
         for pair in pairs:
-            family = lc.family_of_pair(*pair)
-            worst = max(worst, abs(gme(rho, pair, family) - table_gme(rho, pair)))
+            worst = max(worst, abs(gme(rho, pair) - table_gme(rho, pair)))
     assert worst < 1e-12
 
     for entry in catalog_states():
         bell = initial_bell_density(*entry.pair)
-        assert gme(bell, entry.pair, entry.family) == 1.0
+        assert gme(bell, entry.pair) == 1.0
 
     mixed = np.eye(8, dtype=complex) / 8.0
     for pair in ((1, 8), (2, 7), (3, 6), (4, 5)):
         assert gme(mixed, pair) == -0.75
     for pair in pairs:
-        assert gme(mixed, pair, lc.family_of_pair(*pair)) == -0.5
+        assert gme(mixed, pair) == -0.5
 
 
 def test_criterion_9_reduction_and_determinism(tmp_path, capsys):

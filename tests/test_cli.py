@@ -152,6 +152,18 @@ def test_catalog_csv_output(tmp_path, capsys):
     assert float(psi18["computed_delta_e"]) == 700.0
 
 
+def test_catalog_csv_family_matches_name_prefix(tmp_path, capsys):
+    path = tmp_path / "catalog.csv"
+    assert cli.main(["catalog", "--csv", str(path)]) == 0
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    prefix_family = {"psi": "ABC", "alpha": "AB", "beta": "BC", "xi": "AC"}
+    assert sorted(r["state"].split("_")[0] for r in rows) == sorted(
+        prefix for prefix in prefix_family for _ in range(4))
+    for row in rows:
+        assert row["family"] == prefix_family[row["state"].split("_")[0]], row
+
+
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main([])

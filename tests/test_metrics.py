@@ -111,46 +111,33 @@ def test_family_of_pair_rejects_single_qubit_pairs():
         lc.family_of_pair(0, 8)
 
 
-def test_traced_qubit_assignment():
-    assert F.AB.traced_qubit == 3
-    assert F.BC.traced_qubit == 1
-    assert F.AC.traced_qubit == 2
-    with pytest.raises(ValueError):
-        F.ABC.traced_qubit
-
-
 # ---------------------------------------------------------------- gme bounds
 
 def test_gme_of_pure_catalog_states_is_one():
-    for family, pairs in CATALOG_PAIRS.items():
+    for pairs in CATALOG_PAIRS.values():
         for pair in pairs:
             rho = lc.initial_bell_density(*pair)
-            assert lc.gme(rho, pair, family) == 1.0
+            assert lc.gme(rho, pair) == 1.0
 
 
 def test_gme_of_maximally_mixed_state():
     for pair in CATALOG_PAIRS[F.ABC]:
-        assert lc.gme_abc(MIXED, pair) == pytest.approx(-0.75, abs=1e-15)
+        assert lc.gme(MIXED, pair) == pytest.approx(-0.75, abs=1e-15)
     for family in (F.AB, F.BC, F.AC):
         for pair in CATALOG_PAIRS[family]:
-            assert lc.gme_pair(MIXED, family, pair) == pytest.approx(-0.5, abs=1e-15)
+            assert lc.gme(MIXED, pair) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_gme_argument_errors():
     rho = lc.initial_bell_density(1, 8)
+    with pytest.raises(ValueError, match="single qubit"):
+        lc.gme(rho, (1, 2))
     with pytest.raises(ValueError):
-        lc.gme_abc(rho, (1, 7))
+        lc.gme(rho, (3, 3))
     with pytest.raises(ValueError):
-        lc.gme_pair(rho, F.ABC, (1, 8))
+        lc.gme(rho, (0, 8))
     with pytest.raises(ValueError):
-        lc.gme_pair(rho, F.AB, (1, 4))  # BC pair under AB family
-
-
-def test_gme_dispatch_infers_family():
-    rho = lc.initial_bell_density(2, 5)
-    assert lc.gme(rho, (2, 5)) == lc.gme_pair(rho, F.AC, (2, 5))
-    rho = lc.initial_bell_density(2, 7)
-    assert lc.gme(rho, (2, 7)) == lc.gme_abc(rho, (2, 7))
+        lc.gme(rho, (8, 1))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -159,17 +146,16 @@ def test_gme_pair_matches_full_matrix_forms(seed):
     """Reduction route equals the direct full-matrix expressions."""
     rho = random_density(np.random.default_rng(seed))
     for pair in TABLE_GME_FORMS:
-        family = lc.family_of_pair(*pair)
-        assert abs(lc.gme_pair(rho, family, pair) - table_gme(rho, pair)) < 1e-12
+        assert abs(lc.gme(rho, pair) - table_gme(rho, pair)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_gme_stays_in_bounds(seed):
     rho = random_density(np.random.default_rng(seed))
-    for family, pairs in CATALOG_PAIRS.items():
+    for pairs in CATALOG_PAIRS.values():
         for pair in pairs:
-            value = lc.gme(rho, pair, family)
+            value = lc.gme(rho, pair)
             assert -2.0 <= value <= 1.0 + 1e-12
 
 
@@ -189,10 +175,10 @@ def record_stack(request):
 
 
 def test_stacked_metrics_match_per_record_loop(record_stack):
-    for family, pairs in CATALOG_PAIRS.items():
+    for pairs in CATALOG_PAIRS.values():
         for pair in pairs:
-            loop = np.array([lc.gme(rho, pair, family) for rho in record_stack])
-            assert np.array_equal(lc.gme(record_stack, pair, family), loop)
+            loop = np.array([lc.gme(rho, pair) for rho in record_stack])
+            assert np.array_equal(lc.gme(record_stack, pair), loop)
     for qubit in (1, 2, 3):
         loop = np.array([lc.partial_trace(rho, qubit) for rho in record_stack])
         assert np.array_equal(lc.partial_trace(record_stack, qubit), loop)
@@ -203,11 +189,9 @@ def test_stacked_metrics_match_per_record_loop(record_stack):
 def test_single_matrix_metrics_return_floats(record_stack):
     rho = record_stack[-1]
     assert type(lc.purity(rho)) is float
-    for family, pairs in CATALOG_PAIRS.items():
+    for pairs in CATALOG_PAIRS.values():
         for pair in pairs:
-            assert type(lc.gme(rho, pair, family)) is float
-    assert type(lc.gme_abc(rho, (2, 7))) is float
-    assert type(lc.gme_pair(rho, F.BC, (1, 4))) is float
+            assert type(lc.gme(rho, pair)) is float
 
 
 def test_metrics_accept_nested_stacks(record_stack):
@@ -216,10 +200,10 @@ def test_metrics_accept_nested_stacks(record_stack):
     nested = flat.reshape(2, k, 8, 8)
     assert lc.purity(nested).shape == (2, k)
     assert np.array_equal(lc.purity(nested), lc.purity(flat).reshape(2, k))
-    for family, pairs in CATALOG_PAIRS.items():
+    for pairs in CATALOG_PAIRS.values():
         for pair in pairs:
-            assert np.array_equal(lc.gme(nested, pair, family),
-                                  lc.gme(flat, pair, family).reshape(2, k))
+            assert np.array_equal(lc.gme(nested, pair),
+                                  lc.gme(flat, pair).reshape(2, k))
     for qubit in (1, 2, 3):
         assert np.array_equal(lc.partial_trace(nested, qubit),
                               lc.partial_trace(flat, qubit).reshape(2, k, 4, 4))
@@ -264,5 +248,5 @@ def test_dephased_gme_matches_oracle(seed, tau):
     env = envs[lc.EnvironmentModel.CORRELATED_DEPHASING]
     rho = lc.closed_form_dephasing(lc.initial_bell_density(*pair), tau, env)
     expected_gme, expected_purity = lc.analytic_decay_oracle(family, pair, env, tau)
-    assert lc.gme(rho, pair, family) == pytest.approx(expected_gme, abs=1e-12)
+    assert lc.gme(rho, pair) == pytest.approx(expected_gme, abs=1e-12)
     assert lc.purity(rho) == pytest.approx(expected_purity, abs=1e-12)

@@ -3,12 +3,11 @@ states in an Ising nuclear-spin chain under Lindblad environments."""
 
 from .catalog import CatalogEntry, catalog_entry, catalog_states, default_parameters
 from .engine import (EngineKind, EvolutionConfig, IntegrationDivergedError, Trajectory,
-                     closed_form_dephasing, dephasing_rate_matrix, lindblad_rhs_operator,
-                     make_rhs, rk4_evolve, tilde_jump_operators)
+                     closed_form_dephasing, dephasing_rate_matrix, make_rhs, rk4_evolve)
 from .environments import EnvironmentModel, EnvironmentSpec, make_environment
 from .metrics import (EntanglementFamily, analytic_decay_oracle, family_of_pair,
                       gme, partial_trace, purity)
-from .register import SpinChainParams, all_energies, basis_bits, energy_gap, omega_table
+from .register import SpinChainParams, all_energies, basis_bits, omega_table
 from .runner import (ConfigError, RunConfig, compare_engines, parse_config,
                      run_scenario, sweep, tau_first_below)
 from .states import (Diagnostics, diagnostics, initial_bell_density,
@@ -25,9 +24,8 @@ __all__ = [
     "analytic_decay_oracle", "basis_bits", "catalog_entry",
     "catalog_states", "closed_form_dephasing", "compare_engines",
     "default_parameters", "dephasing_rate_matrix", "diagnostics",
-    "emit_svg_plot", "energy_gap", "family_of_pair", "gme",
-    "initial_bell_density", "lindblad_rhs_operator",
+    "emit_svg_plot", "family_of_pair", "gme", "initial_bell_density",
     "make_environment", "make_rhs", "omega_table", "parse_config",
     "partial_trace", "purity", "rk4_evolve", "run_scenario", "sweep",
-    "tau_first_below", "tilde_jump_operators", "validate_density_matrix",
+    "tau_first_below", "validate_density_matrix",
 ]

@@ -77,7 +77,7 @@ def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, Enviro
     """
     params = SpinChainParams()
     rates = default_rate_matrix()
-    environments = {model: make_environment(model, rates, rates)
+    environments = {model: make_environment(model, rates)
                     for model in EnvironmentModel}
     return params, environments
 
@@ -88,11 +88,11 @@ def catalog_states(params: SpinChainParams | None = None) -> list[CatalogEntry]:
     return [_entry(row, energies) for row in _TABLE]
 
 
-def catalog_entry(name: str, params: SpinChainParams | None = None) -> CatalogEntry:
-    """Look up a single entry by name, e.g. "psi_18"."""
+def catalog_entry(name: str) -> CatalogEntry:
+    """Look up a single entry by name, e.g. "psi_18", at the default chain."""
     for row in _TABLE:
         if row[0] == name:
-            return _entry(row, all_energies(params or SpinChainParams()))
+            return _entry(row, all_energies(SpinChainParams()))
     known = ", ".join(row[0] for row in _TABLE)
     raise KeyError(f"unknown catalog state {name!r}; known states: {known}")
 

@@ -4,8 +4,8 @@ Two independently derived engines produce the same generator:
 
 * element-wise: per-entry rate equations for d(rho_mn)/dt, written with
   bit tests, index shifts, and oscillating phase factors;
-* operator-built: matrix products of jump operators dressed with the
-  per-qubit transition phases.
+* operator-built: Kronecker products of the bare jump operators (S_k^-
+  or S_k^z), a constant superoperator conjugated by the frame unitary.
 
 Everything evolves in the rotating frame that removes the fast Larmor
 phases, so trajectories carry coherence magnitudes directly.  Each engine
@@ -82,7 +82,11 @@ class EvolutionConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
-        if abs(round(self.t_max / self.dt) * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
+        n_steps = self.t_max / self.dt
+        if not np.isfinite(n_steps):
+            raise ValueError(f"dt = {self.dt:g} is too small for t_max = {self.t_max:g}: "
+                             f"the step count overflows")
+        if abs(round(n_steps) * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValueError(f"t_max = {self.t_max:g} is not a whole number of "
                              f"dt = {self.dt:g} steps")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
@@ -126,42 +130,6 @@ def sz_operators(n_qubits: int) -> np.ndarray:
     return np.stack([np.diag(column) for column in halves.T])
 
 
-def tilde_jump_operators(t: float, params: SpinChainParams,
-                         env: EnvironmentSpec) -> np.ndarray:
-    """Rotating-frame jump operators at time t, stacked as (n_qubits, dim, dim).
-
-    Dissipative models: S_k^- with column phases exp(-i Omega_{k,p} t),
-    Omega being the neighbour-conditioned transition frequency.  Dephasing
-    models: the diagonal S_k^z, which the frame change leaves untouched.
-    """
-    _check_sizes(params, env)
-    if env.model.dissipative:
-        phases = np.exp(omega_table(params) * (-1j * t))  # (n, dim) per source column
-        return lowering_operators(params.n_qubits) * phases[:, None, :]
-    return sz_operators(params.n_qubits).astype(complex)
-
-
-def lindblad_rhs_operator(rho: np.ndarray, t: float, params: SpinChainParams,
-                          env: EnvironmentSpec) -> np.ndarray:
-    """d(rho)/dt at time t, literally from operator products of the jump
-    operators: the reference both compiled engines are tested against.
-
-    sum_{k,l} c_kl (2 O_k rho O_l^dagger - O_l^dagger O_k rho
-    - rho O_l^dagger O_k), with c = gamma/2 for dissipation and c = Gamma
-    for dephasing.
-    """
-    stack = tilde_jump_operators(t, params, env)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (params.dim, params.dim):
-        raise ValueError(f"rho shape {rho.shape} does not match operators of dim {params.dim}")
-    fac = 0.5 if env.model.dissipative else 1.0
-    w = env.active_rates()
-    prod = stack @ rho  # (n, dim, dim)
-    feed = np.einsum("kl,kab,lcb->ac", w, prod, stack.conj())
-    anti = np.einsum("kl,lba,kbc->ac", w, stack.conj(), stack)
-    return fac * (2.0 * feed - anti @ rho - rho @ anti)
-
-
 # ---------------------------------------------------------- dephasing rates
 
 def dephasing_rate_matrix(env: EnvironmentSpec) -> np.ndarray:
@@ -173,7 +141,7 @@ def dephasing_rate_matrix(env: EnvironmentSpec) -> np.ndarray:
     qubits whose bits differ between m and n.
     """
     signs = 1.0 - 2.0 * basis_bits(env.n_qubits)
-    quad = signs @ env.gamma_dephase @ signs.T
+    quad = signs @ env.rates @ signs.T
     quad = 0.5 * (quad + quad.T)  # matmul rounding must not break R = R^T
     diag = np.diag(quad)
     return 0.25 * (diag[:, None] + diag[None, :] - 2.0 * quad)
@@ -239,7 +207,7 @@ class _ElementWiseDissipation:
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
         n = params.n_qubits
         dim = params.dim
-        gamma = env.gamma
+        gamma = env.rates
         om = omega_table(params)
         bits = basis_bits(n).tolist()
 
@@ -309,21 +277,21 @@ class _OperatorBuilt:
     """Constant superoperator from jump-operator products, conjugated by the
     diagonal frame unitary.
 
-    The frame phases of the dissipative jump operators are transition
-    energies of the chain with half couplings, so the time dependence is
-    exactly a conjugation by diag(exp(i eps_m t)).
+    It is built from the bare S_k^- (or S_k^z): the rotating-frame phases
+    of S_k^- are differences of the half-coupling energies eps, so the time
+    dependence is exactly a conjugation by diag(exp(i eps_m t)).
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        stack = tilde_jump_operators(0.0, params, env)
-        rates = env.active_rates()
+        n = params.n_qubits
+        stack = lowering_operators(n) if env.model.dissipative else sz_operators(n)
         dim = params.dim
         fac = 0.5 if env.model.dissipative else 1.0
         eye = np.eye(dim)
         liouville = np.zeros((dim * dim, dim * dim), dtype=complex)
         for k in range(params.n_qubits):
             for l in range(params.n_qubits):
-                w = float(rates[k, l])
+                w = float(env.rates[k, l])
                 if w == 0.0:
                     continue
                 anti = stack[l].conj().T @ stack[k]

@@ -33,34 +33,29 @@ class EnvironmentModel(Enum):
 
 @dataclass(frozen=True, eq=False)
 class EnvironmentSpec:
-    """A model tag plus dissipation (gamma) and dephasing (Gamma) rate matrices.
+    """A model tag plus the one rate matrix that model reads.
 
-    Both matrices are (n_qubits, n_qubits), symmetric, with nonnegative
-    diagonals, and held as read-only copies.  For the uncorrelated models
-    the off-diagonal entries are zeroed at construction so the engines
-    never see them.
+    The model picks its rate family: gamma for the dissipative models,
+    Gamma for the dephasing ones.  The matrix is (n_qubits, n_qubits),
+    symmetric, with a nonnegative diagonal, and held as a read-only copy.
+    For the uncorrelated models its off-diagonal entries are zeroed at
+    construction so the engines never see them.
     """
 
     model: EnvironmentModel
-    gamma: np.ndarray = field(repr=False)
-    gamma_dephase: np.ndarray = field(repr=False)
+    rates: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         # the integrator caches its transfer matrices per spec object, which
-        # is only sound while the rates cannot change: keep read-only copies,
-        # so neither the spec nor a caller's array (or its base) can alter them
-        for name in ("gamma", "gamma_dephase"):
-            rates = np.array(getattr(self, name), dtype=float)
-            rates.setflags(write=False)
-            object.__setattr__(self, name, rates)
+        # is only sound while the rates cannot change: keep a read-only copy,
+        # so neither the spec nor a caller's array (or its base) can alter it
+        rates = np.array(self.rates, dtype=float)
+        rates.setflags(write=False)
+        object.__setattr__(self, "rates", rates)
 
     @property
     def n_qubits(self) -> int:
-        return self.gamma.shape[0]
-
-    def active_rates(self) -> np.ndarray:
-        """The rate matrix the model actually uses."""
-        return self.gamma if self.model.dissipative else self.gamma_dephase
+        return self.rates.shape[0]
 
 
 def _as_rate_matrix(rates, n_qubits: int, name: str) -> np.ndarray:
@@ -83,24 +78,22 @@ def _as_rate_matrix(rates, n_qubits: int, name: str) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def make_environment(model: EnvironmentModel, gamma, gamma_dephase,
+def make_environment(model: EnvironmentModel, rates,
                      n_qubits: int = N_QUBITS) -> EnvironmentSpec:
     """Validate and freeze an EnvironmentSpec.
 
-    Rates may be scalars, per-qubit vectors, or full symmetric matrices.
+    rates is the matrix the model reads (gamma for dissipation, Gamma for
+    dephasing): a scalar, a per-qubit vector, or a full symmetric matrix.
     A rate matrix that is not positive semidefinite only warns: the
     generator then need not be completely positive, but every other
     contract (trace preservation, hermiticity) still holds.
     """
     if not isinstance(model, EnvironmentModel):
         raise ValueError(f"unknown environment model {model!r}")
-    g = _as_rate_matrix(gamma, n_qubits, "gamma")
-    gd = _as_rate_matrix(gamma_dephase, n_qubits, "Gamma")
+    rates = _as_rate_matrix(rates, n_qubits, "gamma" if model.dissipative else "Gamma")
     if not model.correlated:
-        g = np.diag(np.diag(g))
-        gd = np.diag(np.diag(gd))
-    active = g if model.dissipative else gd
-    low = float(np.linalg.eigvalsh(active)[0])
+        rates = np.diag(np.diag(rates))
+    low = float(np.linalg.eigvalsh(rates)[0])
     if low < -PSD_TOL:
         warnings.warn(
             f"rate matrix for {model.value} is not positive semidefinite "
@@ -108,4 +101,4 @@ def make_environment(model: EnvironmentModel, gamma, gamma_dephase,
             UserWarning,
             stacklevel=2,
         )
-    return EnvironmentSpec(model=model, gamma=g, gamma_dephase=gd)
+    return EnvironmentSpec(model=model, rates=rates)

@@ -76,15 +76,6 @@ def all_energies(params: SpinChainParams) -> np.ndarray:
     return e
 
 
-def energy_gap(i: int, j: int, params: SpinChainParams) -> float:
-    """E_j - E_i between basis states i and j."""
-    for m in (i, j):
-        if not 1 <= m <= params.dim:
-            raise ValueError(f"state index {m} outside 1..{params.dim}")
-    energies = all_energies(params)
-    return float(energies[j - 1] - energies[i - 1])
-
-
 def omega_table(params: SpinChainParams) -> np.ndarray:
     """Transition frequencies on a (n_qubits, dim) grid; [k-1, m-1] = Omega_{k,m}.
 

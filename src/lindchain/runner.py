@@ -17,7 +17,8 @@ keys:
 
 Omitted numeric keys fall back to the canonical defaults.  Rate matrices
 are symmetric, so one off-diagonal entry per pair suffices; giving both
-orders with different values is an error.
+orders with different values is an error.  Both rate families are
+validated; the model picks the one it reads.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .register import N_QUBITS, SpinChainParams
 from .states import diagnostics, initial_bell_density
 
 ENGINE_DELTA_THRESHOLD = 1e-6
+TAU_STAR_LEVEL = 0.5  # tau_star: where the gme bound first drops below this
 
 CSV_HEADER = ("tau", "purity", "gme", *(f"p{m}" for m in range(1, 2 ** N_QUBITS + 1)),
               "coh_abs", "trace_err", "herm_err", "min_eig")
@@ -164,13 +166,14 @@ def parse_config(text: str) -> RunConfig:
     try:
         evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=stride, engine=engine)
     except ValueError as exc:
-        # the message starts with the field at fault; a t_max error with t_max
-        # defaulted can only be the whole-number check, so dt is to blame
-        item = {"dt": dt_item, "t_max": t_max_item or dt_item,
+        # the message starts with the field at fault; a grid error on a
+        # defaulted t_max or dt (whole-number check, step-count overflow) is
+        # the other one's line
+        item = {"dt": dt_item or t_max_item, "t_max": t_max_item or dt_item,
                 "record_stride": stride_item}.get(str(exc).split()[0])
         raise ConfigError(str(exc), item and item[1]) from exc
     try:
-        env = make_environment(model, gamma, big_gamma)
+        env = make_environment(model, gamma if model.dissipative else big_gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -352,12 +355,12 @@ def compare_engines(cfg: RunConfig) -> EngineComparison:
 
 # ------------------------------------------------------------------ sweep
 
-def tau_first_below(taus: np.ndarray, values: np.ndarray, threshold: float = 0.5) -> float:
-    """First crossing time below threshold, linearly interpolated between
-    recorded samples; NaN when the series never crosses."""
+def tau_first_below(taus: np.ndarray, values: np.ndarray) -> float:
+    """First crossing time below TAU_STAR_LEVEL, linearly interpolated
+    between recorded samples; NaN when the series never crosses."""
     taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
-    below = np.nonzero(values < threshold)[0]
+    below = np.nonzero(values < TAU_STAR_LEVEL)[0]
     if len(below) == 0:
         return float("nan")
     k = int(below[0])
@@ -366,7 +369,7 @@ def tau_first_below(taus: np.ndarray, values: np.ndarray, threshold: float = 0.5
     v0, v1 = values[k - 1], values[k]
     if v1 == v0:
         return float(taus[k])
-    frac = (threshold - v0) / (v1 - v0)
+    frac = (TAU_STAR_LEVEL - v0) / (v1 - v0)
     return float(taus[k - 1] + frac * (taus[k] - taus[k - 1]))
 
 
@@ -374,8 +377,7 @@ SWEEP_HEADER = ("state", "family", "pair_i", "pair_j", "model",
                 "paper_delta_e", "computed_delta_e", "tau_star")
 
 
-def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
-          record_stride: int = 10) -> Path:
+def sweep(out_dir: str | Path, t_max: float = 40.0) -> Path:
     """Run all 16 catalog states under all four models.
 
     Writes one CSV per run plus summary.csv with the interpolated time
@@ -383,13 +385,13 @@ def sweep(out_dir: str | Path, t_max: float = 40.0, dt: float = 1e-2,
     never does, e.g. coherences the correlated dephasing model leaves
     decoherence-free).  Returns the summary path.
 
-    The grid arguments are an extension over the canonical defaults so
-    short sweeps stay cheap; the defaults cover every finite tau_star.
+    Every run steps by dt = 1e-2 and records every 10 steps up to t_max;
+    the default t_max covers every finite tau_star.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params, environments = default_parameters()
-    evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=record_stride)
+    evolution = EvolutionConfig(t_max=t_max, dt=1e-2, record_stride=10)
     entries = catalog_states(params)
     tau_stars = {}
     # model-major, so that the 16 runs of one model share one cached

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from lindchain import EnvironmentSpec, SpinChainParams, omega_table
+from lindchain.engine import _check_sizes, lowering_operators, sz_operators
+
 
 def random_density(rng: np.random.Generator, dim: int = 8,
                    noise: float = 0.2) -> np.ndarray:
@@ -15,6 +18,42 @@ def random_density(rng: np.random.Generator, dim: int = 8,
     mixer = raw @ raw.conj().T
     mixer /= np.trace(mixer).real
     return (1.0 - noise) * rho + noise * mixer
+
+
+def tilde_jump_operators(t: float, params: SpinChainParams,
+                         env: EnvironmentSpec) -> np.ndarray:
+    """Rotating-frame jump operators at time t, stacked as (n_qubits, dim, dim).
+
+    Dissipative models: S_k^- with column phases exp(-i Omega_{k,p} t),
+    Omega being the neighbour-conditioned transition frequency.  Dephasing
+    models: the diagonal S_k^z, which the frame change leaves untouched.
+    """
+    _check_sizes(params, env)
+    if env.model.dissipative:
+        phases = np.exp(omega_table(params) * (-1j * t))  # (n, dim) per source column
+        return lowering_operators(params.n_qubits) * phases[:, None, :]
+    return sz_operators(params.n_qubits).astype(complex)
+
+
+def lindblad_rhs_operator(rho: np.ndarray, t: float, params: SpinChainParams,
+                          env: EnvironmentSpec) -> np.ndarray:
+    """d(rho)/dt at time t, literally from operator products of the jump
+    operators: the reference both compiled engines are tested against.
+
+    sum_{k,l} c_kl (2 O_k rho O_l^dagger - O_l^dagger O_k rho
+    - rho O_l^dagger O_k), with c = gamma/2 for dissipation and c = Gamma
+    for dephasing.
+    """
+    stack = tilde_jump_operators(t, params, env)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (params.dim, params.dim):
+        raise ValueError(f"rho shape {rho.shape} does not match operators of dim {params.dim}")
+    fac = 0.5 if env.model.dissipative else 1.0
+    w = env.rates
+    prod = stack @ rho  # (n, dim, dim)
+    feed = np.einsum("kl,kab,lcb->ac", w, prod, stack.conj())
+    anti = np.einsum("kl,lba,kbc->ac", w, stack.conj(), stack)
+    return fac * (2.0 * feed - anti @ rho - rho @ anti)
 
 
 def apply_generator(generator, rho: np.ndarray, t: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 import lindchain as lc
 import lindchain.cli as cli
 from lindchain import (EngineKind, EnvironmentModel, EvolutionConfig,
-                       catalog_states, diagnostics, energy_gap, gme,
+                       all_energies, catalog_states, diagnostics, gme,
                        initial_bell_density, make_environment, make_rhs,
                        purity, rk4_evolve)
 from helpers import TABLE_GME_FORMS, apply_generator, random_density, table_gme
@@ -88,9 +88,10 @@ def test_criterion_1_energy_gaps(capsys):
         assert table[name].paper_delta_e == 300.0
     # every row recomputes from the chain energies; bipartite rows keep the
     # quoted value alongside so the table exposes the discrepancies
-    params = lc.SpinChainParams()
+    energies = all_energies(lc.SpinChainParams())
     for entry in table.values():
-        assert abs(entry.computed_delta_e - energy_gap(*entry.pair, params)) < 1e-9
+        i, j = entry.pair
+        assert abs(entry.computed_delta_e - (energies[j - 1] - energies[i - 1])) < 1e-9
     assert abs(table["alpha_17"].computed_delta_e - 610.4) < 1e-9
     assert table["alpha_17"].paper_delta_e == 605.2
     assert cli.main(["catalog"]) == 0
@@ -220,13 +221,10 @@ def test_criterion_9_reduction_and_determinism(tmp_path, capsys):
     params = lc.SpinChainParams()
     diag_rates = [0.05, 0.03, 0.02]
     pairs = (
-        (make_environment(EnvironmentModel.CORRELATED_DISSIPATION,
-                          np.diag(diag_rates), diag_rates),
-         make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION,
-                          diag_rates, diag_rates)),
-        (make_environment(EnvironmentModel.CORRELATED_DEPHASING,
-                          diag_rates, np.diag(diag_rates)),
-         make_environment(EnvironmentModel.DEPHASING, diag_rates, diag_rates)),
+        (make_environment(EnvironmentModel.CORRELATED_DISSIPATION, np.diag(diag_rates)),
+         make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION, diag_rates)),
+        (make_environment(EnvironmentModel.CORRELATED_DEPHASING, np.diag(diag_rates)),
+         make_environment(EnvironmentModel.DEPHASING, diag_rates)),
     )
     rng = np.random.default_rng(7)
     for corr_env, plain_env in pairs:

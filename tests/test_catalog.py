@@ -30,9 +30,10 @@ def test_quoted_gaps_match_source_table():
 
 
 def test_computed_gaps_come_from_the_energies():
-    params = lc.SpinChainParams()
+    energies = lc.all_energies(lc.SpinChainParams())
     for entry in lc.catalog_states():
-        assert entry.computed_delta_e == lc.energy_gap(*entry.pair, params)
+        i, j = entry.pair
+        assert entry.computed_delta_e == energies[j - 1] - energies[i - 1]
 
 
 def test_tripartite_computed_gaps_are_exact():
@@ -74,14 +75,13 @@ def test_default_parameters(default_setup):
     assert set(envs) == set(lc.EnvironmentModel)
 
     corr = envs[lc.EnvironmentModel.CORRELATED_DISSIPATION]
-    assert corr.gamma[0, 0] == 0.05
-    assert corr.gamma[0, 1] == 0.05
-    assert corr.gamma[1, 2] == 0.025
-    assert corr.gamma[0, 2] == 0.0125
-    assert np.array_equal(corr.gamma, corr.gamma.T)
-    assert np.array_equal(corr.gamma, corr.gamma_dephase)
+    assert corr.rates[0, 0] == 0.05
+    assert corr.rates[0, 1] == 0.05
+    assert corr.rates[1, 2] == 0.025
+    assert corr.rates[0, 2] == 0.0125
+    assert np.array_equal(corr.rates, corr.rates.T)
 
     independent = envs[lc.EnvironmentModel.INDEPENDENT_DISSIPATION]
-    assert np.array_equal(independent.gamma, 0.05 * np.eye(3))
+    assert np.array_equal(independent.rates, 0.05 * np.eye(3))
     dephasing = envs[lc.EnvironmentModel.DEPHASING]
-    assert np.array_equal(dephasing.gamma_dephase, 0.05 * np.eye(3))
+    assert np.array_equal(dephasing.rates, 0.05 * np.eye(3))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
-from helpers import apply_generator, random_density
+from helpers import (apply_generator, lindblad_rhs_operator, random_density,
+                     tilde_jump_operators)
 from lindchain import EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig, engine
 from lindchain.engine import frame_frequencies, lowering_operators, sz_operators
 
@@ -50,7 +51,7 @@ def test_sz_operators_are_half_signs():
 
 def test_tilde_operators_at_zero_time(default_setup):
     params, envs = default_setup
-    ops = lc.tilde_jump_operators(0.0, params, envs[M.INDEPENDENT_DISSIPATION])
+    ops = tilde_jump_operators(0.0, params, envs[M.INDEPENDENT_DISSIPATION])
     assert ops.shape == (3, 8, 8)
     assert np.array_equal(ops, lowering_operators(3).astype(complex))
 
@@ -58,7 +59,7 @@ def test_tilde_operators_at_zero_time(default_setup):
 def test_tilde_operators_carry_transition_phases(default_setup):
     params, envs = default_setup
     t = 0.83
-    ops = lc.tilde_jump_operators(t, params, envs[M.CORRELATED_DISSIPATION])
+    ops = tilde_jump_operators(t, params, envs[M.CORRELATED_DISSIPATION])
     table = lc.omega_table(params)
     # entry (m, p) of qubit k oscillates at the source column's frequency
     assert ops[0, 0, 4] == pytest.approx(np.exp(-1j * table[0, 4] * t))
@@ -69,7 +70,7 @@ def test_tilde_operators_carry_transition_phases(default_setup):
 def test_tilde_operators_dephasing_is_static(default_setup):
     params, envs = default_setup
     env = envs[M.CORRELATED_DEPHASING]
-    ops = lc.tilde_jump_operators(7.7, params, env)
+    ops = tilde_jump_operators(7.7, params, env)
     assert np.array_equal(ops, sz_operators(3).astype(complex))
 
 
@@ -139,7 +140,7 @@ def test_element_wise_matches_operator_form(seed, t, model_index):
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
     element = apply_generator(lc.make_rhs(params, env, EngineKind.ELEMENT_WISE), rho, t)
-    operator = lc.lindblad_rhs_operator(rho, t, params, env)
+    operator = lindblad_rhs_operator(rho, t, params, env)
     assert np.max(np.abs(element - operator)) < 1e-12
 
 
@@ -151,7 +152,7 @@ def test_compiled_engines_match_literal_operator_form(seed, t, model_index):
     params, envs = _setup()
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
-    literal = lc.lindblad_rhs_operator(rho, t, params, env)
+    literal = lindblad_rhs_operator(rho, t, params, env)
     for kind in (EngineKind.ELEMENT_WISE, EngineKind.OPERATOR_BUILT):
         compiled = apply_generator(lc.make_rhs(params, env, kind), rho, t)
         assert np.max(np.abs(compiled - literal)) < 1e-12
@@ -165,7 +166,7 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, model_index):
     params, envs = _setup()
     env = envs[MODELS[model_index]]
     rho = random_density(np.random.default_rng(seed))
-    rhs = lc.lindblad_rhs_operator(rho, t, params, env)
+    rhs = lindblad_rhs_operator(rho, t, params, env)
     assert abs(np.trace(rhs)) < 1e-13
     assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-13
 
@@ -173,12 +174,12 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, model_index):
 def test_two_qubit_chain_equivalence():
     params = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
     env = lc.make_environment(M.CORRELATED_DISSIPATION,
-                              [[0.05, 0.02], [0.02, 0.04]], 0.05, n_qubits=2)
+                              [[0.05, 0.02], [0.02, 0.04]], n_qubits=2)
     rho = random_density(np.random.default_rng(11), dim=4)
     for kind in EngineKind:
         generator = lc.make_rhs(params, env, kind)
         for t in (0.0, 0.7, 3.1):
-            literal = lc.lindblad_rhs_operator(rho, t, params, env)
+            literal = lindblad_rhs_operator(rho, t, params, env)
             assert np.max(np.abs(apply_generator(generator, rho, t) - literal)) < 1e-12
 
 
@@ -188,8 +189,8 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
     rho = random_density(np.random.default_rng(21))
     for plain, correlated in ((M.INDEPENDENT_DISSIPATION, M.CORRELATED_DISSIPATION),
                               (M.DEPHASING, M.CORRELATED_DEPHASING)):
-        independent = lc.make_environment(plain, diag, diag)
-        zeroed = lc.make_environment(correlated, np.diag(diag), np.diag(diag))
+        independent = lc.make_environment(plain, diag)
+        zeroed = lc.make_environment(correlated, np.diag(diag))
         for t in (0.0, 0.45, 2.3):
             for kind in EngineKind:
                 a = apply_generator(lc.make_rhs(params, independent, kind), rho, t)
@@ -201,7 +202,7 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
 
 TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
 TWO_QUBIT_ENV = lc.make_environment(M.CORRELATED_DISSIPATION,
-                                    [[0.05, 0.02], [0.02, 0.04]], 0.05, n_qubits=2)
+                                    [[0.05, 0.02], [0.02, 0.04]], n_qubits=2)
 
 
 def test_generators_are_frame_covariant(default_setup):
@@ -307,7 +308,7 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
     # (|R(-3)| = 1.375), the 2-bit ones at 2 Gamma are stable.  H^256 =
     # Q^2560 overflows on those 3-bit entries, which this state leaves at 0
     params = lc.SpinChainParams()
-    env = lc.make_environment(M.DEPHASING, 0.05, 1.0)
+    env = lc.make_environment(M.DEPHASING, 1.0)
     cfg = EvolutionConfig(t_max=4000.0, dt=1.0, record_stride=10)
     rho0 = lc.initial_bell_density(1, 7)
     with pytest.warns(UserWarning, match="spectral radius"):
@@ -323,7 +324,7 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
 
 def test_rk4_warns_outside_stability_region(default_setup):
     params, envs = default_setup
-    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)
+    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0)
     cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=100)
     with pytest.warns(UserWarning, match="spectral radius"):
         with pytest.raises(lc.IntegrationDivergedError):
@@ -351,7 +352,7 @@ def test_rk4_divergence_raises(default_setup, stride):
     # one-step products with Q from the last finite record name the first
     # non-finite step, wherever the records fall
     for gamma, step in ((5000.0, 96), (3000.0, 137)):
-        hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, gamma, 0.05)
+        hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, gamma)
         with pytest.warns(UserWarning, match="spectral radius"):
             with pytest.raises(lc.IntegrationDivergedError, match="step") as err:
                 lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
@@ -383,7 +384,7 @@ def test_cache_hit_miss_and_fresh_environment_agree(default_setup, propagator_ca
         hit = lc.rk4_evolve(rho0, cfg, params, env)
         assert propagator_cache.cache_info().hits == hits + 1
         # a spec with equal rates is another key: it hashes by identity
-        copy = EnvironmentSpec(env.model, env.gamma.copy(), env.gamma_dephase.copy())
+        copy = EnvironmentSpec(env.model, env.rates.copy())
         fresh = lc.rk4_evolve(rho0, cfg, params, copy)
         assert propagator_cache.cache_info().hits == hits + 1
         for traj in (hit, fresh):
@@ -393,7 +394,7 @@ def test_cache_hit_miss_and_fresh_environment_agree(default_setup, propagator_ca
 
 def test_stability_warning_fires_on_every_call(propagator_cache):
     params = lc.SpinChainParams()
-    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0, 0.05)
+    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0)
     cfg = EvolutionConfig(t_max=0.05, dt=1e-3, record_stride=10)  # stops before step 96
     for _ in range(2):
         with pytest.warns(UserWarning, match="spectral radius") as caught:
@@ -440,12 +441,11 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
 
 def test_directly_built_environment_is_read_only():
     base = np.full((3, 3), 0.05)
-    spec = EnvironmentSpec(M.CORRELATED_DEPHASING, base[:], base[:])
-    for rates in (spec.gamma, spec.gamma_dephase):
-        with pytest.raises(ValueError, match="read-only"):
-            rates[0, 0] = 1.0
+    spec = EnvironmentSpec(M.CORRELATED_DEPHASING, base[:])
+    with pytest.raises(ValueError, match="read-only"):
+        spec.rates[0, 0] = 1.0
     base[0, 0] = 1.0  # the caller's array stays its own
-    assert spec.gamma[0, 0] == spec.gamma_dephase[0, 0] == 0.05
+    assert spec.rates[0, 0] == 0.05
 
 
 def test_evolution_config_validation():
@@ -457,6 +457,10 @@ def test_evolution_config_validation():
         EvolutionConfig(t_max=1.0, record_stride=0)
     with pytest.raises(ValueError, match="whole number"):
         EvolutionConfig(t_max=1.0, dt=0.3)
+    # t_max / dt overflows to inf: a config error, not an OverflowError
+    for t_max, dt in ((1.0, 1e-320), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match="^dt .*step count overflows"):
+            EvolutionConfig(t_max=t_max, dt=dt)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, engine="element_wise")
     with pytest.raises(ValueError):

@@ -1,0 +1,27 @@
+import lindchain
+
+EXPORTS = [
+    "CatalogEntry", "ConfigError", "Diagnostics", "EngineKind",
+    "EntanglementFamily", "EnvironmentModel", "EnvironmentSpec",
+    "EvolutionConfig", "IntegrationDivergedError", "RunConfig",
+    "SpinChainParams", "Trajectory", "all_energies",
+    "analytic_decay_oracle", "basis_bits", "catalog_entry",
+    "catalog_states", "closed_form_dephasing", "compare_engines",
+    "default_parameters", "dephasing_rate_matrix", "diagnostics",
+    "emit_svg_plot", "family_of_pair", "gme", "initial_bell_density",
+    "make_environment", "make_rhs", "omega_table", "parse_config",
+    "partial_trace", "purity", "rk4_evolve", "run_scenario", "sweep",
+    "tau_first_below", "validate_density_matrix",
+]
+
+
+def test_package_surface():
+    """Every export is listed here, so adding one is a deliberate change."""
+    assert sorted(lindchain.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(lindchain, name) is not None
+    # test-only references live in tests/helpers.py, not in the package
+    for module in (lindchain, lindchain.engine, lindchain.register):
+        for gone in ("energy_gap", "lindblad_rhs_operator", "tilde_jump_operators"):
+            assert not hasattr(module, gone)
+    assert not hasattr(lindchain.EnvironmentSpec, "active_rates")

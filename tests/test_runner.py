@@ -30,7 +30,7 @@ def test_minimal_config_takes_defaults():
     assert cfg.evolution.record_stride == 100
     assert cfg.out is None and cfg.plot is None
     # canonical rates survive untouched
-    assert np.array_equal(cfg.env.gamma_dephase, 0.05 * np.eye(3))
+    assert np.array_equal(cfg.env.rates, 0.05 * np.eye(3))
 
 
 def test_comments_blank_lines_and_overrides():
@@ -51,9 +51,9 @@ def test_comments_blank_lines_and_overrides():
     assert cfg.params.omegas == (400.0, 150.0, 100.0)
     assert cfg.params.coupling_j == 12.0
     assert cfg.params.coupling_jp == 0.5
-    assert cfg.env.gamma_dephase[1, 2] == 0.03
-    assert cfg.env.gamma_dephase[2, 1] == 0.03  # auto-mirrored
-    assert cfg.env.gamma_dephase[0, 1] == 0.05  # untouched default
+    assert cfg.env.rates[1, 2] == 0.03
+    assert cfg.env.rates[2, 1] == 0.03  # auto-mirrored
+    assert cfg.env.rates[0, 1] == 0.05  # untouched default
     assert cfg.out == "run.csv"
 
 
@@ -68,7 +68,7 @@ def test_unknown_model_names_line_and_choices():
 
 def test_model_is_the_environment_model(tmp_path, monkeypatch):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 0.1\ndt = 0.01\n")
-    env = lc.make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION, 0.05, 0.05)
+    env = lc.make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION, 0.05)
     moved = replace(cfg, env=env)
     assert moved.model is EnvironmentModel.INDEPENDENT_DISSIPATION
     assert cfg.model is EnvironmentModel.DEPHASING
@@ -124,9 +124,27 @@ def test_rate_validation():
     # agreeing mirror entries are fine
     cfg = parse_config("model = dephasing\nstate = psi_18\n"
                        "Gamma_12 = 0.1\nGamma_21 = 0.1\n")
-    assert cfg.env.gamma_dephase[0, 1] == 0.0  # uncorrelated model drops it
+    assert cfg.env.rates[0, 1] == 0.0  # uncorrelated model drops it
     with pytest.raises(ConfigError, match="dt"):
         parse_config("model = dephasing\nstate = psi_18\ndt = -1\n")
+    # keys of the family a model does not read are still checked, with their line
+    with pytest.raises(ConfigError, match="^line 3: Gamma_2 must be nonnegative"):
+        parse_config("model = independent_dissipation\nstate = psi_18\nGamma_2 = -0.1\n")
+    with pytest.raises(ConfigError, match="^line 4: Gamma_21 conflicts .* line 3"):
+        parse_config("model = independent_dissipation\nstate = psi_18\n"
+                     "Gamma_12 = 0.1\nGamma_21 = 0.2\n")
+    with pytest.raises(ConfigError, match="^line 4: gamma_21 conflicts .* line 3"):
+        parse_config("model = dephasing\nstate = psi_18\n"
+                     "gamma_12 = 0.1\ngamma_21 = 0.2\n")
+    # the environment holds the matrix of the model's own family
+    rates = "gamma_1 = 0.2\nGamma_1 = 0.3\ngamma_12 = 0.01\nGamma_12 = 0.02\n"
+    for model, diagonal, cross in (("independent_dissipation", 0.2, 0.0),
+                                   ("correlated_dissipation", 0.2, 0.01),
+                                   ("dephasing", 0.3, 0.0),
+                                   ("correlated_dephasing", 0.3, 0.02)):
+        env = parse_config(f"model = {model}\nstate = psi_18\n" + rates).env
+        assert env.rates[0, 0] == diagonal
+        assert env.rates[0, 1] == env.rates[1, 0] == cross
 
 
 def test_grid_must_reach_t_max():
@@ -143,7 +161,12 @@ def test_grid_must_reach_t_max():
     ("t_max = 5\nstride = 0\n", 4),
     ("dt = 0.3\nt_max = 1\n", 4),
     ("dt = 0.3\n", 3),  # t_max defaulted to 50: the dt line
-], ids=["dt", "t_max", "stride", "whole_number", "whole_number_default_t_max"])
+    ("dt = 1e-320\n", 3),  # t_max / dt overflows to inf
+    ("t_max = 1e300\ndt = 1e-10\n", 4),
+    ("t_max = 1e308\n", 3),  # dt defaulted to 1e-3: the t_max line
+], ids=["dt", "t_max", "stride", "whole_number", "whole_number_default_t_max",
+        "step_count_overflow", "step_count_overflow_both_set",
+        "step_count_overflow_default_dt"])
 def test_grid_errors_name_their_line(grid, line):
     with pytest.raises(ConfigError, match=f"^line {line}: "):
         parse_config("model = dephasing\nstate = psi_18\n" + grid)
@@ -301,7 +324,6 @@ def test_tau_first_below():
     assert tau_first_below(taus, values) == pytest.approx(1.75)
     assert math.isnan(tau_first_below(taus, np.array([1.0, 0.9, 0.8, 0.7])))
     assert tau_first_below(taus, np.array([0.3, 0.2, 0.1, 0.0])) == 0.0
-    assert tau_first_below(taus, values, threshold=0.9) == pytest.approx(0.5)
 
 
 def test_sweep(tmp_path, monkeypatch, propagator_cache):
@@ -313,7 +335,7 @@ def test_sweep(tmp_path, monkeypatch, propagator_cache):
         return make_rhs(*args)
 
     monkeypatch.setattr(lc.engine, "make_rhs", counted_make_rhs)
-    summary = sweep(tmp_path, t_max=10.0, dt=0.05, record_stride=4)
+    summary = sweep(tmp_path, t_max=10.0)
     assert builds == list(EnvironmentModel)  # one transfer matrix per model
     files = sorted(p.name for p in tmp_path.iterdir())
     assert len(files) == 65  # 16 states x 4 models + summary
@@ -330,11 +352,11 @@ def test_sweep(tmp_path, monkeypatch, propagator_cache):
             tau_first_below(table[:, 0], table[:, 1]), abs=1e-9, nan_ok=True)
 
     by_run = {(r["state"], r["model"]): r for r in rows}
-    params = lc.SpinChainParams()
+    energies = lc.all_energies(lc.SpinChainParams())
     for row in rows:
         computed = float(row["computed_delta_e"])
-        assert computed == pytest.approx(
-            lc.energy_gap(int(row["pair_i"]), int(row["pair_j"]), params), abs=1e-12)
+        i, j = int(row["pair_i"]), int(row["pair_j"])
+        assert computed == pytest.approx(energies[j - 1] - energies[i - 1], abs=1e-12)
 
     # under uniform dephasing every member of a family shares one decay curve
     abc = [float(by_run[(s, "dephasing")]["tau_star"])

@@ -9,13 +9,15 @@ Subcommands:
     catalog [--csv PATH]          print the 16-state table
 
 Exit codes: 0 success, 1 configuration error, 2 numerical or I/O failure,
-3 engine-comparison failure.
+3 engine-comparison failure.  A warning raised under a subcommand prints
+as one stderr line, `warning: <message>`, before any error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .catalog import catalog_states
@@ -30,17 +32,24 @@ CATALOG_HEADER = ("state", "family", "pair_i", "pair_j", "paper_delta_e",
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ConfigError, PlotDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IntegrationDivergedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except (ConfigError, PlotDataError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except IntegrationDivergedError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except (OSError, ValueError) as exc:
+            print(f"failure: {exc}", file=sys.stderr)
+            return 2
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one line, without the library source it came from."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,9 @@ Two independently derived engines produce the same generator:
 
 * element-wise: per-entry rate equations for d(rho_mn)/dt, written with
   bit tests, index shifts, and oscillating phase factors;
-* operator-built: Kronecker products of the bare jump operators (S_k^-
-  or S_k^z), a constant superoperator conjugated by the frame unitary.
+* operator-built: the Lindblad sum over the rate matrix, contracted in
+  one pass from the bare jump operators (S_k^- or S_k^z) into a constant
+  superoperator conjugated by the frame unitary.
 
 Everything evolves in the rotating frame that removes the fast Larmor
 phases, so trajectories carry coherence magnitudes directly.  Each engine
@@ -57,6 +58,11 @@ from .register import SpinChainParams, all_energies, basis_bits, omega_table
 from .states import validate_density_matrix
 
 
+# the record stack and the frame-phase table each take 1 KiB per record
+# (64 complex entries), so a grid is capped at 1 GiB of each
+MAX_RECORDS = 2 ** 20
+
+
 class EngineKind(Enum):
     ELEMENT_WISE = "element_wise"
     OPERATOR_BUILT = "operator_built"
@@ -68,8 +74,9 @@ class EvolutionConfig:
 
     record_stride is the number of steps between recorded samples; the
     initial and final states are always recorded.  t_max must be a whole
-    number of dt steps, so the final sample lands on t_max.  Each ValueError
-    message starts with the name of the field at fault.
+    number of dt steps, so the final sample lands on t_max, and the grid
+    holds at most MAX_RECORDS records.  Each ValueError message starts with
+    the name of the field at fault.
     """
 
     t_max: float
@@ -91,6 +98,11 @@ class EvolutionConfig:
                              f"dt = {self.dt:g} steps")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
+        n_records = -(-round(n_steps) // int(self.record_stride)) + 1
+        if n_records > MAX_RECORDS:
+            raise ValueError(f"t_max = {self.t_max:g} at dt = {self.dt:g} and record_stride = "
+                             f"{self.record_stride} gives {n_records} records, more than "
+                             f"{MAX_RECORDS}")
         if not isinstance(self.engine, EngineKind):
             raise ValueError(f"unknown engine {self.engine!r}")
 
@@ -274,33 +286,27 @@ class _ElementWiseDissipation:
 # ------------------------------------------------------ operator-built path
 
 class _OperatorBuilt:
-    """Constant superoperator from jump-operator products, conjugated by the
-    diagonal frame unitary.
+    """Constant superoperator, conjugated by the diagonal frame unitary.
 
-    It is built from the bare S_k^- (or S_k^z): the rotating-frame phases
-    of S_k^- are differences of the half-coupling energies eps, so the time
-    dependence is exactly a conjugation by diag(exp(i eps_m t)).
+    The superoperator is the Lindblad sum written as one contraction over
+    the rate matrix, L = c sum_kl gamma_kl (2 S_k (x) conj(S_l)
+    - S_l^dag S_k (x) I - I (x) (S_l^dag S_k)^T), with c = 1/2 for
+    dissipation and 1 for dephasing.  It is built from the bare S_k^- (or
+    S_k^z): the rotating-frame phases of S_k^- are differences of the
+    half-coupling energies eps, so the time dependence is exactly a
+    conjugation by diag(exp(i eps_m t)).
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
         n = params.n_qubits
-        stack = lowering_operators(n) if env.model.dissipative else sz_operators(n)
+        ops = lowering_operators(n) if env.model.dissipative else sz_operators(n)
         dim = params.dim
         fac = 0.5 if env.model.dissipative else 1.0
         eye = np.eye(dim)
-        liouville = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for k in range(params.n_qubits):
-            for l in range(params.n_qubits):
-                w = float(env.rates[k, l])
-                if w == 0.0:
-                    continue
-                anti = stack[l].conj().T @ stack[k]
-                liouville += (w * fac) * (
-                    2.0 * np.kron(stack[k], stack[l].conj())
-                    - np.kron(anti, eye)
-                    - np.kron(eye, anti.T)
-                )
-        self._liouville = liouville
+        # sum_kl gamma_kl S_k (x) conj(S_l) and sum_kl gamma_kl S_l^dag S_k
+        feed = np.einsum("kl,kac,lbd->abcd", env.rates, ops, ops.conj()).reshape(dim * dim, -1)
+        anti = np.einsum("kl,lba,kbc->ac", env.rates, ops.conj(), ops)
+        self._liouville = fac * (2.0 * feed - np.kron(anti, eye) - np.kron(eye, anti.T))
         self._delta = frame_frequencies(params, env).reshape(-1)
 
     def __call__(self, t: float) -> np.ndarray:

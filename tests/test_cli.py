@@ -1,9 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import lindchain.cli as cli
 from lindchain.runner import EngineComparison
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write(path, text):
@@ -57,11 +63,29 @@ def test_simulate_divergence_exits_2(tmp_path, capsys):
                 "model = independent_dissipation\nstate = psi_18\n"
                 "gamma_1 = 5000\ngamma_2 = 5000\ngamma_3 = 5000\n"
                 f"t_max = 2\ndt = 0.001\nstride = 100\nout = {tmp_path}/x.csv\n")
-    with pytest.warns(UserWarning, match="spectral radius"):
-        code = cli.main(["simulate", cfg])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == "numerical failure: state became non-finite at step 96 (tau = 0.096)\n"
+    assert cli.main(["simulate", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "warning: dt = 0.001 lies outside the RK4 stability region: the one-step "
+        "transfer matrix has spectral radius 1645.38 > 1\n"
+        "numerical failure: state became non-finite at step 96 (tau = 0.096)\n")
+
+
+def test_cli_warning_is_one_line_without_source():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "lindchain", "compare-engines",
+         "configs/psi18_correlated_dephasing.cfg"],
+        cwd=REPO, env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0
+    assert done.stdout == ("max entrywise |delta rho| over 501 records: 0.000e+00\n"
+                           "threshold: 1.0e-06\n"
+                           "closed-form dephasing |delta rho|: 4.091e-14\n"
+                           "PASS\n")
+    assert done.stderr == ("warning: rate matrix for correlated_dephasing is not positive "
+                           "semidefinite (min eigenvalue -1.743e-03); the map may not be "
+                           "completely positive\n")
 
 
 def test_compare_engines_success(quick_config, capsys):

@@ -11,7 +11,7 @@ import lindchain as lc
 from helpers import (apply_generator, lindblad_rhs_operator, random_density,
                      tilde_jump_operators)
 from lindchain import EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig, engine
-from lindchain.engine import frame_frequencies, lowering_operators, sz_operators
+from lindchain.engine import MAX_RECORDS, frame_frequencies, lowering_operators, sz_operators
 
 M = EnvironmentModel
 MODELS = tuple(M)
@@ -221,6 +221,23 @@ def test_generators_are_frame_covariant(default_setup):
                 frame = np.exp(1j * delta * t)
                 moved = frame[:, None] * generator(c) * frame.conj()[None, :]
                 assert np.max(np.abs(generator(t + c) - moved)) < 1e-12
+
+
+def test_dephasing_never_moves_populations_exactly(default_setup):
+    """Every entry of a population row (a * dim + a) of A(t) is exactly 0:
+    in the operator sum the feed and the two anticommutator terms cancel
+    as 2x - x - x, which must hold bit for bit, not to round-off."""
+    params, envs = default_setup
+    cases = [(params, envs[model]) for model in (M.DEPHASING, M.CORRELATED_DEPHASING)]
+    cases += [(TWO_QUBIT_CHAIN, lc.make_environment(model, [[0.05, 0.02], [0.02, 0.04]],
+                                                    n_qubits=2))
+              for model in (M.DEPHASING, M.CORRELATED_DEPHASING)]
+    for chain, env in cases:
+        populations = np.arange(chain.dim) * (chain.dim + 1)
+        for kind in EngineKind:
+            generator = lc.make_rhs(chain, env, kind)
+            for t in (0.0, 0.37):
+                assert np.all(generator(t)[populations] == 0.0), (env.model, kind, t)
 
 
 # ------------------------------------------------------------------ stepping
@@ -461,6 +478,12 @@ def test_evolution_config_validation():
     for t_max, dt in ((1.0, 1e-320), (1e300, 1e-10)):
         with pytest.raises(ValueError, match="^dt .*step count overflows"):
             EvolutionConfig(t_max=t_max, dt=dt)
+    # the record cap is arithmetic on the grid: these configs are only
+    # constructed, never run; with stride 100 the final gap is one step
+    for stride, n_steps in ((1, MAX_RECORDS - 1), (100, 100 * (MAX_RECORDS - 2) + 1)):
+        EvolutionConfig(t_max=float(n_steps), dt=1.0, record_stride=stride)
+        with pytest.raises(ValueError, match=f"^t_max .* {MAX_RECORDS + 1} records"):
+            EvolutionConfig(t_max=float(n_steps + stride), dt=1.0, record_stride=stride)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, engine="element_wise")
     with pytest.raises(ValueError):

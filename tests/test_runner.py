@@ -164,9 +164,10 @@ def test_grid_must_reach_t_max():
     ("dt = 1e-320\n", 3),  # t_max / dt overflows to inf
     ("t_max = 1e300\ndt = 1e-10\n", 4),
     ("t_max = 1e308\n", 3),  # dt defaulted to 1e-3: the t_max line
+    ("t_max = 1e12\n", 3),  # 1e13 records
 ], ids=["dt", "t_max", "stride", "whole_number", "whole_number_default_t_max",
         "step_count_overflow", "step_count_overflow_both_set",
-        "step_count_overflow_default_dt"])
+        "step_count_overflow_default_dt", "too_many_records"])
 def test_grid_errors_name_their_line(grid, line):
     with pytest.raises(ConfigError, match=f"^line {line}: "):
         parse_config("model = dephasing\nstate = psi_18\n" + grid)

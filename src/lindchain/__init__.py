@@ -4,7 +4,7 @@ states in an Ising nuclear-spin chain under Lindblad environments."""
 from .catalog import CatalogEntry, catalog_entry, catalog_states, default_parameters
 from .engine import (EngineKind, EvolutionConfig, IntegrationDivergedError, Trajectory,
                      closed_form_dephasing, dephasing_rate_matrix, make_rhs, rk4_evolve)
-from .environments import EnvironmentModel, EnvironmentSpec, make_environment
+from .environments import EnvironmentModel, EnvironmentSpec
 from .metrics import (EntanglementFamily, analytic_decay_oracle, family_of_pair,
                       gme, partial_trace, purity)
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
@@ -25,7 +25,7 @@ __all__ = [
     "catalog_states", "closed_form_dephasing", "compare_engines",
     "default_parameters", "dephasing_rate_matrix", "diagnostics",
     "emit_svg_plot", "family_of_pair", "gme", "initial_bell_density",
-    "make_environment", "make_rhs", "omega_table", "parse_config",
-    "partial_trace", "purity", "rk4_evolve", "run_scenario", "sweep",
-    "tau_first_below", "validate_density_matrix",
+    "make_rhs", "omega_table", "parse_config", "partial_trace", "purity",
+    "rk4_evolve", "run_scenario", "sweep", "tau_first_below",
+    "validate_density_matrix",
 ]

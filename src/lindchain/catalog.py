@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .environments import EnvironmentModel, EnvironmentSpec, make_environment
+from .environments import EnvironmentModel, EnvironmentSpec
 from .metrics import EntanglementFamily, family_of_pair
 from .register import N_QUBITS, SpinChainParams, all_energies
 
@@ -73,11 +73,11 @@ def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, Enviro
     omega = (400, 200, 100), J = 10, J' = 0.4, all in 2*pi*MHz; every
     per-qubit rate is 0.05 and the correlated models add the cross rates
     gamma_12 = 0.05, gamma_23 = 0.025, gamma_13 = 0.0125 (same for Gamma).
-    The uncorrelated models drop the cross rates in `make_environment`.
+    The uncorrelated models' EnvironmentSpec drops the cross rates.
     """
     params = SpinChainParams()
     rates = default_rate_matrix()
-    environments = {model: make_environment(model, rates)
+    environments = {model: EnvironmentSpec(model, rates)
                     for model in EnvironmentModel}
     return params, environments
 

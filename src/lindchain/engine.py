@@ -394,21 +394,24 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
     taus       the record times;
     phases     exp(i tau Delta) per record.
 
-    Every returned array is read-only: cache hits share them.
+    Every returned array is read-only: cache hits share them.  The build
+    runs under the errstate of the record fill: rates too large for RK4
+    overflow Q and its powers, which the stability warning and the
+    divergence check in rk4_evolve report, so numpy need not warn as well.
     """
-    generator = make_rhs(params, env, cfg.engine)
-    dt = cfg.dt
-    stride = int(cfg.record_stride)
-    n_steps = int(round(cfg.t_max / dt))
-    delta = frame_frequencies(params, env).reshape(-1)
-    a0 = generator(0.0)
-    _check_covariance(generator, a0, delta, n_steps * dt)
-    transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, a0, dt)
-    radius = _spectral_radius(transfer)
-
-    steps = (*range(0, n_steps, stride), n_steps)
-    taus = np.asarray(steps) * dt
     with np.errstate(over="ignore", invalid="ignore"):
+        generator = make_rhs(params, env, cfg.engine)
+        dt = cfg.dt
+        stride = int(cfg.record_stride)
+        n_steps = int(round(cfg.t_max / dt))
+        delta = frame_frequencies(params, env).reshape(-1)
+        a0 = generator(0.0)
+        _check_covariance(generator, a0, delta, n_steps * dt)
+        transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, a0, dt)
+        radius = _spectral_radius(transfer)
+
+        steps = (*range(0, n_steps, stride), n_steps)
+        taus = np.asarray(steps) * dt
         powers = [np.linalg.matrix_power(transfer, stride).T]
         # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
         for _ in range(1, (len(steps) - 2).bit_length()):
@@ -419,7 +422,7 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
         last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
         last_hop = (powers[0] if last_gap == stride
                     else np.linalg.matrix_power(transfer, last_gap).T)
-    phases = np.exp(np.outer(taus, delta) * 1j)
+        phases = np.exp(np.outer(taus, delta) * 1j)
     for array in (transfer, *powers, last_hop, taus, phases):
         array.setflags(write=False)
     return transfer, tuple(powers), last_hop, radius, steps, taus, phases

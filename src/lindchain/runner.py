@@ -33,7 +33,7 @@ from .catalog import (catalog_entry, catalog_states, default_parameters,
                       default_rate_matrix)
 from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephasing,
                      rk4_evolve)
-from .environments import EnvironmentModel, EnvironmentSpec, make_environment
+from .environments import EnvironmentModel, EnvironmentSpec
 from .metrics import EntanglementFamily, family_of_pair, gme, purity
 from .register import N_QUBITS, SpinChainParams
 from .states import diagnostics, initial_bell_density
@@ -173,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
                 "record_stride": stride_item}.get(str(exc).split()[0])
         raise ConfigError(str(exc), item and item[1]) from exc
     try:
-        env = make_environment(model, gamma if model.dissipative else big_gamma)
+        env = EnvironmentSpec(model, gamma if model.dissipative else big_gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 WIDTH = 680
@@ -25,7 +26,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 
 class PlotDataError(ValueError):
     """CSV input unusable for plotting (missing column, no rows, a cell
-    that is missing or not a finite number)."""
+    that is missing or not a finite number, values spread wider than a
+    float axis holds)."""
 
 
 def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
@@ -83,8 +85,8 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
 
     xs = [x for _, taus, _ in series for x in taus]
     ys = [y for _, _, values in series for y in values]
-    x_lo, x_hi = _expand(min(xs), max(xs))
-    y_lo, y_hi = _expand(min(ys), max(ys))
+    x_lo, x_hi = _expand(min(xs), max(xs), "tau")
+    y_lo, y_hi = _expand(min(ys), max(ys), ", ".join(columns))
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
@@ -143,30 +145,38 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
     return out
 
 
-def _expand(lo: float, hi: float) -> tuple[float, float]:
-    if hi > lo:
-        pad = 0.04 * (hi - lo)
-        return lo - pad, hi + pad
-    # flat series: open a unit window around the value
-    return lo - 0.5, hi + 0.5
+def _expand(lo: float, hi: float, name: str) -> tuple[float, float]:
+    """The axis window of data in [lo, hi]: padded by 4% of the range, or
+    for a flat series a unit window around the value, widened to 4 float
+    spacings where those exceed 0.5 (from |value| = 2**50).  The window
+    is finite and hi > lo, or PlotDataError names the axis."""
+    pad = 0.04 * (hi - lo) if hi > lo else max(0.5, 4.0 * math.ulp(lo))
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise PlotDataError(f"{name}: values from {lo:g} to {hi:g} span more than "
+                            f"a float axis holds")
+    return lo - pad, hi + pad
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Roughly `target` ticks on a 1/2/2.5/5 x 10^k grid."""
+    """Roughly `target` ticks on a 1/2/2.5/5 x 10^k grid; none when the
+    tick step would be below the smallest normal float."""
     span = hi - lo
     raw = span / max(target - 1, 1)
+    if raw < sys.float_info.min:
+        return []
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * magnitude >= raw:
             step = mult * magnitude
             break
-    first = math.ceil(lo / step) * step
+    # tick k is k * step, not a running sum: a step below the float spacing
+    # of the window still advances k, so the loop ends after ~target ticks
     ticks = []
-    value = first
-    while value <= hi + 1e-9 * span:
+    k = math.ceil(lo / step)
+    while (value := k * step) <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(value) < 1e-12 * span else value)
-        value += step
+        k += 1
     return ticks
 
 

@@ -13,10 +13,9 @@ import pytest
 
 import lindchain as lc
 import lindchain.cli as cli
-from lindchain import (EngineKind, EnvironmentModel, EvolutionConfig,
-                       all_energies, catalog_states, diagnostics, gme,
-                       initial_bell_density, make_environment, make_rhs,
-                       purity, rk4_evolve)
+from lindchain import (EngineKind, EnvironmentModel, EnvironmentSpec,
+                       EvolutionConfig, all_energies, catalog_states, diagnostics,
+                       gme, initial_bell_density, make_rhs, purity, rk4_evolve)
 from helpers import TABLE_GME_FORMS, apply_generator, random_density, table_gme
 
 DT = 1e-3
@@ -221,10 +220,10 @@ def test_criterion_9_reduction_and_determinism(tmp_path, capsys):
     params = lc.SpinChainParams()
     diag_rates = [0.05, 0.03, 0.02]
     pairs = (
-        (make_environment(EnvironmentModel.CORRELATED_DISSIPATION, np.diag(diag_rates)),
-         make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION, diag_rates)),
-        (make_environment(EnvironmentModel.CORRELATED_DEPHASING, np.diag(diag_rates)),
-         make_environment(EnvironmentModel.DEPHASING, diag_rates)),
+        (EnvironmentSpec(EnvironmentModel.CORRELATED_DISSIPATION, np.diag(diag_rates)),
+         EnvironmentSpec(EnvironmentModel.INDEPENDENT_DISSIPATION, np.diag(diag_rates))),
+        (EnvironmentSpec(EnvironmentModel.CORRELATED_DEPHASING, np.diag(diag_rates)),
+         EnvironmentSpec(EnvironmentModel.DEPHASING, np.diag(diag_rates))),
     )
     rng = np.random.default_rng(7)
     for corr_env, plain_env in pairs:

@@ -1,5 +1,8 @@
 import csv
+import math
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -70,14 +73,74 @@ def test_simulate_divergence_exits_2(tmp_path, capsys):
         "numerical failure: state became non-finite at step 96 (tau = 0.096)\n")
 
 
-def test_cli_warning_is_one_line_without_source():
+def test_simulate_overflowing_rate_warns_once_and_exits_2(tmp_path, capsys):
+    # Gamma dt = 1e198 overflows the transfer matrix: the stability warning
+    # and the divergence report say so, numpy's own warnings stay silent
+    cfg = write(tmp_path / "huge.cfg",
+                "model = dephasing\nstate = psi_18\nGamma_1 = 1e200\n"
+                f"t_max = 1\ndt = 0.01\nstride = 10\nout = {tmp_path}/x.csv\n")
+    assert cli.main(["simulate", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "warning: dt = 0.01 lies outside the RK4 stability region: the one-step "
+        "transfer matrix has spectral radius inf > 1\n"
+        "numerical failure: state became non-finite at step 1 (tau = 0.01)\n")
+
+
+def test_simulate_huge_cross_rate_of_uncorrelated_model_is_dropped(tmp_path, capsys):
+    plain = write(tmp_path / "plain.cfg",
+                  "model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.01\n"
+                  f"stride = 10\nout = {tmp_path}/plain.csv\n")
+    huge = write(tmp_path / "huge.cfg",
+                 "model = dephasing\nstate = psi_18\nGamma_12 = 1e308\nt_max = 1\n"
+                 f"dt = 0.01\nstride = 10\nout = {tmp_path}/huge.csv\n")
+    assert cli.main(["simulate", plain]) == 0
+    assert cli.main(["simulate", huge]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def _run_cli(*args, **run_kwargs):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "lindchain", "compare-engines",
-         "configs/psi18_correlated_dephasing.cfg"],
-        cwd=REPO, env=env, capture_output=True, text=True, check=False)
+    return subprocess.run([sys.executable, "-m", "lindchain", *args],
+                          cwd=REPO, env=env, capture_output=True, text=True, check=False,
+                          **run_kwargs)
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("values, code", [
+    (("1e16", "1.0000000000000004e16"), 0),  # two ulps apart: ticks below the spacing
+    (("1e16", "1e16"), 0),  # flat: 1e16 +- 0.5 is 1e16
+    (("1.7e308", "-1.7e308"), 1),  # the range overflows
+], ids=["ulp_apart", "flat_huge", "overflowing_range"])
+def test_plot_extreme_finite_columns(tmp_path, values, code):
+    csv_path = write(tmp_path / "x.csv",
+                     "tau,y\n" + "".join(f"{t},{v}\n" for t, v in enumerate(values)))
+    svg = tmp_path / "x.svg"
+    # in a child with a timeout and a memory cap: an unbounded tick loop
+    # must fail this test, not hang or exhaust the machine
+    done = _run_cli("plot", csv_path, "--columns", "y", "--out", str(svg),
+                    timeout=10, preexec_fn=_cap_memory)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert not svg.exists()
+        return
+    assert done.stderr == ""
+    text = svg.read_text()
+    numbers = re.findall(r'\s(?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', text)
+    numbers += " ".join(re.findall(r'points="([^"]+)"', text)).replace(",", " ").split()
+    assert all(math.isfinite(float(n)) for n in numbers)
+    assert "nan" not in text and "inf" not in text
+    assert text.count("<text") <= 2 * 6 + 2  # ticks on two axes, axis title, legend
+
+
+def test_cli_warning_is_one_line_without_source():
+    done = _run_cli("compare-engines", "configs/psi18_correlated_dephasing.cfg")
     assert done.returncode == 0
     assert done.stdout == ("max entrywise |delta rho| over 501 records: 0.000e+00\n"
                            "threshold: 1.0e-06\n"

@@ -173,8 +173,7 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, model_index):
 
 def test_two_qubit_chain_equivalence():
     params = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
-    env = lc.make_environment(M.CORRELATED_DISSIPATION,
-                              [[0.05, 0.02], [0.02, 0.04]], n_qubits=2)
+    env = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.02, 0.04]])
     rho = random_density(np.random.default_rng(11), dim=4)
     for kind in EngineKind:
         generator = lc.make_rhs(params, env, kind)
@@ -189,8 +188,8 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
     rho = random_density(np.random.default_rng(21))
     for plain, correlated in ((M.INDEPENDENT_DISSIPATION, M.CORRELATED_DISSIPATION),
                               (M.DEPHASING, M.CORRELATED_DEPHASING)):
-        independent = lc.make_environment(plain, diag)
-        zeroed = lc.make_environment(correlated, np.diag(diag))
+        independent = lc.EnvironmentSpec(plain, np.diag(diag))
+        zeroed = lc.EnvironmentSpec(correlated, np.diag(diag))
         for t in (0.0, 0.45, 2.3):
             for kind in EngineKind:
                 a = apply_generator(lc.make_rhs(params, independent, kind), rho, t)
@@ -201,8 +200,7 @@ def test_zeroed_correlations_reduce_bitwise(default_setup):
 # ------------------------------------------------------- Liouville matrices
 
 TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
-TWO_QUBIT_ENV = lc.make_environment(M.CORRELATED_DISSIPATION,
-                                    [[0.05, 0.02], [0.02, 0.04]], n_qubits=2)
+TWO_QUBIT_ENV = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.02, 0.04]])
 
 
 def test_generators_are_frame_covariant(default_setup):
@@ -229,8 +227,7 @@ def test_dephasing_never_moves_populations_exactly(default_setup):
     as 2x - x - x, which must hold bit for bit, not to round-off."""
     params, envs = default_setup
     cases = [(params, envs[model]) for model in (M.DEPHASING, M.CORRELATED_DEPHASING)]
-    cases += [(TWO_QUBIT_CHAIN, lc.make_environment(model, [[0.05, 0.02], [0.02, 0.04]],
-                                                    n_qubits=2))
+    cases += [(TWO_QUBIT_CHAIN, lc.EnvironmentSpec(model, [[0.05, 0.02], [0.02, 0.04]]))
               for model in (M.DEPHASING, M.CORRELATED_DEPHASING)]
     for chain, env in cases:
         populations = np.arange(chain.dim) * (chain.dim + 1)
@@ -325,7 +322,7 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
     # (|R(-3)| = 1.375), the 2-bit ones at 2 Gamma are stable.  H^256 =
     # Q^2560 overflows on those 3-bit entries, which this state leaves at 0
     params = lc.SpinChainParams()
-    env = lc.make_environment(M.DEPHASING, 1.0)
+    env = lc.EnvironmentSpec(M.DEPHASING, 1.0 * np.eye(3))
     cfg = EvolutionConfig(t_max=4000.0, dt=1.0, record_stride=10)
     rho0 = lc.initial_bell_density(1, 7)
     with pytest.warns(UserWarning, match="spectral radius"):
@@ -341,7 +338,7 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
 
 def test_rk4_warns_outside_stability_region(default_setup):
     params, envs = default_setup
-    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0)
+    hot = lc.EnvironmentSpec(M.INDEPENDENT_DISSIPATION, 5000.0 * np.eye(3))
     cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=100)
     with pytest.warns(UserWarning, match="spectral radius"):
         with pytest.raises(lc.IntegrationDivergedError):
@@ -369,7 +366,7 @@ def test_rk4_divergence_raises(default_setup, stride):
     # one-step products with Q from the last finite record name the first
     # non-finite step, wherever the records fall
     for gamma, step in ((5000.0, 96), (3000.0, 137)):
-        hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, gamma)
+        hot = lc.EnvironmentSpec(M.INDEPENDENT_DISSIPATION, gamma * np.eye(3))
         with pytest.warns(UserWarning, match="spectral radius"):
             with pytest.raises(lc.IntegrationDivergedError, match="step") as err:
                 lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, hot)
@@ -411,7 +408,7 @@ def test_cache_hit_miss_and_fresh_environment_agree(default_setup, propagator_ca
 
 def test_stability_warning_fires_on_every_call(propagator_cache):
     params = lc.SpinChainParams()
-    hot = lc.make_environment(M.INDEPENDENT_DISSIPATION, 5000.0)
+    hot = lc.EnvironmentSpec(M.INDEPENDENT_DISSIPATION, 5000.0 * np.eye(3))
     cfg = EvolutionConfig(t_max=0.05, dt=1e-3, record_stride=10)  # stops before step 96
     for _ in range(2):
         with pytest.warns(UserWarning, match="spectral radius") as caught:

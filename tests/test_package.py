@@ -9,9 +9,9 @@ EXPORTS = [
     "catalog_states", "closed_form_dephasing", "compare_engines",
     "default_parameters", "dephasing_rate_matrix", "diagnostics",
     "emit_svg_plot", "family_of_pair", "gme", "initial_bell_density",
-    "make_environment", "make_rhs", "omega_table", "parse_config",
-    "partial_trace", "purity", "rk4_evolve", "run_scenario", "sweep",
-    "tau_first_below", "validate_density_matrix",
+    "make_rhs", "omega_table", "parse_config", "partial_trace", "purity",
+    "rk4_evolve", "run_scenario", "sweep", "tau_first_below",
+    "validate_density_matrix",
 ]
 
 
@@ -25,3 +25,7 @@ def test_package_surface():
         for gone in ("energy_gap", "lindblad_rhs_operator", "tilde_jump_operators"):
             assert not hasattr(module, gone)
     assert not hasattr(lindchain.EnvironmentSpec, "active_rates")
+    # EnvironmentSpec is the one constructor of an environment
+    assert len(EXPORTS) == 36
+    for module in (lindchain, lindchain.environments):
+        assert not hasattr(module, "make_environment")

@@ -68,7 +68,7 @@ def test_unknown_model_names_line_and_choices():
 
 def test_model_is_the_environment_model(tmp_path, monkeypatch):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 0.1\ndt = 0.01\n")
-    env = lc.make_environment(EnvironmentModel.INDEPENDENT_DISSIPATION, 0.05)
+    env = lc.EnvironmentSpec(EnvironmentModel.INDEPENDENT_DISSIPATION, 0.05 * np.eye(3))
     moved = replace(cfg, env=env)
     assert moved.model is EnvironmentModel.INDEPENDENT_DISSIPATION
     assert cfg.model is EnvironmentModel.DEPHASING

@@ -1,6 +1,9 @@
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindchain.svgplot import PlotDataError, emit_svg_plot, read_csv_columns
 
@@ -125,3 +128,23 @@ def test_bad_cell_names_file_line_and_column(tmp_path, last_row, found):
         emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
     assert str(err.value) == f"{path}: line 3, column 'purity': {found}"
     assert not (tmp_path / "fig.svg").exists()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_any_finite_column_draws_or_fails_cleanly(tmp_path_factory, rows):
+    path = make_csv(tmp_path_factory.mktemp("plot") / "x.csv", ("tau", "y"),
+                    [(repr(t), repr(y)) for t, y in rows])
+    try:
+        out = emit_svg_plot([path], ["y"], path.with_suffix(".svg"))
+    except PlotDataError as err:
+        assert "span more than a float axis holds" in str(err)
+        return
+    text = out.read_text()
+    coords = re.findall(r'\s(?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', text)
+    coords += " ".join(polyline_points(text)).replace(",", " ").split()
+    assert all(math.isfinite(float(c)) for c in coords)
+    assert text.count("<text") <= 2 * 6 + 2  # ticks on two axes, axis title, legend

@@ -3,15 +3,14 @@ states in an Ising nuclear-spin chain under Lindblad environments."""
 
 from .catalog import CatalogEntry, catalog_entry, catalog_states, default_parameters
 from .engine import (EngineKind, EvolutionConfig, IntegrationDivergedError, Trajectory,
-                     closed_form_dephasing, dephasing_rate_matrix, make_rhs, rk4_evolve)
-from .environments import EnvironmentModel, EnvironmentSpec
-from .metrics import (EntanglementFamily, analytic_decay_oracle, family_of_pair,
-                      gme, partial_trace, purity)
+                     closed_form_dephasing, make_rhs, rk4_evolve)
+from .environments import EnvironmentModel, EnvironmentSpec, dephasing_rate_matrix
+from .metrics import (Diagnostics, EntanglementFamily, analytic_decay_oracle, diagnostics,
+                      family_of_pair, gme, initial_bell_density, partial_trace, purity,
+                      validate_density_matrix)
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
 from .runner import (ConfigError, RunConfig, compare_engines, parse_config,
                      run_scenario, sweep, tau_first_below)
-from .states import (Diagnostics, diagnostics, initial_bell_density,
-                     validate_density_matrix)
 from .svgplot import emit_svg_plot
 
 __version__ = "0.1.0"

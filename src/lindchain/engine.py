@@ -53,9 +53,9 @@ from enum import Enum
 
 import numpy as np
 
-from .environments import EnvironmentSpec
+from .environments import EnvironmentSpec, dephasing_rate_matrix
+from .metrics import validate_density_matrix
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
-from .states import validate_density_matrix
 
 
 # the record stack and the frame-phase table each take 1 KiB per record
@@ -142,22 +142,7 @@ def sz_operators(n_qubits: int) -> np.ndarray:
     return np.stack([np.diag(column) for column in halves.T])
 
 
-# ---------------------------------------------------------- dephasing rates
-
-def dephasing_rate_matrix(env: EnvironmentSpec) -> np.ndarray:
-    """Per-element dephasing rates R so that d(rho_mn)/dt = -R_mn rho_mn.
-
-    R_mn = (1/4) (v_m - v_n)^T Gamma (v_m - v_n) with v_m the vector of
-    spin signs (-1)^bit of state m.  Diagonal entries are exactly zero;
-    with a diagonal Gamma this reduces to the sum of Gamma_k over the
-    qubits whose bits differ between m and n.
-    """
-    signs = 1.0 - 2.0 * basis_bits(env.n_qubits)
-    quad = signs @ env.rates @ signs.T
-    quad = 0.5 * (quad + quad.T)  # matmul rounding must not break R = R^T
-    diag = np.diag(quad)
-    return 0.25 * (diag[:, None] + diag[None, :] - 2.0 * quad)
-
+# -------------------------------------------------------------- closed form
 
 def closed_form_dephasing(rho0: np.ndarray, t, env: EnvironmentSpec) -> np.ndarray:
     """Exact dephasing solution rho_mn(t) = rho_mn(0) exp(-R_mn t)."""

@@ -1,4 +1,5 @@
-"""Environment models and their qubit-resolved coupling-rate matrices."""
+"""Environment models, their qubit-resolved coupling-rate matrices, and
+the per-element dephasing rates those matrices give."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .register import basis_bits
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -82,3 +85,18 @@ class EnvironmentSpec:
     @property
     def n_qubits(self) -> int:
         return self.rates.shape[0]
+
+
+def dephasing_rate_matrix(env: EnvironmentSpec) -> np.ndarray:
+    """Per-element dephasing rates R so that d(rho_mn)/dt = -R_mn rho_mn.
+
+    R_mn = (1/4) (v_m - v_n)^T Gamma (v_m - v_n) with v_m the vector of
+    spin signs (-1)^bit of state m.  Diagonal entries are exactly zero;
+    with a diagonal Gamma this reduces to the sum of Gamma_k over the
+    qubits whose bits differ between m and n.
+    """
+    signs = 1.0 - 2.0 * basis_bits(env.n_qubits)
+    quad = signs @ env.rates @ signs.T
+    quad = 0.5 * (quad + quad.T)  # matmul rounding must not break R = R^T
+    diag = np.diag(quad)
+    return 0.25 * (diag[:, None] + diag[None, :] - 2.0 * quad)

@@ -1,4 +1,6 @@
-"""Purity, partial trace, and GME-concurrence lower bounds.
+"""Functions of a density matrix: the initial Bell states, validation,
+physicality diagnostics, purity, partial trace, and GME-concurrence
+lower bounds.
 
 The implemented entanglement quantity is a computable lower bound on the
 GME-concurrence.  For the three-qubit catalog states it specializes to
@@ -12,20 +14,95 @@ out (the one bit they share).  The bound may go negative; negative
 values mean the bound is uninformative, not that entanglement is gone,
 so nothing here clamps them.
 
-Each takes one (8, 8) matrix, giving a float, or a stack (..., 8, 8),
-giving the per-matrix results (purity to rounding, the rest bit for bit).
+Each function of rho takes one matrix or a stack (..., d, d) and returns
+numpy results of the input's leading shape (0-d for one matrix), each
+equal to the result for that matrix alone (purity to rounding, the rest
+bit for bit).
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import dephasing_rate_matrix
-from .environments import EnvironmentSpec
+from .environments import EnvironmentSpec, dephasing_rate_matrix
 from .register import N_QUBITS, basis_bits
-from .states import scalar_or_stack
+
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-12
+
+
+class Diagnostics(NamedTuple):
+    """Arrays of the input's leading shape: 0-d for one matrix, length n
+    for a stack of n."""
+
+    trace_error: np.ndarray
+    hermiticity_error: np.ndarray
+    min_eigenvalue: np.ndarray
+
+
+def initial_bell_density(i: int, j: int, n_qubits: int = N_QUBITS) -> np.ndarray:
+    """Density matrix of (|i> + |j>)/sqrt(2) for basis states i < j.
+
+    All four nonzero entries are exactly 0.5.
+    """
+    dim = 2 ** n_qubits
+    if not (1 <= i <= dim and 1 <= j <= dim):
+        raise ValueError(f"state indices ({i}, {j}) outside 1..{dim}")
+    if i >= j:
+        raise ValueError(f"need i < j, got ({i}, {j})")
+    rho = np.zeros((dim, dim), dtype=complex)
+    a, b = i - 1, j - 1
+    rho[a, a] = rho[b, b] = rho[a, b] = rho[b, a] = 0.5
+    return rho
+
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check hermiticity, unit trace, and positivity; return a complex copy.
+
+    Raises ValueError when any check fails.  The three errors come from
+    `diagnostics`; positivity allows eigenvalues down to -1e-12 to absorb
+    rounding.
+    """
+    arr = np.asarray(rho)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+    trace_error, herm, low = diagnostics(arr)  # raises on non-finite entries
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian (max asymmetry {herm:.3e})")
+    if trace_error > TRACE_TOL:
+        raise ValueError(f"density matrix trace differs from 1 by {trace_error:.3e}")
+    if low < EIGENVALUE_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    return arr.astype(complex)
+
+
+def diagnostics(rho: np.ndarray) -> Diagnostics:
+    """(trace error, hermiticity error, minimum eigenvalue) of rho.
+
+    rho is one (d, d) matrix or a stack (..., d, d).  The minimum
+    eigenvalue comes from the Hermitian part (rho + rho^dagger)/2, with one
+    LAPACK `eigvalsh` call over the whole stack.  Each entry equals bit for
+    bit the result for that matrix alone.  Raises ValueError on non-square
+    or non-finite input.
+    """
+    arr = np.asarray(rho, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected (..., d, d) matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("density matrix has non-finite entries")
+    adjoint = np.swapaxes(arr.conj(), -1, -2)
+    trace_error = np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0)
+    hermiticity_error = np.max(np.abs(arr - adjoint), axis=(-2, -1))
+    # the Hermitian part overwrites the adjoint: one stack-sized temporary less
+    adjoint += arr
+    adjoint *= 0.5
+    low = np.linalg.eigvalsh(adjoint)[..., 0]
+    return Diagnostics(trace_error, hermiticity_error, low)
+
 
 # ABC-family partners: complementary basis pairs of the 3-qubit register.
 GME_ABC_PAIRS = ((1, 8), (2, 7), (3, 6), (4, 5))
@@ -61,11 +138,11 @@ def family_of_pair(i: int, j: int) -> EntanglementFamily:
     return families[differing]
 
 
-def purity(rho: np.ndarray) -> float | np.ndarray:
+def purity(rho: np.ndarray) -> np.ndarray:
     """Tr(rho^2) = sum of |rho_mn|^2, one vector dot product per matrix."""
     rho = np.asarray(rho)
     flat = rho.reshape(*rho.shape[:-2], 1, -1)
-    return scalar_or_stack((flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real)
+    return (flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real
 
 
 def partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
@@ -86,7 +163,7 @@ def partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
     return reduced.reshape(*lead, 4, 4)
 
 
-def gme(rho: np.ndarray, pair: tuple[int, int]) -> float | np.ndarray:
+def gme(rho: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     """GME-concurrence lower bound for the catalog pair (i, j).
 
     When i and j share no bit the state is tripartite: 2|rho_ij| minus 2
@@ -104,7 +181,7 @@ def gme(rho: np.ndarray, pair: tuple[int, int]) -> float | np.ndarray:
         pops = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
         cross = sum(np.sqrt(pops[..., p - 1] * pops[..., q - 1])
                     for p, q in GME_ABC_PAIRS if (p, q) != (i, j))
-        return scalar_or_stack(2.0 * coherence - 2.0 * cross)
+        return 2.0 * coherence - 2.0 * cross
     bits = basis_bits(N_QUBITS)
     traced = int(np.flatnonzero(bits[i - 1] == bits[j - 1])[0]) + 1
     reduced = partial_trace(rho, traced)
@@ -115,7 +192,7 @@ def gme(rho: np.ndarray, pair: tuple[int, int]) -> float | np.ndarray:
     else:
         coherence = np.abs(reduced[..., 1, 2])
         pops = reduced[..., 0, 0].real * reduced[..., 3, 3].real
-    return scalar_or_stack(2.0 * (coherence - np.sqrt(np.maximum(pops, 0.0))))
+    return 2.0 * (coherence - np.sqrt(np.maximum(pops, 0.0)))
 
 
 def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],
@@ -136,5 +213,5 @@ def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],
     t = np.asarray(t, dtype=float)
     gme_value = 2.0 * 0.5 * np.exp(-rate * t)
     purity_value = 0.25 + 0.25 + 2.0 * 0.25 * np.exp(-2.0 * rate * t)
-    return scalar_or_stack(gme_value), scalar_or_stack(purity_value)
+    return gme_value, purity_value
 

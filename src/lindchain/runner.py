@@ -34,9 +34,9 @@ from .catalog import (catalog_entry, catalog_states, default_parameters,
 from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephasing,
                      rk4_evolve)
 from .environments import EnvironmentModel, EnvironmentSpec
-from .metrics import EntanglementFamily, family_of_pair, gme, purity
+from .metrics import (EntanglementFamily, diagnostics, family_of_pair, gme,
+                      initial_bell_density, purity)
 from .register import N_QUBITS, SpinChainParams
-from .states import diagnostics, initial_bell_density
 
 ENGINE_DELTA_THRESHOLD = 1e-6
 TAU_STAR_LEVEL = 0.5  # tau_star: where the gme bound first drops below this
@@ -166,12 +166,14 @@ def parse_config(text: str) -> RunConfig:
     try:
         evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=stride, engine=engine)
     except ValueError as exc:
-        # the message starts with the field at fault; a grid error on a
-        # defaulted t_max or dt (whole-number check, step-count overflow) is
-        # the other one's line
-        item = {"dt": dt_item or t_max_item, "t_max": t_max_item or dt_item,
-                "record_stride": stride_item}.get(str(exc).split()[0])
-        raise ConfigError(str(exc), item and item[1]) from exc
+        # the message starts with the field at fault, reported under its
+        # config key; a grid error on a defaulted t_max or dt (whole-number
+        # check, step-count overflow) is the other one's line
+        field, _, rest = str(exc).partition(" ")
+        key, item = {"dt": ("dt", dt_item or t_max_item),
+                     "t_max": ("t_max", t_max_item or dt_item),
+                     "record_stride": ("stride", stride_item)}.get(field, (field, None))
+        raise ConfigError(f"{key} {rest}", item and item[1]) from exc
     try:
         env = EnvironmentSpec(model, gamma if model.dissipative else big_gamma)
     except ValueError as exc:

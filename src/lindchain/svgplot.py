@@ -9,6 +9,7 @@ alone.  Values in a column named "gme" are clamped at zero for display
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -34,34 +35,37 @@ def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
     """The named columns of a CSV file as floats, keyed by header name.
     Cells of other columns are not parsed, so they are not validated."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise PlotDataError(f"{path}: empty CSV")
-        for name in names:
-            if name not in header:
-                if name == "tau":  # the x axis
-                    raise PlotDataError(f"{path}: missing 'tau' column")
-                have = ", ".join(sorted(header))
-                raise PlotDataError(f"{path}: missing column {name!r} (have: {have})")
-        # in file order, so that the first bad cell reported is the first in the file
-        wanted = sorted({header.index(name) for name in names})
-        columns: dict[str, list[float]] = {header[index]: [] for index in wanted}
-        for row in reader:
-            if not row:  # blank lines are skipped
-                continue
-            for index in wanted:
-                cell = row[index] if index < len(row) else None
-                try:
-                    value = float(cell)
-                except (TypeError, ValueError):
-                    value = math.nan
-                if not math.isfinite(value):
-                    found = "missing value" if cell is None else f"{cell!r} is not a finite number"
-                    raise PlotDataError(f"{path}: line {reader.line_num}, "
-                                        f"column {header[index]!r}: {found}")
-                columns[header[index]].append(value)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise PlotDataError(f"{path}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise PlotDataError(f"{path}: empty CSV")
+    for name in names:
+        if name not in header:
+            if name == "tau":  # the x axis
+                raise PlotDataError(f"{path}: missing 'tau' column")
+            have = ", ".join(sorted(header))
+            raise PlotDataError(f"{path}: missing column {name!r} (have: {have})")
+    # in file order, so that the first bad cell reported is the first in the file
+    wanted = sorted({header.index(name) for name in names})
+    columns: dict[str, list[float]] = {header[index]: [] for index in wanted}
+    for row in reader:
+        if not row:  # blank lines are skipped
+            continue
+        for index in wanted:
+            cell = row[index] if index < len(row) else None
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                found = "missing value" if cell is None else f"{cell!r} is not a finite number"
+                raise PlotDataError(f"{path}: line {reader.line_num}, "
+                                    f"column {header[index]!r}: {found}")
+            columns[header[index]].append(value)
     if not columns or not next(iter(columns.values())):
         raise PlotDataError(f"{path}: no data rows")
     return columns
@@ -108,16 +112,16 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
     parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" {axis_style}/>')
     parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" {axis_style}/>')
 
-    for tick in _ticks(x_lo, x_hi):
+    for tick, label in _labelled_ticks(x_lo, x_hi):
         tx = px(tick)
         parts.append(f'<line x1="{tx:.2f}" y1="{y0:.2f}" x2="{tx:.2f}" y2="{y0 + 5:.2f}" {axis_style}/>')
         parts.append(f'<text x="{tx:.2f}" y="{y0 + 18:.2f}" font-size="11" '
-                     f'text-anchor="middle">{tick:g}</text>')
-    for tick in _ticks(y_lo, y_hi):
+                     f'text-anchor="middle">{label}</text>')
+    for tick, label in _labelled_ticks(y_lo, y_hi):
         ty = py(tick)
         parts.append(f'<line x1="{x0 - 5:.2f}" y1="{ty:.2f}" x2="{x0:.2f}" y2="{ty:.2f}" {axis_style}/>')
         parts.append(f'<text x="{x0 - 8:.2f}" y="{ty + 4:.2f}" font-size="11" '
-                     f'text-anchor="end">{tick:g}</text>')
+                     f'text-anchor="end">{label}</text>')
     parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 8}" font-size="12" '
                  f'text-anchor="middle">tau</text>')
 
@@ -157,9 +161,20 @@ def _expand(lo: float, hi: float, name: str) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _labelled_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """The ticks of [lo, hi], each with the label of the fewest significant
+    digits, from 6 up to 17, that keeps the labels distinct."""
+    ticks = _ticks(lo, hi)
+    for digits in range(6, 18):
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return list(zip(ticks, labels))
+
+
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Roughly `target` ticks on a 1/2/2.5/5 x 10^k grid; none when the
-    tick step would be below the smallest normal float."""
+    """Roughly `target` distinct ticks on a 1/2/2.5/5 x 10^k grid; none
+    when the tick step would be below the smallest normal float."""
     span = hi - lo
     raw = span / max(target - 1, 1)
     if raw < sys.float_info.min:
@@ -171,11 +186,14 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             step = mult * magnitude
             break
     # tick k is k * step, not a running sum: a step below the float spacing
-    # of the window still advances k, so the loop ends after ~target ticks
+    # of the window still advances k, so the loop ends after ~target ticks;
+    # there k * step can round to the previous tick, which is dropped
     ticks = []
     k = math.ceil(lo / step)
     while (value := k * step) <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(value) < 1e-12 * span else value)
+        value = 0.0 if abs(value) < 1e-12 * span else value
+        if not ticks or value != ticks[-1]:
+            ticks.append(value)
         k += 1
     return ticks
 

@@ -51,6 +51,15 @@ def test_simulate_missing_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_config_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"model = dephasing\nstate = psi_18\n# caf\xe9\n")
+    assert cli.main(["simulate", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read config {str(cfg)!r}: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 38: invalid continuation byte\n")
+
+
 def test_simulate_grid_missing_t_max_exits_1(tmp_path, capsys):
     cfg = write(tmp_path / "grid.cfg",
                 "model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.3\n"
@@ -137,6 +146,14 @@ def test_plot_extreme_finite_columns(tmp_path, values, code):
     assert all(math.isfinite(float(n)) for n in numbers)
     assert "nan" not in text and "inf" not in text
     assert text.count("<text") <= 2 * 6 + 2  # ticks on two axes, axis title, legend
+    for axis in ('text-anchor="middle"', 'text-anchor="end"'):  # x ticks, y ticks
+        ticks = re.findall(rf'<text x="([^"]+)" y="([^"]+)" font-size="11" {axis}>([^<]+)<',
+                           text)
+        assert ticks
+        positions = [(x, y) for x, y, _ in ticks]
+        labels = [label for _, _, label in ticks]
+        assert len(set(positions)) == len(positions)
+        assert len(set(labels)) == len(labels)
 
 
 def test_cli_warning_is_one_line_without_source():
@@ -217,6 +234,15 @@ def test_plot_bad_cell_exits_1(tmp_path, capsys, last_row):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {csv_path}: line 3, column 'purity': ")
     assert not (tmp_path / "f.svg").exists()
+
+
+def test_plot_csv_not_utf8_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"tau,y\n0,1\n1,2\n# caf\xe9\n")
+    assert cli.main(["plot", str(csv_path), "--columns", "y",
+                     "--out", str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: not UTF-8 text\n"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_catalog_prints_all_states(capsys):

@@ -186,14 +186,6 @@ def test_stacked_metrics_match_per_record_loop(record_stack):
     assert np.max(np.abs(lc.purity(record_stack) - loop)) <= 1e-15
 
 
-def test_single_matrix_metrics_return_floats(record_stack):
-    rho = record_stack[-1]
-    assert type(lc.purity(rho)) is float
-    for pairs in CATALOG_PAIRS.values():
-        for pair in pairs:
-            assert type(lc.gme(rho, pair)) is float
-
-
 def test_metrics_accept_nested_stacks(record_stack):
     k = len(record_stack) // 2
     flat = record_stack[:2 * k]

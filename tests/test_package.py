@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import lindchain
 
 EXPORTS = [
@@ -14,6 +17,10 @@ EXPORTS = [
     "validate_density_matrix",
 ]
 
+# the package's modules in import order: each imports only modules before it
+LAYERS = ("register", "environments", "metrics", "engine", "catalog", "svgplot",
+          "runner", "cli")
+
 
 def test_package_surface():
     """Every export is listed here, so adding one is a deliberate change."""
@@ -29,3 +36,24 @@ def test_package_surface():
     assert len(EXPORTS) == 36
     for module in (lindchain, lindchain.environments):
         assert not hasattr(module, "make_environment")
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Modules named by the `from .x import` statements anywhere in path,
+    function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+    return names
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(lindchain.__file__).parent
+    assert not (package / "states.py").exists()  # folded into metrics
+    assert sorted(p.stem for p in package.glob("*.py")) == sorted(("__init__", "__main__",
+                                                                   *LAYERS))
+    for rank, name in enumerate(LAYERS):
+        imported = _relative_imports(package / f"{name}.py")
+        assert imported <= set(LAYERS[:rank]), f"{name} imports {imported - set(LAYERS[:rank])}"
+    assert "svgplot" in _relative_imports(package / "runner.py")  # lazy, in run_scenario

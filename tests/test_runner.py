@@ -115,6 +115,14 @@ def test_explicit_pair():
         parse_config("model = dephasing\npair_i = 1\npair_j = 2\n")
 
 
+def test_explicit_pair_runs_as_the_catalog_state(tmp_path):
+    grid = "model = correlated_dissipation\nt_max = 2\ndt = 0.01\nstride = 10\n"
+    by_pair = run_scenario(parse_config(grid + "pair_i = 2\npair_j = 5\n"),
+                           tmp_path / "pair.csv")
+    by_name = run_scenario(parse_config(grid + "state = xi_25\n"), tmp_path / "name.csv")
+    assert by_pair.read_bytes() == by_name.read_bytes()
+
+
 def test_rate_validation():
     with pytest.raises(ConfigError, match="nonnegative"):
         parse_config("model = dephasing\nstate = psi_18\nGamma_2 = -0.1\n")
@@ -171,6 +179,16 @@ def test_grid_must_reach_t_max():
 def test_grid_errors_name_their_line(grid, line):
     with pytest.raises(ConfigError, match=f"^line {line}: "):
         parse_config("model = dephasing\nstate = psi_18\n" + grid)
+
+
+@pytest.mark.parametrize("stride, message", [
+    ("0", "stride must be a positive integer, got 0"),
+    ("2.5", "stride must be an integer, got '2.5'"),
+])
+def test_stride_errors_name_the_config_key(stride, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"model = dephasing\nstate = psi_18\nt_max = 5\nstride = {stride}\n")
+    assert str(info.value) == f"line 4: {message}"
 
 
 # -------------------------------------------------------------------- CSV

@@ -90,7 +90,6 @@ def test_diagnostics_stack_matches_per_record_loop():
     for stack in stacks:
         batched = diagnostics(stack)
         loop = [diagnostics(rho) for rho in stack]
-        assert all(isinstance(value, float) for value in loop[0])
         for k, column in enumerate(batched):
             assert column.shape == (len(stack),)
             assert np.array_equal(column, [diag[k] for diag in loop])

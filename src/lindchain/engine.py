@@ -18,29 +18,44 @@ with D(t) = diag(exp(i Delta t)) and Delta_mn = eps_m - eps_n from the
 half-coupling energies.  One classical RK4 step from time s*dt is therefore
 D(s dt) M0 D(-s dt), M0 being the step matrix at t = 0, and N steps
 collapse to D(N dt) Q^N with the constant transfer matrix
-Q = D(-dt) M0.  The integrator builds Q once and fills the records by
-doubling: record i is H^i vec(rho0) with H = Q^stride, so once records
-0..m-1 exist, one product with H^m yields records m..2m-1.  Of n records,
-the first n - 1 take ceil(log2(n - 1)) matrix products instead of n - 2
-matrix-vector products; the last is one product with H, or with its own
-power of Q when the final gap is shorter.  Squaring stops at the first
-power that is not finite, and the largest finite power then advances the
-rest in blocks of its size: an unstable mode the state does not carry can
-overflow a power, and 0 * inf would turn a finite record into NaN.  This
-is the same RK4 discretization without a per-step loop.  When a record
-turns non-finite, single products with Q from the last finite record
-name the step at which the run diverged.
+Q = D(-dt) M0.
+
+The generators never couple most entries of vec(rho): the connected
+components of the sparsity pattern of A(0), A(dt/2) and A(dt) split it
+into invariant blocks (on the default chain: 64 singletons under both
+dephasing models, 27 blocks of up to 8 entries under independent
+dissipation, and the 7 sectors of the excitation difference, sizes 20,
+15, 15, 6, 6, 1, 1, under correlated dissipation).  M0, Q and all its
+powers are block diagonal in that partition, so they are built only on
+the blocks, those of equal size k stacked into (b, k, k) arrays for
+numpy's batched matmul, matrix_power and eigvals.  A run fills only the
+blocks its initial state occupies; every other entry of its records is
+exactly zero.
+
+The records of a block are filled by doubling: record i is H^i vec(rho0)
+with H = Q^stride, so once records 0..m-1 exist, one product with H^m
+yields records m..2m-1.  Of n records, the first n - 1 take
+ceil(log2(n - 1)) batched products instead of n - 2 matrix-vector
+products; the last is one product with H, or with its own power of Q
+when the final gap is shorter.  Squaring stops, in every stack at once,
+at the first power that is not finite in any, and the largest finite
+power then advances the rest in runs of its size: an unstable mode the
+state does not carry can overflow a power, and 0 * inf would turn a
+finite record into NaN.  This is the same RK4 discretization without a
+per-step loop.  When a record turns non-finite, single products with Q
+from the last finite record name the step at which the run diverged.
 
 Everything that depends only on (params, env, cfg) is built once and
-cached with one entry: the generator, Delta and the covariance check, Q,
-its spectral radius, the doubling powers H^(2^j) (one squaring each, up
-to the record count of the grid or the first power that overflows,
-stored transposed for the row-major record stack), the power for a final
-shorter gap, the record times and the frame-phase table exp(i tau
-Delta).  The key hashes params and cfg by value and env by identity; an
-EnvironmentSpec's rates are read-only, so a spec cannot change under its
-entry.  A sweep runs the 16 states of one
-model back to back and builds 4 transfer matrices, not 64.
+cached with one entry: the generator, Delta and the covariance check on
+the full A(t), the block partition, Q on each block stack, its spectral
+radius (the largest over all stacks), the doubling powers H^(2^j) (one
+batched squaring each, up to the record count of the grid or the first
+power that overflows, stored transposed for the row-major record
+stack), the power for a final shorter gap, the record times and the
+frame-phase table exp(i tau Delta).  The key hashes params and cfg by
+value and env by identity; an EnvironmentSpec's rates are read-only, so
+a spec cannot change under its entry.  A sweep runs the 16 states of one
+model back to back and builds 4 propagators, not 64.
 """
 
 from __future__ import annotations
@@ -320,46 +335,57 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     """Integrate d(rho)/dt with classical fixed-step fourth-order Runge-Kutta.
 
     The steps are applied as powers of the constant transfer matrix Q (see
-    the module docstring): the record stack is filled by doubling, each
-    product with a cached power of Q^stride advancing a block of records
-    at once.  The state is never renormalized; trace and positivity drift
-    are left visible for the diagnostics.  Warns before integrating when
-    the spectral radius of Q exceeds 1, i.e. dt lies outside RK4's
-    stability region.  Raises
+    the module docstring) on the invariant blocks the initial state
+    occupies: each block's records are filled by doubling, one product
+    with a cached power of Q^stride advancing a run of records at once,
+    and every entry outside those blocks stays exactly zero.  The state is
+    never renormalized; trace and positivity drift are left visible for
+    the diagnostics.  Warns before integrating when the spectral radius of
+    Q exceeds 1, i.e. dt lies outside RK4's stability region.  Raises
     IntegrationDivergedError at the first step whose state is non-finite.
     """
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
         raise ValueError(f"rho dim {rho.shape[0]} does not match params dim {params.dim}")
-    transfer, powers, last_hop, radius, steps, taus, phases = _propagator(params, env, cfg)
+    stacks, radius, steps, taus, phases = _propagator(params, env, cfg)
     if radius > 1.0 + 1e-9:
         warnings.warn(f"dt = {cfg.dt:g} lies outside the RK4 stability region: the one-step "
                       f"transfer matrix has spectral radius {radius:.6g} > 1",
                       UserWarning, stacklevel=2)
 
     n = len(steps)
-    vecs = np.empty((n, rho.size), dtype=complex)
-    vecs[0] = rho.reshape(-1)
+    vec0 = rho.reshape(-1)
+    vecs = np.zeros((n, rho.size), dtype=complex)
+    held = []  # (index, transfer) of the occupied blocks, for the replay
     # a diverging run overflows here; the finiteness check turns every inf
     # or NaN into IntegrationDivergedError, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
-        # rows 0..n-2 are H^i vec(rho0), H = Q^stride: with rows 0..m-1 known,
-        # one product with (H^h)^T, h = 2^j <= m, yields rows m..m+h-1; h
-        # doubles while the powers last, then stays at the largest
-        m, j = 1, 0
-        while m < n - 1:
-            hop = 1 << j
-            block = vecs[m:min(m + hop, n - 1)]
-            np.matmul(vecs[m - hop:m - hop + len(block)], powers[j], out=block)
-            m += len(block)
-            j = min(j + 1, len(powers) - 1)
-        if n > 1:
-            np.matmul(vecs[-2], last_hop, out=vecs[-1])
+        for index, transfer, powers, last_hop in stacks:
+            occupied = (vec0[index] != 0).any(axis=1)
+            if not occupied.any():
+                continue
+            index, powers, last_hop = index[occupied], powers[:, occupied], last_hop[occupied]
+            held.append((index, transfer[occupied]))
+            # rows[:, i] are H^i on the blocks' entries, H = Q^stride: with
+            # rows 0..m-1 known, one product with (H^h)^T, h = 2^j <= m,
+            # yields rows m..m+h-1; h doubles while the powers last, then
+            # stays at the largest
+            rows = np.empty((len(index), n, index.shape[1]), dtype=complex)
+            rows[:, 0] = vec0[index]
+            m, j = 1, 0
+            while m < n - 1:
+                hop = 1 << j
+                size = min(hop, n - 1 - m)
+                np.matmul(rows[:, m - hop:m - hop + size], powers[j], out=rows[:, m:m + size])
+                m += size
+                j = min(j + 1, len(powers) - 1)
+            if n > 1:
+                np.matmul(rows[:, -2:-1], last_hop, out=rows[:, -1:])
+            vecs[:, index] = rows.swapaxes(0, 1)
         finite = np.isfinite(vecs).all(axis=1)
         if not finite.all():
             first = int(np.argmin(finite))
-            _locate_divergence(transfer, vecs[first - 1], steps[first - 1], steps[first],
-                               cfg.dt)
+            _locate_divergence(held, vecs[first - 1], steps[first - 1], steps[first], cfg.dt)
         # phase first: a fused complex product is not symmetric in the last bit
         np.multiply(phases, vecs, out=vecs)
     return Trajectory(taus=taus.copy(), rhos=vecs.reshape(n, *rho.shape))
@@ -369,20 +395,27 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
 def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionConfig):
     """What rk4_evolve needs that depends only on (params, env, cfg):
 
-    transfer   Q, one RK4 step in the co-rotating variable;
-    powers     (H^(2^j))^T for j = 0, 1, ..., H = Q^stride, as many as the
-               doubling over the records needs and stay finite (at least
-               H^T);
-    last_hop   (Q^gap)^T for the final gap, powers[0] when gap = stride;
-    radius     the spectral radius of Q;
+    stacks     one tuple (index, transfer, powers, last_hop) per block
+               size k, largest first, over the b invariant blocks of that
+               size: index (b, k) holds their entries of vec(rho),
+               transfer (b, k, k) Q on each block, powers (p, b, k, k) the
+               transposed H^(2^j) for j < p, H = Q^stride, and last_hop
+               (b, k, k) the transposed Q^gap for the final gap (powers[0]
+               when gap = stride).  p is the same in every stack: as many
+               powers as the doubling over the records needs and stay
+               finite in all stacks (at least 1);
+    radius     the spectral radius of Q, the largest over all blocks;
     steps      the step index of each record;
     taus       the record times;
     phases     exp(i tau Delta) per record.
 
-    Every returned array is read-only: cache hits share them.  The build
-    runs under the errstate of the record fill: rates too large for RK4
-    overflow Q and its powers, which the stability warning and the
-    divergence check in rk4_evolve report, so numpy need not warn as well.
+    The blocks are the connected components of the sparsity pattern of
+    A(0), A(dt/2) and A(dt), the three matrices of a step, so neither Q
+    nor its powers couple two blocks.  Every returned array is read-only:
+    cache hits share them.  The build runs under the errstate of the
+    record fill: rates too large for RK4 overflow Q and its powers, which
+    the stability warning and the divergence check in rk4_evolve report,
+    so numpy need not warn as well.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         generator = make_rhs(params, env, cfg.engine)
@@ -392,32 +425,61 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
         delta = frame_frequencies(params, env).reshape(-1)
         a0 = generator(0.0)
         _check_covariance(generator, a0, delta, n_steps * dt)
-        transfer = np.exp(delta * (-1j * dt))[:, None] * _rk4_step_matrix(generator, a0, dt)
-        radius = _spectral_radius(transfer)
+        liouville = (a0, generator(0.5 * dt), generator(dt))
+        indices = _invariant_blocks(np.logical_or.reduce([a != 0 for a in liouville]))
+        back = np.exp(delta * (-1j * dt))
+        transfers = []
+        for index in indices:
+            rows, cols = index[:, :, None], index[:, None, :]
+            step = _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
+            transfers.append(back[rows] * step)
+        radius = max(map(_spectral_radius, transfers))
 
         steps = (*range(0, n_steps, stride), n_steps)
         taus = np.asarray(steps) * dt
-        powers = [np.linalg.matrix_power(transfer, stride).T]
+        levels = [[np.linalg.matrix_power(q, stride).swapaxes(-1, -2) for q in transfers]]
         # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
         for _ in range(1, (len(steps) - 2).bit_length()):
-            square = powers[-1] @ powers[-1]
-            if not np.isfinite(square).all():
-                break  # rk4_evolve goes on with the largest finite power
-            powers.append(square)
+            squares = [power @ power for power in levels[-1]]
+            if not all(np.isfinite(square).all() for square in squares):
+                break  # every stack goes on with the largest power finite in all
+            levels.append(squares)
         last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
-        last_hop = (powers[0] if last_gap == stride
-                    else np.linalg.matrix_power(transfer, last_gap).T)
+        last_hops = (levels[0] if last_gap == stride else
+                     [np.linalg.matrix_power(q, last_gap).swapaxes(-1, -2) for q in transfers])
         phases = np.exp(np.outer(taus, delta) * 1j)
-    for array in (transfer, *powers, last_hop, taus, phases):
+    stacks = tuple(zip(indices, transfers, map(np.stack, zip(*levels)), last_hops))
+    for array in (*(a for stack in stacks for a in stack), taus, phases):
         array.setflags(write=False)
-    return transfer, tuple(powers), last_hop, radius, steps, taus, phases
+    return stacks, radius, steps, taus, phases
 
 
-def _rk4_step_matrix(generator, a0: np.ndarray, dt: float) -> np.ndarray:
+def _invariant_blocks(coupled: np.ndarray) -> list[np.ndarray]:
+    """Split the entries of vec(rho) into the blocks that the boolean
+    pattern coupled never links: the connected components of its graph.
+
+    Returns one (b, k) index array per block size k, largest first, each
+    row one block in increasing entry order.
+    """
+    reach = coupled | coupled.T | np.eye(len(coupled), dtype=bool)
+    while True:  # transitive closure by squaring: at most log2(len) rounds
+        linked = reach.astype(float)
+        grown = linked @ linked > 0.0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    root = reach.argmax(axis=1)  # the first entry of each entry's block
+    size = np.bincount(root)[root]
+    order = np.lexsort((root, -size))  # stable: entries of one block stay sorted
+    return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)[::-1]]
+
+
+def _rk4_step_matrix(a0: np.ndarray, a_half: np.ndarray, a1: np.ndarray,
+                     dt: float) -> np.ndarray:
     """M0, the matrix of one RK4 step from t = 0 for the linear ODE
-    d(vec rho)/dt = A(t) vec rho, given a0 = A(0)."""
-    a_half, a1 = generator(0.5 * dt), generator(dt)
-    eye = np.eye(len(a0))
+    d(vec rho)/dt = A(t) vec rho, given A(0), A(dt/2) and A(dt), or stacks
+    of their blocks."""
+    eye = np.eye(a0.shape[-1])
     k2 = a_half @ (eye + (0.5 * dt) * a0)
     k3 = a_half @ (eye + (0.5 * dt) * k2)
     k4 = a1 @ (eye + dt * k3)
@@ -439,19 +501,21 @@ def _check_covariance(generator, a0: np.ndarray, delta: np.ndarray, t: float) ->
 
 
 def _spectral_radius(transfer: np.ndarray) -> float:
+    """The largest eigenvalue modulus over a stack of matrices."""
     if not np.isfinite(transfer).all():
         return float("inf")
     return float(np.max(np.abs(np.linalg.eigvals(transfer))))
 
 
-def _locate_divergence(transfer: np.ndarray, vec: np.ndarray, start: int, stop: int,
-                       dt: float) -> None:
+def _locate_divergence(blocks, vec: np.ndarray, start: int, stop: int, dt: float) -> None:
     """Apply the one-step transfer matrix to the finite co-rotating state
-    vec of step start, one step at a time up to stop, and raise
-    IntegrationDivergedError at the first non-finite state."""
+    vec of step start, one step at a time up to stop, on each (index,
+    transfer) stack of blocks, and raise IntegrationDivergedError at the
+    first non-finite state."""
+    parts = [vec[index][..., None] for index, _ in blocks]
     for step in range(start + 1, stop + 1):
-        vec = transfer @ vec
-        if not np.isfinite(vec).all():
+        parts = [transfer @ part for (_, transfer), part in zip(blocks, parts)]
+        if not all(np.isfinite(part).all() for part in parts):
             raise IntegrationDivergedError(step, step * dt)
     # the powered transfer matrix overflowed although single steps did not
     raise IntegrationDivergedError(stop, stop * dt)

@@ -167,12 +167,14 @@ def parse_config(text: str) -> RunConfig:
         evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=stride, engine=engine)
     except ValueError as exc:
         # the message starts with the field at fault, reported under its
-        # config key; a grid error on a defaulted t_max or dt (whole-number
-        # check, step-count overflow) is the other one's line
+        # config key, as is the stride it may quote; a grid error on a
+        # defaulted t_max or dt (whole-number check, step-count overflow)
+        # is the other one's line
         field, _, rest = str(exc).partition(" ")
         key, item = {"dt": ("dt", dt_item or t_max_item),
                      "t_max": ("t_max", t_max_item or dt_item),
                      "record_stride": ("stride", stride_item)}.get(field, (field, None))
+        rest = rest.replace("record_stride = ", "stride = ")
         raise ConfigError(f"{key} {rest}", item and item[1]) from exc
     try:
         env = EnvironmentSpec(model, gamma if model.dissipative else big_gamma)

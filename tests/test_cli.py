@@ -69,6 +69,14 @@ def test_simulate_grid_missing_t_max_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_too_many_records_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path / "long.cfg", "model = dephasing\nstate = psi_18\nt_max = 1e12\n")
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: t_max = 1e+12 at dt = 0.001 and stride = 100 gives "
+        "10000000000001 records, more than 1048576\n")
+
+
 def test_simulate_divergence_exits_2(tmp_path, capsys):
     # rate far beyond the fixed-step stability limit
     cfg = write(tmp_path / "stiff.cfg",

@@ -285,9 +285,20 @@ def test_transfer_matrix_matches_step_loop(default_setup):
             assert np.max(np.abs(traj.rhos - reference)) < 1e-12
 
 
+def _dense_transfer(params, env, cfg):
+    """Q = D(-dt) M0 as one dense 64x64 matrix, from the full Liouville
+    matrices: the block stacks of the integrator restrict this matrix."""
+    generator = lc.make_rhs(params, env, cfg.engine)
+    delta = frame_frequencies(params, env).reshape(-1)
+    step = engine._rk4_step_matrix(generator(0.0), generator(0.5 * cfg.dt),
+                                   generator(cfg.dt), cfg.dt)
+    return np.exp(-1j * delta * cfg.dt)[:, None] * step
+
+
 def _sequential_records(transfer, rho0, steps, dt, delta):
-    """The record loop the doubling replaced: one product with Q^stride per
-    record, then Q^gap for the final gap, then the frame phases."""
+    """The record loop the doubling replaced: one product with the dense
+    Q^stride per record, then Q^gap for the final gap, then the frame
+    phases."""
     hop = np.linalg.matrix_power(transfer, steps[1] - steps[0]) if len(steps) > 1 else None
     vecs = [rho0.reshape(-1).astype(complex)]
     for i in range(1, len(steps)):
@@ -309,10 +320,11 @@ def test_doubled_records_match_sequential_loop(default_setup, propagator_cache,
     cfg = EvolutionConfig(t_max=n_steps * 1e-2, dt=1e-2, record_stride=3)
     for env in envs.values():
         traj = lc.rk4_evolve(rho0, cfg, params, env)
-        transfer, powers, _, _, steps, _, _ = propagator_cache(params, env, cfg)
+        stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
         assert traj.n_records == len(steps) == n_records
-        assert len(powers) == max(1, (n_records - 2).bit_length())
-        reference = _sequential_records(transfer, rho0, steps, cfg.dt,
+        for _, _, powers, _ in stacks:
+            assert len(powers) == max(1, (n_records - 2).bit_length())
+        reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                         frame_frequencies(params, env).reshape(-1))
         assert np.max(np.abs(traj.rhos - reference)) < 1e-13
 
@@ -327,13 +339,31 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
     rho0 = lc.initial_bell_density(1, 7)
     with pytest.warns(UserWarning, match="spectral radius"):
         traj = lc.rk4_evolve(rho0, cfg, params, env)
-    transfer, powers, _, _, steps, _, _ = propagator_cache(params, env, cfg)
+    stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
     assert traj.n_records == len(steps) == 401
-    assert len(powers) < (401 - 2).bit_length()  # squaring stopped at the overflow
-    reference = _sequential_records(transfer, rho0, steps, cfg.dt,
+    # squaring stopped at the overflow, in every stack at once
+    assert {len(powers) for _, _, powers, _ in stacks} == {8}
+    reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                     frame_frequencies(params, env).reshape(-1))
     assert np.isfinite(traj.rhos).all()
     assert np.max(np.abs(traj.rhos - reference)) < 1e-13
+
+
+def test_first_overflowing_square_stops_every_stack(propagator_cache):
+    # gamma dt = 1: only the block of the populations has |R(-3)| = 1.375 > 1,
+    # yet the stable stacks stop squaring with it
+    params = lc.SpinChainParams()
+    env = lc.EnvironmentSpec(M.INDEPENDENT_DISSIPATION, 1.0 * np.eye(3))
+    cfg = EvolutionConfig(t_max=4000.0, dt=1.0, record_stride=10)
+    with pytest.warns(UserWarning, match="spectral radius 1.375 "):
+        with pytest.raises(lc.IntegrationDivergedError):
+            lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, env)
+    stacks, _, _, _, _ = propagator_cache(params, env, cfg)
+    assert [index.shape for index, *_ in stacks] == [(1, 8), (6, 4), (12, 2), (8, 1)]
+    assert {len(powers) for _, _, powers, _ in stacks} == {8}
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = [powers[-1] @ powers[-1] for _, _, powers, _ in stacks]
+    assert [np.isfinite(square).all() for square in squares] == [False, True, True, True]
 
 
 def test_rk4_warns_outside_stability_region(default_setup):
@@ -384,6 +414,93 @@ def test_rk4_input_validation(default_setup):
     two_qubit = lc.SpinChainParams(omegas=(300.0, 150.0))
     with pytest.raises(ValueError, match="qubits"):
         lc.make_rhs(two_qubit, envs[M.INDEPENDENT_DISSIPATION], EngineKind.ELEMENT_WISE)
+
+
+def _block_sizes(stacks):
+    return [index.shape[1] for index, *_ in stacks for _ in index]
+
+
+def _partition(params, env, kind):
+    cfg = EvolutionConfig(t_max=1.0, dt=1e-3, engine=kind)
+    stacks, _, _, _, _ = engine._propagator.__wrapped__(params, env, cfg)
+    blocks = sorted(tuple(block) for index, *_ in stacks for block in index.tolist())
+    assert sorted(entry for block in blocks for entry in block) == list(range(params.dim ** 2))
+    return stacks, blocks
+
+
+def test_invariant_blocks_of_the_default_chain(default_setup):
+    params, envs = default_setup
+    sizes = {M.CORRELATED_DISSIPATION: [20, 15, 15, 6, 6, 1, 1],
+             M.DEPHASING: [1] * 64, M.CORRELATED_DEPHASING: [1] * 64}
+    for chain in (params, TWO_QUBIT_CHAIN):
+        rates = np.full((chain.n_qubits, chain.n_qubits), 0.05)
+        for model in MODELS:
+            env = envs[model] if chain is params else EnvironmentSpec(model, rates)
+            stacks, blocks = _partition(chain, env, EngineKind.ELEMENT_WISE)
+            assert _partition(chain, env, EngineKind.OPERATOR_BUILT)[1] == blocks
+            if chain is params and model in sizes:
+                assert _block_sizes(stacks) == sizes[model]
+            if chain is params and model is M.INDEPENDENT_DISSIPATION:
+                assert len(blocks) == 27 and max(map(len, blocks)) == 8
+
+
+@given(st.integers(min_value=2, max_value=3),
+       st.lists(st.floats(min_value=10.0, max_value=500.0), min_size=3, max_size=3),
+       st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=0.0, max_value=2.0),
+       st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.1)),
+                min_size=6, max_size=6),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=25, deadline=None)
+def test_engines_agree_on_invariant_blocks(n_qubits, omegas, coupling_j, coupling_jp,
+                                           rates, model_index):
+    chain = lc.SpinChainParams(omegas[:n_qubits], coupling_j, coupling_jp)
+    gamma = np.zeros((n_qubits, n_qubits))
+    gamma[np.triu_indices(n_qubits)] = rates[:n_qubits * (n_qubits + 1) // 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        env = EnvironmentSpec(MODELS[model_index], gamma + np.triu(gamma, 1).T)
+    assert (_partition(chain, env, EngineKind.ELEMENT_WISE)[1]
+            == _partition(chain, env, EngineKind.OPERATOR_BUILT)[1])
+
+
+def test_records_outside_the_occupied_blocks_are_exactly_zero(default_setup,
+                                                              propagator_cache):
+    params, envs = default_setup
+    cfg = EvolutionConfig(t_max=1.0, dt=1e-3, record_stride=50)
+    for pair in ((1, 8), (2, 7), (4, 6), (2, 3)):
+        rho0 = lc.initial_bell_density(*pair)
+        for env in envs.values():
+            traj = lc.rk4_evolve(rho0, cfg, params, env)
+            stacks, _, _, _, _ = propagator_cache(params, env, cfg)
+            occupied = np.zeros(params.dim ** 2, dtype=bool)
+            for block in (block for index, *_ in stacks for block in index):
+                occupied[block] = np.any(rho0.reshape(-1)[block] != 0)
+            records = traj.rhos.reshape(traj.n_records, -1)
+            assert np.all(records[:, ~occupied] == 0.0)
+
+
+def test_rk4_converges_to_the_exact_solution_at_fourth_order(default_setup):
+    """vec rho(tau) = D(tau) expm(tau (A(0) - i diag Delta)) vec rho0 is the
+    exact solution in the co-rotating variable; halving dt must cut the
+    largest RK4 error on the records by about 2^4."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    params, envs = default_setup
+    env = envs[M.CORRELATED_DISSIPATION]
+    delta = frame_frequencies(params, env).reshape(-1)
+    generator = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(0.0) - 1j * np.diag(delta)
+    taus = np.linspace(0.0, 2.0, 9)
+    flows = np.exp(1j * np.outer(taus, delta))[:, :, None] * np.stack(
+        [expm(tau * generator) for tau in taus])
+    for name in ("psi_27", "alpha_46", "alpha_35"):
+        rho0 = lc.initial_bell_density(*lc.catalog_entry(name).pair)
+        exact = (flows @ rho0.reshape(-1)).reshape(-1, 8, 8)
+        errors = []
+        for dt, stride in ((2e-3, 125), (1e-3, 250)):
+            traj = lc.rk4_evolve(rho0, EvolutionConfig(t_max=2.0, dt=dt, record_stride=stride),
+                                 params, env)
+            assert traj.taus == pytest.approx(taus)
+            errors.append(np.max(np.abs(traj.rhos - exact)))
+        assert 12.0 < errors[0] / errors[1] < 20.0, (name, errors)
 
 
 # ------------------------------------------------------ transfer-matrix cache
@@ -447,9 +564,12 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
     assert propagator_cache.cache_info().hits == 1
     assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])
     assert np.array_equal(again.rhos[0], rho0)
-    transfer, powers, last_hop, _, _, taus, phases = propagator_cache(params, env, cfg)
-    assert len(powers) == 2  # 3 rows from one by doubling: H^T and (H^2)^T
-    for array in (transfer, *powers, last_hop, taus, phases):
+    stacks, _, _, taus, phases = propagator_cache(params, env, cfg)
+    for index, transfer, powers, last_hop in stacks:
+        assert len(powers) == 2  # 3 rows from one by doubling: H^T and (H^2)^T
+        for array in (index, transfer, powers, last_hop):
+            assert not array.flags.writeable
+    for array in (taus, phases):
         assert not array.flags.writeable
 
 

@@ -181,6 +181,13 @@ def test_grid_errors_name_their_line(grid, line):
         parse_config("model = dephasing\nstate = psi_18\n" + grid)
 
 
+def test_too_many_records_names_the_stride_key():
+    with pytest.raises(ConfigError) as info:
+        parse_config("model = dephasing\nstate = psi_18\nt_max = 1e12\n")
+    assert str(info.value) == ("line 3: t_max = 1e+12 at dt = 0.001 and stride = 100 gives "
+                               "10000000000001 records, more than 1048576")
+
+
 @pytest.mark.parametrize("stride, message", [
     ("0", "stride must be a positive integer, got 0"),
     ("2.5", "stride must be an integer, got '2.5'"),

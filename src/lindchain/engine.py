@@ -2,8 +2,10 @@
 
 Two independently derived engines produce the same generator:
 
-* element-wise: per-entry rate equations for d(rho_mn)/dt, written with
-  bit tests, index shifts, and oscillating phase factors;
+* element-wise: per-entry rate equations for d(rho_mn)/dt, one class: a
+  static decay on the diagonal (the whole generator under dephasing)
+  plus, under dissipation, three rules written with basis-bit tests,
+  index shifts and oscillating phase factors;
 * operator-built: the Lindblad sum over the rate matrix, contracted in
   one pass from the bare jump operators (S_k^- or S_k^z) into a constant
   superoperator conjugated by the frame unitary.
@@ -28,9 +30,9 @@ dissipation, and the 7 sectors of the excitation difference, sizes 20,
 15, 15, 6, 6, 1, 1, under correlated dissipation).  M0, Q and all its
 powers are block diagonal in that partition, so they are built only on
 the blocks, those of equal size k stacked into (b, k, k) arrays for
-numpy's batched matmul, matrix_power and eigvals.  A run fills only the
-blocks its initial state occupies; every other entry of its records is
-exactly zero.
+numpy's batched matmul, matrix_power and eigvals.  A run fills, checks
+for finiteness and phase-multiplies only the blocks its initial state
+occupies; every other entry of its records stays exactly +0.0.
 
 The records of a block are filled by doubling: record i is H^i vec(rho0)
 with H = Q^stride, so once records 0..m-1 exist, one product with H^m
@@ -189,93 +191,65 @@ def frame_frequencies(params: SpinChainParams, env: EnvironmentSpec) -> np.ndarr
     return eps[:, None] - eps[None, :]
 
 
-class _ElementWiseDephasing:
-    """d(rho_mn)/dt = -R_mn rho_mn: a static diagonal Liouville matrix."""
-
-    def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        self._rates = -dephasing_rate_matrix(env).reshape(-1).astype(complex)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.diag(self._rates)
-
-
-class _ElementWiseDissipation:
+class _ElementWise:
     """Per-entry rate equations compiled to a frequency-tagged sparse form.
 
-    For each ordered qubit pair (k, l) with rate gamma_kl, entry (m, n)
-    receives:
+    Every entry (m, n) decays at a static rate: -R_mn rho_mn from
+    dephasing_rate_matrix under the dephasing models, which is all of
+    their generator, and -(h_m + h_n) rho_mn under dissipation, with
+    h_m = (1/2) sum_k gamma_kk bit_k(m).  Under dissipation, for each
+    ordered qubit pair (k, l) with rate gamma_kl != 0, entry (m, n) also
+    receives three rules:
 
       feed   + gamma_kl  e^{i(Om_{l,n} - Om_{k,m}) t} rho_{m + 2^(N-k), n + 2^(N-l)}
                when bit_k(m) = 0 and bit_l(n) = 0
       left   - gamma_kl/2  e^{i(Om_{l,r} - Om_{k,r}) t} rho_{r + 2^(N-k), n},
-               r = m - 2^(N-l), when bit_l(m) = 1 and bit_k(r) = 0
+               r = m - 2^(N-l), when bit_l(m) = 1 and bit_k(m) = 0
       right  - gamma_kl/2  e^{i(Om_{l,r} - Om_{k,r}) t} rho_{m, r + 2^(N-l)},
-               r = n - 2^(N-k), when bit_k(n) = 1 and bit_l(r) = 0
+               r = n - 2^(N-k), when bit_k(n) = 1 and bit_l(n) = 0
 
-    The k = l left/right terms carry no phase and fold into a static decay
-    -(1/2) sum_k gamma_kk (bit_k(m) + bit_k(n)) rho_mn.
+    The left and right conditions exclude k = l: those terms carry no
+    phase and are the static decay.
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec):
-        n = params.n_qubits
         dim = params.dim
-        gamma = env.rates
-        om = omega_table(params)
-        bits = basis_bits(n).tolist()
+        bits = basis_bits(params.n_qubits)
+        if env.model.dissipative:
+            half_rate = 0.5 * (bits * np.diag(env.rates)).sum(axis=1)
+            static = half_rate[:, None] + half_rate[None, :]
+        else:
+            static = dephasing_rate_matrix(env)
+        m, n = np.indices((dim, dim)).reshape(2, -1)
+        # (row m, row n, source m, source n, coefficient, frequency) per term
+        terms = [(m, n, m, n, -static.reshape(-1), np.zeros(dim * dim))]
+        if env.model.dissipative:
+            k, l = np.nonzero(env.rates)  # the ordered pairs with a nonzero rate
+            g = env.rates[k, l]
+            om = omega_table(params)
+            shift = 1 << np.arange(params.n_qubits - 1, -1, -1)  # 2^(N-k) per qubit
+            bit_k, bit_l = bits[:, k].T, bits[:, l].T  # [pair, m]
 
-        slots: list[int] = []
-        coeffs: list[complex] = []
-        freqs: list[float] = []
-        size = dim * dim
+            def where(cond):
+                """(pair, m, n) of every term whose condition holds."""
+                return np.nonzero(np.broadcast_to(cond, (len(g), dim, dim)))
 
-        def add(row_m, row_n, col_m, col_n, coeff, freq):
-            row = row_m * dim + row_n
-            col = col_m * dim + col_n
-            slots.append(row * size + col)
-            coeffs.append(coeff)
-            freqs.append(freq)
-
-        # static decay on the superoperator diagonal
-        half_rate = 0.5 * np.array(
-            [sum(gamma[k, k] * bits[m][k] for k in range(n)) for m in range(dim)]
-        )
-        for m in range(dim):
-            for nn in range(dim):
-                add(m, nn, m, nn, -(half_rate[m] + half_rate[nn]), 0.0)
-
-        for k in range(n):
-            sk = 1 << (n - 1 - k)
-            for l in range(n):
-                g = float(gamma[k, l])
-                if g == 0.0:
-                    continue
-                sl = 1 << (n - 1 - l)
-                for m in range(dim):
-                    for nn in range(dim):
-                        if not bits[m][k] and not bits[nn][l]:
-                            add(m, nn, m + sk, nn + sl, g, om[l, nn] - om[k, m])
-                if k == l:
-                    continue  # phase-free decay already in the static part
-                for m in range(dim):
-                    if bits[m][l] and not bits[m][k]:
-                        r = m - sl
-                        freq = om[l, r] - om[k, r]
-                        for nn in range(dim):
-                            add(m, nn, r + sk, nn, -0.5 * g, freq)
-                for nn in range(dim):
-                    if bits[nn][k] and not bits[nn][l]:
-                        r = nn - sk
-                        freq = om[l, r] - om[k, r]
-                        for m in range(dim):
-                            add(m, nn, m, r + sl, -0.5 * g, freq)
-
-        slot_arr = np.asarray(slots, dtype=np.intp)
-        if len(np.unique(slot_arr)) != len(slot_arr):
+            p, m, n = where((bit_k[:, :, None] == 0) & (bit_l[:, None, :] == 0))
+            terms.append((m, n, m + shift[k[p]], n + shift[l[p]], g[p],
+                          om[l[p], n] - om[k[p], m]))
+            p, m, n = where(((bit_l == 1) & (bit_k == 0))[:, :, None])
+            r = m - shift[l[p]]
+            terms.append((m, n, r + shift[k[p]], n, -0.5 * g[p], om[l[p], r] - om[k[p], r]))
+            p, m, n = where(((bit_k == 1) & (bit_l == 0))[:, None, :])
+            r = n - shift[k[p]]
+            terms.append((m, n, m, r + shift[l[p]], -0.5 * g[p], om[l[p], r] - om[k[p], r]))
+        row_m, row_n, src_m, src_n, coeffs, freqs = map(np.concatenate, zip(*terms))
+        self._size = dim * dim
+        self._slots = (row_m * dim + row_n) * self._size + src_m * dim + src_n
+        if len(np.unique(self._slots)) != len(self._slots):
             raise AssertionError("element-wise term slots collide")
-        self._size = size
-        self._slots = slot_arr
-        self._coeffs = np.asarray(coeffs, dtype=complex)
-        self._freqs = np.asarray(freqs, dtype=float)
+        self._coeffs = coeffs.astype(complex)
+        self._freqs = freqs
 
     def __call__(self, t: float) -> np.ndarray:
         mat = np.zeros((self._size, self._size), dtype=complex)
@@ -316,18 +290,17 @@ class _OperatorBuilt:
 
 # ----------------------------------------------------------------- stepping
 
+_ENGINES = {EngineKind.ELEMENT_WISE: _ElementWise, EngineKind.OPERATOR_BUILT: _OperatorBuilt}
+
+
 def make_rhs(params: SpinChainParams, env: EnvironmentSpec,
              kind: EngineKind) -> Callable[[float], np.ndarray]:
     """Compile the chosen engine's generator: a callable A with A(t) the
     (dim**2, dim**2) Liouville matrix, so d(vec rho)/dt = A(t) vec rho."""
     _check_sizes(params, env)
-    if kind is EngineKind.OPERATOR_BUILT:
-        return _OperatorBuilt(params, env)
-    if kind is not EngineKind.ELEMENT_WISE:
+    if not isinstance(kind, EngineKind):
         raise ValueError(f"unknown engine {kind!r}")
-    if env.model.dissipative:
-        return _ElementWiseDissipation(params, env)
-    return _ElementWiseDephasing(params, env)
+    return _ENGINES[kind](params, env)
 
 
 def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
@@ -338,7 +311,8 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     the module docstring) on the invariant blocks the initial state
     occupies: each block's records are filled by doubling, one product
     with a cached power of Q^stride advancing a run of records at once,
-    and every entry outside those blocks stays exactly zero.  The state is
+    then checked and multiplied by their cached frame phases, and every
+    entry outside those blocks stays exactly +0.0.  The state is
     never renormalized; trace and positivity drift are left visible for
     the diagnostics.  Warns before integrating when the spectral radius of
     Q exceeds 1, i.e. dt lies outside RK4's stability region.  Raises
@@ -356,7 +330,7 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     n = len(steps)
     vec0 = rho.reshape(-1)
     vecs = np.zeros((n, rho.size), dtype=complex)
-    held = []  # (index, transfer) of the occupied blocks, for the replay
+    filled = []  # (index, transfer, rows) of the occupied blocks
     # a diverging run overflows here; the finiteness check turns every inf
     # or NaN into IntegrationDivergedError, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,7 +339,6 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
             if not occupied.any():
                 continue
             index, powers, last_hop = index[occupied], powers[:, occupied], last_hop[occupied]
-            held.append((index, transfer[occupied]))
             # rows[:, i] are H^i on the blocks' entries, H = Q^stride: with
             # rows 0..m-1 known, one product with (H^h)^T, h = 2^j <= m,
             # yields rows m..m+h-1; h doubles while the powers last, then
@@ -381,13 +354,16 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
                 j = min(j + 1, len(powers) - 1)
             if n > 1:
                 np.matmul(rows[:, -2:-1], last_hop, out=rows[:, -1:])
-            vecs[:, index] = rows.swapaxes(0, 1)
-        finite = np.isfinite(vecs).all(axis=1)
+            filled.append((index, transfer[occupied], rows))
+        finite = np.all([np.isfinite(rows).all(axis=(0, 2)) for *_, rows in filled], axis=0)
         if not finite.all():
             first = int(np.argmin(finite))
-            _locate_divergence(held, vecs[first - 1], steps[first - 1], steps[first], cfg.dt)
-        # phase first: a fused complex product is not symmetric in the last bit
-        np.multiply(phases, vecs, out=vecs)
+            _locate_divergence([transfer for _, transfer, _ in filled],
+                               [rows[:, first - 1] for *_, rows in filled],
+                               steps[first - 1], steps[first], cfg.dt)
+        for index, _, rows in filled:
+            # phase first: a fused complex product is not symmetric in the last bit
+            vecs[:, index] = phases[:, index] * rows.swapaxes(0, 1)
     return Trajectory(taus=taus.copy(), rhos=vecs.reshape(n, *rho.shape))
 
 
@@ -507,14 +483,15 @@ def _spectral_radius(transfer: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(transfer))))
 
 
-def _locate_divergence(blocks, vec: np.ndarray, start: int, stop: int, dt: float) -> None:
-    """Apply the one-step transfer matrix to the finite co-rotating state
-    vec of step start, one step at a time up to stop, on each (index,
-    transfer) stack of blocks, and raise IntegrationDivergedError at the
-    first non-finite state."""
-    parts = [vec[index][..., None] for index, _ in blocks]
+def _locate_divergence(transfers, parts, start: int, stop: int, dt: float) -> None:
+    """Apply the one-step transfer matrices, (b, k, k) per stack of
+    blocks, to the finite co-rotating state of step start, (b, k) per
+    stack, one step at a time up to stop, and raise
+    IntegrationDivergedError at the first step where any stack is not
+    finite."""
+    parts = [part[..., None] for part in parts]
     for step in range(start + 1, stop + 1):
-        parts = [transfer @ part for (_, transfer), part in zip(blocks, parts)]
+        parts = [transfer @ part for transfer, part in zip(transfers, parts)]
         if not all(np.isfinite(part).all() for part in parts):
             raise IntegrationDivergedError(step, step * dt)
     # the powered transfer matrix overflowed although single steps did not

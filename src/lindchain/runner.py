@@ -370,9 +370,7 @@ def tau_first_below(taus: np.ndarray, values: np.ndarray) -> float:
     k = int(below[0])
     if k == 0:
         return float(taus[0])
-    v0, v1 = values[k - 1], values[k]
-    if v1 == v0:
-        return float(taus[k])
+    v0, v1 = values[k - 1], values[k]  # v0 >= TAU_STAR_LEVEL (or NaN) > v1
     frac = (TAU_STAR_LEVEL - v0) / (v1 - v0)
     return float(taus[k - 1] + frac * (taus[k] - taus[k - 1]))
 

@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
 from helpers import (apply_generator, lindblad_rhs_operator, random_density,
                      tilde_jump_operators)
 from lindchain import EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig, engine
+from lindchain.catalog import default_rate_matrix
 from lindchain.engine import MAX_RECORDS, frame_frequencies, lowering_operators, sz_operators
 
 M = EnvironmentModel
@@ -144,18 +145,43 @@ def test_element_wise_matches_operator_form(seed, t, model_index):
     assert np.max(np.abs(element - operator)) < 1e-12
 
 
+@st.composite
+def chains_and_rates(draw):
+    """A 2- or 3-qubit chain and a symmetric rate matrix for it, some of
+    whose entries are exactly zero."""
+    n_qubits = draw(st.integers(min_value=2, max_value=3))
+    omegas = draw(st.lists(st.floats(min_value=10.0, max_value=500.0), min_size=3, max_size=3))
+    coupling_j = draw(st.floats(min_value=0.0, max_value=20.0))
+    coupling_jp = draw(st.floats(min_value=0.0, max_value=2.0))
+    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.1)),
+                          min_size=6, max_size=6))
+    gamma = np.zeros((n_qubits, n_qubits))
+    gamma[np.triu_indices(n_qubits)] = rates[:n_qubits * (n_qubits + 1) // 2]
+    chain = lc.SpinChainParams(omegas[:n_qubits], coupling_j, coupling_jp)
+    return chain, gamma + np.triu(gamma, 1).T
+
+
+def _quiet_environment(model, rates):
+    """EnvironmentSpec without the warning a random indefinite matrix draws."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return EnvironmentSpec(model, rates)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-       st.integers(min_value=0, max_value=3))
-@settings(max_examples=60, deadline=None)
-def test_compiled_engines_match_literal_operator_form(seed, t, model_index):
-    params, envs = _setup()
-    env = envs[MODELS[model_index]]
-    rho = random_density(np.random.default_rng(seed))
-    literal = lindblad_rhs_operator(rho, t, params, env)
-    for kind in (EngineKind.ELEMENT_WISE, EngineKind.OPERATOR_BUILT):
-        compiled = apply_generator(lc.make_rhs(params, env, kind), rho, t)
-        assert np.max(np.abs(compiled - literal)) < 1e-12
+       chains_and_rates())
+@example(seed=0, t=1.3, chain_and_rates=(lc.SpinChainParams(), default_rate_matrix()))
+@settings(max_examples=40, deadline=None)
+def test_compiled_engines_match_literal_operator_form(seed, t, chain_and_rates):
+    chain, rates = chain_and_rates
+    rho = random_density(np.random.default_rng(seed), dim=chain.dim)
+    for model in MODELS:
+        env = _quiet_environment(model, rates)
+        literal = lindblad_rhs_operator(rho, t, chain, env)
+        for kind in EngineKind:
+            compiled = apply_generator(lc.make_rhs(chain, env, kind), rho, t)
+            assert np.max(np.abs(compiled - literal)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -444,21 +470,11 @@ def test_invariant_blocks_of_the_default_chain(default_setup):
                 assert len(blocks) == 27 and max(map(len, blocks)) == 8
 
 
-@given(st.integers(min_value=2, max_value=3),
-       st.lists(st.floats(min_value=10.0, max_value=500.0), min_size=3, max_size=3),
-       st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=0.0, max_value=2.0),
-       st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.1)),
-                min_size=6, max_size=6),
-       st.integers(min_value=0, max_value=3))
+@given(chains_and_rates(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=25, deadline=None)
-def test_engines_agree_on_invariant_blocks(n_qubits, omegas, coupling_j, coupling_jp,
-                                           rates, model_index):
-    chain = lc.SpinChainParams(omegas[:n_qubits], coupling_j, coupling_jp)
-    gamma = np.zeros((n_qubits, n_qubits))
-    gamma[np.triu_indices(n_qubits)] = rates[:n_qubits * (n_qubits + 1) // 2]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        env = EnvironmentSpec(MODELS[model_index], gamma + np.triu(gamma, 1).T)
+def test_engines_agree_on_invariant_blocks(chain_and_rates, model_index):
+    chain, rates = chain_and_rates
+    env = _quiet_environment(MODELS[model_index], rates)
     assert (_partition(chain, env, EngineKind.ELEMENT_WISE)[1]
             == _partition(chain, env, EngineKind.OPERATOR_BUILT)[1])
 

@@ -31,33 +31,31 @@ dissipation, and the 7 sectors of the excitation difference, sizes 20,
 powers are block diagonal in that partition, so they are built only on
 the blocks, those of equal size k stacked into (b, k, k) arrays for
 numpy's batched matmul, matrix_power and eigvals.  A run fills, checks
-for finiteness and phase-multiplies only the blocks its initial state
-occupies; every other entry of its records stays exactly +0.0.
+and phase-multiplies each stack on its own, and only the blocks its
+initial state occupies; every other entry of its records stays +0.0.
 
-The records of a block are filled by doubling: record i is H^i vec(rho0)
-with H = Q^stride, so once records 0..m-1 exist, one product with H^m
-yields records m..2m-1.  Of n records, the first n - 1 take
-ceil(log2(n - 1)) batched products instead of n - 2 matrix-vector
-products; the last is one product with H, or with its own power of Q
-when the final gap is shorter.  Squaring stops, in every stack at once,
-at the first power that is not finite in any, and the largest finite
-power then advances the rest in runs of its size: an unstable mode the
-state does not carry can overflow a power, and 0 * inf would turn a
-finite record into NaN.  This is the same RK4 discretization without a
-per-step loop.  When a record turns non-finite, single products with Q
-from the last finite record name the step at which the run diverged.
+A stack's records are filled by doubling: record i is H^i vec(rho0) with
+H = Q^stride, so once records 0..m-1 exist, one product with H^m yields
+records m..2m-1.  Of n records, the first n - 1 take ceil(log2(n - 1))
+batched products instead of n - 2 matrix-vector products; the last is
+one product with H, or with its own power of Q when the final gap is
+shorter.  Each stack squares up to its own first power that is not
+finite, and its largest finite power advances the rest in runs of its
+size: an unstable mode the state does not carry can overflow a power,
+and 0 * inf would turn a finite record into NaN, but only in that
+stack's own entries.  This is the same RK4 discretization without a
+per-step loop.  When a stack's record turns non-finite, single products
+with its Q from its last finite record find the step at which it
+diverged; the run reports the earliest over all stacks.
 
 Everything that depends only on (params, env, cfg) is built once and
 cached with one entry: the generator, Delta and the covariance check on
-the full A(t), the block partition, Q on each block stack, its spectral
-radius (the largest over all stacks), the doubling powers H^(2^j) (one
-batched squaring each, up to the record count of the grid or the first
-power that overflows, stored transposed for the row-major record
-stack), the power for a final shorter gap, the record times and the
-frame-phase table exp(i tau Delta).  The key hashes params and cfg by
-value and env by identity; an EnvironmentSpec's rates are read-only, so
-a spec cannot change under its entry.  A sweep runs the 16 states of one
-model back to back and builds 4 propagators, not 64.
+the full A(t), the block stacks with their Q, doubling powers and final
+power, the spectral radius, the record times and the frame-phase table
+exp(i tau Delta).  The key hashes params and cfg by value and env by
+identity; an EnvironmentSpec's rates are read-only, so a spec cannot
+change under its entry.  A sweep runs the 16 states of one model back to
+back and builds 4 propagators, not 64.
 """
 
 from __future__ import annotations
@@ -110,7 +108,7 @@ class EvolutionConfig:
         if not np.isfinite(n_steps):
             raise ValueError(f"dt = {self.dt:g} is too small for t_max = {self.t_max:g}: "
                              f"the step count overflows")
-        if abs(round(n_steps) * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
+        if abs(round(n_steps) * self.dt - self.t_max) > 1e-9 * max(self.dt, self.t_max):
             raise ValueError(f"t_max = {self.t_max:g} is not a whole number of "
                              f"dt = {self.dt:g} steps")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
@@ -308,15 +306,15 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     """Integrate d(rho)/dt with classical fixed-step fourth-order Runge-Kutta.
 
     The steps are applied as powers of the constant transfer matrix Q (see
-    the module docstring) on the invariant blocks the initial state
-    occupies: each block's records are filled by doubling, one product
-    with a cached power of Q^stride advancing a run of records at once,
-    then checked and multiplied by their cached frame phases, and every
-    entry outside those blocks stays exactly +0.0.  The state is
-    never renormalized; trace and positivity drift are left visible for
-    the diagnostics.  Warns before integrating when the spectral radius of
-    Q exceeds 1, i.e. dt lies outside RK4's stability region.  Raises
-    IntegrationDivergedError at the first step whose state is non-finite.
+    the module docstring) on each block stack the initial state occupies:
+    its records are filled by doubling, one product with a cached power of
+    Q^stride advancing a run of records at once, then checked and
+    multiplied by their cached frame phases; every other entry stays
+    exactly +0.0.  The state is never renormalized; trace and positivity
+    drift are left visible for the diagnostics.  Warns before integrating
+    when the spectral radius of Q exceeds 1, i.e. dt lies outside RK4's
+    stability region.  Raises IntegrationDivergedError at the first step
+    whose state is non-finite in any stack.
     """
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
@@ -330,7 +328,7 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     n = len(steps)
     vec0 = rho.reshape(-1)
     vecs = np.zeros((n, rho.size), dtype=complex)
-    filled = []  # (index, transfer, rows) of the occupied blocks
+    diverged = []  # the first non-finite step of each stack that has one
     # a diverging run overflows here; the finiteness check turns every inf
     # or NaN into IntegrationDivergedError, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +336,8 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
             occupied = (vec0[index] != 0).any(axis=1)
             if not occupied.any():
                 continue
-            index, powers, last_hop = index[occupied], powers[:, occupied], last_hop[occupied]
+            index, transfer = index[occupied], transfer[occupied]
+            powers, last_hop = powers[:, occupied], last_hop[occupied]
             # rows[:, i] are H^i on the blocks' entries, H = Q^stride: with
             # rows 0..m-1 known, one product with (H^h)^T, h = 2^j <= m,
             # yields rows m..m+h-1; h doubles while the powers last, then
@@ -354,16 +353,17 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
                 j = min(j + 1, len(powers) - 1)
             if n > 1:
                 np.matmul(rows[:, -2:-1], last_hop, out=rows[:, -1:])
-            filled.append((index, transfer[occupied], rows))
-        finite = np.all([np.isfinite(rows).all(axis=(0, 2)) for *_, rows in filled], axis=0)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            _locate_divergence([transfer for _, transfer, _ in filled],
-                               [rows[:, first - 1] for *_, rows in filled],
-                               steps[first - 1], steps[first], cfg.dt)
-        for index, _, rows in filled:
+            finite = np.isfinite(rows).all(axis=(0, 2))
+            if not finite.all():
+                first = int(np.argmin(finite))
+                diverged.append(_first_nonfinite_step(transfer, rows[:, first - 1],
+                                                      steps[first - 1], steps[first]))
+                continue
             # phase first: a fused complex product is not symmetric in the last bit
             vecs[:, index] = phases[:, index] * rows.swapaxes(0, 1)
+    if diverged:
+        step = min(diverged)
+        raise IntegrationDivergedError(step, step * cfg.dt)
     return Trajectory(taus=taus.copy(), rhos=vecs.reshape(n, *rho.shape))
 
 
@@ -377,9 +377,9 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
                transfer (b, k, k) Q on each block, powers (p, b, k, k) the
                transposed H^(2^j) for j < p, H = Q^stride, and last_hop
                (b, k, k) the transposed Q^gap for the final gap (powers[0]
-               when gap = stride).  p is the same in every stack: as many
-               powers as the doubling over the records needs and stay
-               finite in all stacks (at least 1);
+               when gap = stride).  p is as many powers as the doubling
+               over the records needs, cut at the stack's first square
+               that is not finite (at least 1);
     radius     the spectral radius of Q, the largest over all blocks;
     steps      the step index of each record;
     taus       the record times;
@@ -402,32 +402,29 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
         a0 = generator(0.0)
         _check_covariance(generator, a0, delta, n_steps * dt)
         liouville = (a0, generator(0.5 * dt), generator(dt))
-        indices = _invariant_blocks(np.logical_or.reduce([a != 0 for a in liouville]))
         back = np.exp(delta * (-1j * dt))
-        transfers = []
-        for index in indices:
-            rows, cols = index[:, :, None], index[:, None, :]
-            step = _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
-            transfers.append(back[rows] * step)
-        radius = max(map(_spectral_radius, transfers))
-
         steps = (*range(0, n_steps, stride), n_steps)
         taus = np.asarray(steps) * dt
-        levels = [[np.linalg.matrix_power(q, stride).swapaxes(-1, -2) for q in transfers]]
-        # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
-        for _ in range(1, (len(steps) - 2).bit_length()):
-            squares = [power @ power for power in levels[-1]]
-            if not all(np.isfinite(square).all() for square in squares):
-                break  # every stack goes on with the largest power finite in all
-            levels.append(squares)
         last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
-        last_hops = (levels[0] if last_gap == stride else
-                     [np.linalg.matrix_power(q, last_gap).swapaxes(-1, -2) for q in transfers])
+        stacks = []
+        for index in _invariant_blocks(np.logical_or.reduce([a != 0 for a in liouville])):
+            rows, cols = index[:, :, None], index[:, None, :]
+            transfer = back[rows] * _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
+            powers = [np.linalg.matrix_power(transfer, stride).swapaxes(-1, -2)]
+            # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
+            for _ in range(1, (len(steps) - 2).bit_length()):
+                square = powers[-1] @ powers[-1]
+                if not np.isfinite(square).all():
+                    break  # this stack goes on with its largest finite power
+                powers.append(square)
+            last_hop = (powers[0] if last_gap == stride else
+                        np.linalg.matrix_power(transfer, last_gap).swapaxes(-1, -2))
+            stacks.append((index, transfer, np.stack(powers), last_hop))
+        radius = max(_spectral_radius(transfer) for _, transfer, *_ in stacks)
         phases = np.exp(np.outer(taus, delta) * 1j)
-    stacks = tuple(zip(indices, transfers, map(np.stack, zip(*levels)), last_hops))
     for array in (*(a for stack in stacks for a in stack), taus, phases):
         array.setflags(write=False)
-    return stacks, radius, steps, taus, phases
+    return tuple(stacks), radius, steps, taus, phases
 
 
 def _invariant_blocks(coupled: np.ndarray) -> list[np.ndarray]:
@@ -483,19 +480,18 @@ def _spectral_radius(transfer: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(transfer))))
 
 
-def _locate_divergence(transfers, parts, start: int, stop: int, dt: float) -> None:
-    """Apply the one-step transfer matrices, (b, k, k) per stack of
-    blocks, to the finite co-rotating state of step start, (b, k) per
-    stack, one step at a time up to stop, and raise
-    IntegrationDivergedError at the first step where any stack is not
-    finite."""
-    parts = [part[..., None] for part in parts]
-    for step in range(start + 1, stop + 1):
-        parts = [transfer @ part for transfer, part in zip(transfers, parts)]
-        if not all(np.isfinite(part).all() for part in parts):
-            raise IntegrationDivergedError(step, step * dt)
-    # the powered transfer matrix overflowed although single steps did not
-    raise IntegrationDivergedError(stop, stop * dt)
+def _first_nonfinite_step(transfer: np.ndarray, part: np.ndarray, start: int, stop: int) -> int:
+    """Apply a stack's one-step transfer matrices, (b, k, k), to its finite
+    co-rotating state of step start, (b, k), one step at a time, and
+    return the first step at which it is not finite: stop when no earlier
+    one is, the powered transfer matrix having overflowed although
+    single steps did not."""
+    part = part[..., None]
+    for step in range(start + 1, stop):
+        part = transfer @ part
+        if not np.isfinite(part).all():
+            return step
+    return stop
 
 
 def _check_sizes(params: SpinChainParams, env: EnvironmentSpec) -> None:

@@ -44,12 +44,12 @@ class Diagnostics(NamedTuple):
     min_eigenvalue: np.ndarray
 
 
-def initial_bell_density(i: int, j: int, n_qubits: int = N_QUBITS) -> np.ndarray:
+def initial_bell_density(i: int, j: int) -> np.ndarray:
     """Density matrix of (|i> + |j>)/sqrt(2) for basis states i < j.
 
     All four nonzero entries are exactly 0.5.
     """
-    dim = 2 ** n_qubits
+    dim = 2 ** N_QUBITS
     if not (1 <= i <= dim and 1 <= j <= dim):
         raise ValueError(f"state indices ({i}, {j}) outside 1..{dim}")
     if i >= j:

@@ -285,14 +285,13 @@ def _conversion(cell) -> str:
     return "%.11e"
 
 
-def run_scenario(cfg: RunConfig, out_path: str | Path | None = None) -> Path:
+def run_scenario(cfg: RunConfig) -> Path:
     """Integrate the configured scenario and write its CSV time series.
 
     Returns the CSV path.  If the config names a plot path, an SVG of the
     purity and gme columns is rendered next to it.
     """
-    path = Path(out_path or cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = Path(cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
     _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
         from .svgplot import emit_svg_plot
@@ -311,8 +310,11 @@ def _run_to_csv(path: Path, pair: tuple[int, int], evolution: EvolutionConfig,
 
 
 def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
-    """Write render_csv(header, rows) to path as UTF-8 with LF endings."""
-    Path(path).write_text(render_csv(header, rows), encoding="utf-8", newline="\n")
+    """Write render_csv(header, rows) to path as UTF-8 with LF endings,
+    creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(render_csv(header, rows), encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)
@@ -391,7 +393,6 @@ def sweep(out_dir: str | Path, t_max: float = 40.0) -> Path:
     the default t_max covers every finite tau_star.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params, environments = default_parameters()
     evolution = EvolutionConfig(t_max=t_max, dt=1e-2, record_stride=10)
     entries = catalog_states(params)

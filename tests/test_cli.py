@@ -263,8 +263,9 @@ def test_catalog_prints_all_states(capsys):
 
 
 def test_catalog_csv_output(tmp_path, capsys):
-    path = tmp_path / "catalog.csv"
+    path = tmp_path / "new" / "catalog.csv"  # the directory is created
     assert cli.main(["catalog", "--csv", str(path)]) == 0
+    assert capsys.readouterr().err == ""
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 16

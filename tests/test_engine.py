@@ -367,29 +367,40 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
         traj = lc.rk4_evolve(rho0, cfg, params, env)
     stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
     assert traj.n_records == len(steps) == 401
-    # squaring stopped at the overflow, in every stack at once
-    assert {len(powers) for _, _, powers, _ in stacks} == {8}
+    # the one stack of 64 singletons stopped squaring at the overflow
+    assert [len(powers) for _, _, powers, _ in stacks] == [8]
     reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                     frame_frequencies(params, env).reshape(-1))
     assert np.isfinite(traj.rhos).all()
     assert np.max(np.abs(traj.rhos - reference)) < 1e-13
 
 
-def test_first_overflowing_square_stops_every_stack(propagator_cache):
+def test_each_stack_squares_to_its_own_first_overflow(propagator_cache):
     # gamma dt = 1: only the block of the populations has |R(-3)| = 1.375 > 1,
-    # yet the stable stacks stop squaring with it
+    # so it stops squaring at its first overflow while the stable stacks
+    # square on to the 9 powers that doubling 401 records takes
     params = lc.SpinChainParams()
     env = lc.EnvironmentSpec(M.INDEPENDENT_DISSIPATION, 1.0 * np.eye(3))
     cfg = EvolutionConfig(t_max=4000.0, dt=1.0, record_stride=10)
     with pytest.warns(UserWarning, match="spectral radius 1.375 "):
-        with pytest.raises(lc.IntegrationDivergedError):
+        with pytest.raises(lc.IntegrationDivergedError) as err:
             lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, env)
-    stacks, _, _, _, _ = propagator_cache(params, env, cfg)
+    assert err.value.step == 2232
+    stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
     assert [index.shape for index, *_ in stacks] == [(1, 8), (6, 4), (12, 2), (8, 1)]
-    assert {len(powers) for _, _, powers, _ in stacks} == {8}
+    assert [len(powers) for _, _, powers, _ in stacks] == [8, 9, 9, 9]
+    powers = stacks[0][2]  # of the population block
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = [powers[-1] @ powers[-1] for _, _, powers, _ in stacks]
-    assert [np.isfinite(square).all() for square in squares] == [False, True, True, True]
+        assert not np.isfinite(powers[-1] @ powers[-1]).all()
+    # psi_27 leaves the unstable population of |111> at 0, so the overflow
+    # of its stack's next square cannot reach its records
+    rho0 = lc.initial_bell_density(2, 7)
+    with pytest.warns(UserWarning, match="spectral radius"):
+        traj = lc.rk4_evolve(rho0, cfg, params, env)
+    reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
+                                    frame_frequencies(params, env).reshape(-1))
+    assert np.isfinite(traj.rhos).all()
+    assert np.max(np.abs(traj.rhos - reference)) < 1e-13
 
 
 def test_rk4_warns_outside_stability_region(default_setup):
@@ -607,6 +618,12 @@ def test_evolution_config_validation():
         EvolutionConfig(t_max=1.0, record_stride=0)
     with pytest.raises(ValueError, match="whole number"):
         EvolutionConfig(t_max=1.0, dt=0.3)
+    # the tolerance scales with dt as well as t_max: a t_max far below one
+    # step is an error, not a run of zero steps; grids of whole steps pass
+    with pytest.raises(ValueError, match="^t_max = 1e-10 is not a whole number"):
+        EvolutionConfig(t_max=1e-10)
+    for t_max, dt in ((0.37, 0.01), (0.3, 0.1), (0.2, 1e-3), (2.0000000009, 1.0), (1e-12, 1e-13)):
+        EvolutionConfig(t_max=t_max, dt=dt)
     # t_max / dt overflows to inf: a config error, not an OverflowError
     for t_max, dt in ((1.0, 1e-320), (1e300, 1e-10)):
         with pytest.raises(ValueError, match="^dt .*step count overflows"):

@@ -257,12 +257,6 @@ def test_bell_density_entries():
     assert np.array_equal(rho, expected)
 
 
-def test_bell_density_other_sizes():
-    rho = initial_bell_density(1, 4, n_qubits=2)
-    assert rho.shape == (4, 4)
-    assert rho[0, 3] == 0.5
-
-
 def test_bell_density_validation():
     with pytest.raises(ValueError):
         initial_bell_density(8, 1)

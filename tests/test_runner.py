@@ -117,9 +117,10 @@ def test_explicit_pair():
 
 def test_explicit_pair_runs_as_the_catalog_state(tmp_path):
     grid = "model = correlated_dissipation\nt_max = 2\ndt = 0.01\nstride = 10\n"
-    by_pair = run_scenario(parse_config(grid + "pair_i = 2\npair_j = 5\n"),
-                           tmp_path / "pair.csv")
-    by_name = run_scenario(parse_config(grid + "state = xi_25\n"), tmp_path / "name.csv")
+    by_pair = run_scenario(replace(parse_config(grid + "pair_i = 2\npair_j = 5\n"),
+                                   out=str(tmp_path / "pair.csv")))
+    by_name = run_scenario(replace(parse_config(grid + "state = xi_25\n"),
+                                   out=str(tmp_path / "name.csv")))
     assert by_pair.read_bytes() == by_name.read_bytes()
 
 
@@ -173,9 +174,10 @@ def test_grid_must_reach_t_max():
     ("t_max = 1e300\ndt = 1e-10\n", 4),
     ("t_max = 1e308\n", 3),  # dt defaulted to 1e-3: the t_max line
     ("t_max = 1e12\n", 3),  # 1e13 records
+    ("t_max = 1e-10\n", 3),  # far below one dt = 1e-3 step: zero steps
 ], ids=["dt", "t_max", "stride", "whole_number", "whole_number_default_t_max",
         "step_count_overflow", "step_count_overflow_both_set",
-        "step_count_overflow_default_dt", "too_many_records"])
+        "step_count_overflow_default_dt", "too_many_records", "below_one_step"])
 def test_grid_errors_name_their_line(grid, line):
     with pytest.raises(ConfigError, match=f"^line {line}: "):
         parse_config("model = dephasing\nstate = psi_18\n" + grid)
@@ -276,7 +278,7 @@ def test_render_csv_empty_rows_give_header_only():
 def test_run_scenario_writes_expected_csv(tmp_path):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 10\n"
                        "dt = 0.001\nstride = 1000\n")
-    path = run_scenario(cfg, tmp_path / "dep.csv")
+    path = run_scenario(replace(cfg, out=str(tmp_path / "dep.csv")))
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == list(CSV_HEADER)
@@ -297,8 +299,8 @@ def test_run_scenario_writes_expected_csv(tmp_path):
 def test_run_scenario_is_byte_deterministic(tmp_path):
     cfg = parse_config("model = independent_dissipation\nstate = psi_18\n"
                        "t_max = 2\ndt = 0.001\nstride = 200\n")
-    a = run_scenario(cfg, tmp_path / "a.csv")
-    b = run_scenario(cfg, tmp_path / "b.csv")
+    a = run_scenario(replace(cfg, out=str(tmp_path / "a.csv")))
+    b = run_scenario(replace(cfg, out=str(tmp_path / "b.csv")))
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -22,14 +22,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--configs", default=str(REPO / "configs"),
-                        help="directory of scenario configs")
-    args = parser.parse_args(argv)
+    # no options; the parser gives --help its description
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
-    config_dir = Path(args.configs)
     csv_paths = []
-    for path in sorted(config_dir.glob("*.cfg")):
+    for path in sorted((REPO / "configs").glob("*.cfg")):
         cfg = parse_config(path.read_text(encoding="utf-8"))
         out = run_scenario(cfg)
         print(f"{path.name:<34} -> {out}")

@@ -2,7 +2,8 @@
 
 The catalog lists every two-basis-state Bell superposition of the 3-qubit
 chain, grouped by entanglement family and ordered by the energy separation
-quoted in the source table.  A row names only the pair; its family is
+quoted in the source table.  A row names only the pair; its family, the
+letters of the qubits the pair entangles ("ABC", "AB", "BC" or "AC"), is
 read from the pair's bits (metrics.family_of_pair).  Each entry carries
 the quoted gap alongside the gap recomputed from the Ising energies;
 several bipartite rows disagree (the quoted values mix the J/2 and J
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .environments import EnvironmentModel, EnvironmentSpec
-from .metrics import EntanglementFamily, family_of_pair
+from .metrics import family_of_pair
 from .register import N_QUBITS, SpinChainParams, all_energies
 
 DEFAULT_DIAGONAL_RATE = 0.05
@@ -30,7 +31,7 @@ class CatalogEntry:
     computed_delta_e: float
 
     @property
-    def family(self) -> EntanglementFamily:
+    def family(self) -> str:
         return family_of_pair(*self.pair)
 
 

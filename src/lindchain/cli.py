@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
@@ -123,7 +123,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    rows = [(e.name, e.family.value, e.pair[0], e.pair[1],
+    rows = [(e.name, e.family, e.pair[0], e.pair[1],
              e.paper_delta_e, e.computed_delta_e) for e in catalog_states()]
     print(f"{'state':<10} {'family':<7} {'pair':<7} {'quoted dE':>10} {'computed dE':>12}")
     for name, family, i, j, quoted, computed in rows:

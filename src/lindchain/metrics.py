@@ -1,4 +1,5 @@
-"""Functions of a density matrix: the initial Bell states, validation,
+"""Functions of a density matrix and of the basis pair that defines it:
+the initial Bell states, the entanglement family, validation,
 physicality diagnostics, purity, partial trace, and GME-concurrence
 lower bounds.
 
@@ -8,7 +9,9 @@ GME-concurrence.  For the three-qubit catalog states it specializes to
     C >= 2 |rho_ij| - 2 * sum of sqrt(rho_pp rho_qq)
 
 over complementary index pairs.  The pair (i, j) is the whole
-description of a state: gme(rho, pair) reads from the bits of i and j
+description of a state, and everything else about it is read from the
+bits of i and j: family_of_pair names the qubits it entangles (the
+letters of the bits that differ), and gme(rho, pair) learns from them
 whether the state is tripartite (no shared bit) or which qubit to trace
 out (the one bit they share).  The bound may go negative; negative
 values mean the bound is uninformative, not that entanglement is gone,
@@ -22,7 +25,6 @@ bit for bit).
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -104,38 +106,18 @@ def diagnostics(rho: np.ndarray) -> Diagnostics:
     return Diagnostics(trace_error, hermiticity_error, low)
 
 
-# ABC-family partners: complementary basis pairs of the 3-qubit register.
-GME_ABC_PAIRS = ((1, 8), (2, 7), (3, 6), (4, 5))
-
-
-class EntanglementFamily(Enum):
-    """Which qubits a catalog state entangles, read from its pair by
-    family_of_pair."""
-
-    ABC = "ABC"
-    AB = "AB"
-    BC = "BC"
-    AC = "AC"
-
-
-def family_of_pair(i: int, j: int) -> EntanglementFamily:
-    """Entanglement family of the Bell pair (i, j) from which qubits differ."""
+def family_of_pair(i: int, j: int) -> str:
+    """Entanglement family of the Bell pair (i, j): the letters of the
+    qubits whose bits differ, "ABC", "AB", "BC" or "AC" (qubit 1 is A)."""
     dim = 2 ** N_QUBITS
     if not (1 <= i < j <= dim):
         raise ValueError(f"pair ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
     bits = basis_bits(N_QUBITS)
-    differing = tuple((bits[i - 1] != bits[j - 1]).tolist())
-    families = {
-        (True, True, True): EntanglementFamily.ABC,
-        (True, True, False): EntanglementFamily.AB,
-        (False, True, True): EntanglementFamily.BC,
-        (True, False, True): EntanglementFamily.AC,
-    }
-    if differing not in families:
-        raise ValueError(
-            f"pair ({i}, {j}) differs on a single qubit and is not entangled"
-        )
-    return families[differing]
+    family = "".join(letter for letter, a, b in zip("ABC", bits[i - 1], bits[j - 1])
+                     if a != b)
+    if len(family) < 2:
+        raise ValueError(f"pair ({i}, {j}) differs on a single qubit and is not entangled")
+    return family
 
 
 def purity(rho: np.ndarray) -> np.ndarray:
@@ -167,7 +149,8 @@ def gme(rho: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     """GME-concurrence lower bound for the catalog pair (i, j).
 
     When i and j share no bit the state is tripartite: 2|rho_ij| minus 2
-    sum over the three complementary pairs (p, q) of sqrt(rho_pp rho_qq).
+    sum over the three other complementary pairs (p, q = 9 - p) of
+    sqrt(rho_pp rho_qq).
     Otherwise the qubit whose bit they share is traced out and the
     two-qubit bound |<il|rho|kj>| - sqrt(<ij|rho|ij><kl|rho|kl>) (times 2)
     is evaluated on the reduced state.  The kept bits of state i select
@@ -176,11 +159,11 @@ def gme(rho: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     """
     i, j = int(pair[0]), int(pair[1])
     rho = np.asarray(rho)
-    if family_of_pair(i, j) is EntanglementFamily.ABC:
+    if family_of_pair(i, j) == "ABC":
         coherence = np.abs(rho[..., i - 1, j - 1])
         pops = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
-        cross = sum(np.sqrt(pops[..., p - 1] * pops[..., q - 1])
-                    for p, q in GME_ABC_PAIRS if (p, q) != (i, j))
+        cross = sum(np.sqrt(pops[..., p - 1] * pops[..., 8 - p])
+                    for p in range(1, 5) if p != i)
         return 2.0 * coherence - 2.0 * cross
     bits = basis_bits(N_QUBITS)
     traced = int(np.flatnonzero(bits[i - 1] == bits[j - 1])[0]) + 1
@@ -195,7 +178,7 @@ def gme(rho: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     return 2.0 * (coherence - np.sqrt(np.maximum(pops, 0.0)))
 
 
-def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],
+def analytic_decay_oracle(family: str, pair: tuple[int, int],
                           env: EnvironmentSpec, t):
     """Closed-form (gme, purity) decay of a catalog Bell state under dephasing.
 
@@ -207,8 +190,8 @@ def analytic_decay_oracle(family: EntanglementFamily, pair: tuple[int, int],
     if env.model.dissipative:
         raise ValueError(f"analytic decay requires a dephasing model, got {env.model.value}")
     i, j = int(pair[0]), int(pair[1])
-    if family_of_pair(i, j) is not family:
-        raise ValueError(f"pair ({i}, {j}) does not belong to family {family.value}")
+    if family_of_pair(i, j) != family:
+        raise ValueError(f"pair ({i}, {j}) does not belong to family {family}")
     rate = dephasing_rate_matrix(env)[i - 1, j - 1]
     t = np.asarray(t, dtype=float)
     gme_value = 2.0 * 0.5 * np.exp(-rate * t)

@@ -34,8 +34,7 @@ from .catalog import (catalog_entry, catalog_states, default_parameters,
 from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephasing,
                      rk4_evolve)
 from .environments import EnvironmentModel, EnvironmentSpec
-from .metrics import (EntanglementFamily, diagnostics, family_of_pair, gme,
-                      initial_bell_density, purity)
+from .metrics import diagnostics, family_of_pair, gme, initial_bell_density, purity
 from .register import N_QUBITS, SpinChainParams
 
 ENGINE_DELTA_THRESHOLD = 1e-6
@@ -56,7 +55,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    state_name: str | None
+    """One parsed scenario.  label names the state in output file names:
+    its catalog name, or pair_ij for a pair given by pair_i and pair_j."""
+
+    label: str
     pair: tuple[int, int]
     params: SpinChainParams
     env: EnvironmentSpec
@@ -65,18 +67,12 @@ class RunConfig:
     plot: str | None = None
 
     @property
-    def family(self) -> EntanglementFamily:
+    def family(self) -> str:
         return family_of_pair(*self.pair)
 
     @property
     def model(self) -> EnvironmentModel:
         return self.env.model
-
-    @property
-    def label(self) -> str:
-        if self.state_name:
-            return self.state_name
-        return f"pair_{self.pair[0]}{self.pair[1]}"
 
 
 # ------------------------------------------------------------- config text
@@ -116,7 +112,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required key 'model'")
     engine = _parse_member("engine", EngineKind, take("engine")) or EvolutionConfig.engine
 
-    state_name, pair = _parse_state(take("state"), take("pair_i"), take("pair_j"))
+    label, pair = _parse_state(take("state"), take("pair_i"), take("pair_j"))
 
     chain = SpinChainParams()
     omegas = tuple(number(f"omega_{k}", w) for k, w in enumerate(chain.omegas, start=1))
@@ -181,7 +177,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(state_name=state_name, pair=pair, params=params, env=env,
+    return RunConfig(label=label, pair=pair, params=params, env=env,
                      evolution=evolution, out=out[0] if out else None,
                      plot=plot[0] if plot else None)
 
@@ -199,6 +195,8 @@ def _parse_member(key, kind, item):
 
 
 def _parse_state(state_item, pair_i_item, pair_j_item):
+    """(label, pair) of the state the config names: a catalog entry's name
+    and pair, or pair_ij for an explicit pair."""
     if state_item is not None and (pair_i_item is not None or pair_j_item is not None):
         raise ConfigError("give either 'state' or 'pair_i'/'pair_j', not both",
                           state_item[1])
@@ -218,7 +216,7 @@ def _parse_state(state_item, pair_i_item, pair_j_item):
         family_of_pair(*pair)
     except ValueError as exc:
         raise ConfigError(str(exc), pair_i_item[1]) from exc
-    return None, pair
+    return f"pair_{pair[0]}{pair[1]}", pair
 
 
 def _parse_float(key, item) -> float:
@@ -294,6 +292,7 @@ def run_scenario(cfg: RunConfig) -> Path:
     path = Path(cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
     _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
+        # imported here, at call time, so that bench/tracing.py's patch of it is what runs
         from .svgplot import emit_svg_plot
         emit_svg_plot([path], ["purity", "gme"], cfg.plot)
     return path
@@ -405,7 +404,7 @@ def sweep(out_dir: str | Path, t_max: float = 40.0) -> Path:
                                evolution, params, environments[model])
             tau_stars[entry.name, model] = tau_first_below(rows[:, 0], rows[:, 2])
     summary_rows = [
-        (entry.name, entry.family.value, entry.pair[0], entry.pair[1], model.value,
+        (entry.name, entry.family, entry.pair[0], entry.pair[1], model.value,
          entry.paper_delta_e, entry.computed_delta_e, tau_stars[entry.name, model])
         for entry in entries for model in EnvironmentModel
     ]

@@ -21,6 +21,8 @@ MARGIN_RIGHT = 180.0
 MARGIN_TOP = 18.0
 MARGIN_BOTTOM = 46.0
 
+TICK_TARGET = 5  # ticks per axis, roughly
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
@@ -36,7 +38,7 @@ def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
     Cells of other columns are not parsed, so they are not validated."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError:
         raise PlotDataError(f"{path}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -172,11 +174,11 @@ def _labelled_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     return list(zip(ticks, labels))
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Roughly `target` distinct ticks on a 1/2/2.5/5 x 10^k grid; none
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Roughly TICK_TARGET distinct ticks on a 1/2/2.5/5 x 10^k grid; none
     when the tick step would be below the smallest normal float."""
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (TICK_TARGET - 1)
     if raw < sys.float_info.min:
         return []
     magnitude = 10.0 ** math.floor(math.log10(raw))
@@ -186,7 +188,7 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             step = mult * magnitude
             break
     # tick k is k * step, not a running sum: a step below the float spacing
-    # of the window still advances k, so the loop ends after ~target ticks;
+    # of the window still advances k, so the loop ends after ~TICK_TARGET ticks;
     # there k * step can round to the previous tick, which is dropped
     ticks = []
     k = math.ceil(lo / step)

@@ -113,8 +113,7 @@ def test_criterion_2_dephasing_closed_form(runs50, family_runs):
         curve = np.array([gme(r, entry.pair) for r in traj.rhos])
         families.setdefault(entry.family, []).append(curve)
         taus = traj.taus
-    rates = {lc.EntanglementFamily.ABC: 0.15, lc.EntanglementFamily.AB: 0.1,
-             lc.EntanglementFamily.BC: 0.1, lc.EntanglementFamily.AC: 0.1}
+    rates = {"ABC": 0.15, "AB": 0.1, "BC": 0.1, "AC": 0.1}
     for family, curves in families.items():
         assert len(curves) == 4
         reference = np.exp(-rates[family] * taus)

@@ -60,6 +60,16 @@ def test_simulate_config_not_utf8_exits_1(tmp_path, capsys):
         "in position 38: invalid continuation byte\n")
 
 
+def test_simulate_config_with_bom_matches_without(tmp_path, capsys):
+    text = "model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.01\nstride = 10\n"
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + f"{text}out = {tmp_path / name}.csv\n".encode())
+        assert cli.main(["simulate", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_simulate_grid_missing_t_max_exits_1(tmp_path, capsys):
     cfg = write(tmp_path / "grid.cfg",
                 "model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.3\n"
@@ -251,6 +261,19 @@ def test_plot_csv_not_utf8_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "x.svg")]) == 1
     assert capsys.readouterr().err == f"error: {csv_path}: not UTF-8 text\n"
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_csv_with_bom_matches_without(tmp_path, capsys):
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        # one file name in both directories, since the legend shows it
+        csv_path = tmp_path / name / "run.csv"
+        csv_path.write_bytes(bom + b"tau,y\n0,1\n1,2\n")
+        assert cli.main(["plot", str(csv_path), "--columns", "y",
+                         "--out", str(tmp_path / name / "run.svg")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "bom" / "run.svg").read_bytes() == (
+        tmp_path / "plain" / "run.svg").read_bytes()
 
 
 def test_catalog_prints_all_states(capsys):

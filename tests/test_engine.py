@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import lindchain as lc
 from helpers import (apply_generator, lindblad_rhs_operator, random_density,
@@ -186,15 +187,30 @@ def test_compiled_engines_match_literal_operator_form(seed, t, chain_and_rates):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-       st.integers(min_value=0, max_value=3))
-@settings(max_examples=40, deadline=None)
-def test_generator_preserves_trace_and_hermiticity(seed, t, model_index):
-    params, envs = _setup()
-    env = envs[MODELS[model_index]]
-    rho = random_density(np.random.default_rng(seed))
-    rhs = lindblad_rhs_operator(rho, t, params, env)
-    assert abs(np.trace(rhs)) < 1e-13
-    assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-13
+       chains_and_rates(), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_generator_preserves_trace_and_hermiticity(seed, t, chain_and_rates, psd):
+    """For both engines and all four models, on random chains with
+    symmetric or positive-semidefinite B B^T rates: vec(I)^H A(t) = 0, i.e.
+    every column of A(t) sums to zero over the population rows, and
+    A(t) vec(rho^dagger) = vec((A(t) vec rho)^dagger) for a random complex
+    rho."""
+    chain, rates = chain_and_rates
+    rng = np.random.default_rng(seed)
+    if psd:
+        root = rng.uniform(-0.3, 0.3, size=rates.shape)
+        rates = root @ root.T
+    dim = chain.dim
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    populations = np.arange(dim) * (dim + 1)  # the rows of vec rho's diagonal
+    for model in MODELS:
+        env = _quiet_environment(model, rates)
+        for kind in EngineKind:
+            generator = lc.make_rhs(chain, env, kind)
+            assert np.max(np.abs(generator(t)[populations].sum(axis=0))) < 1e-15
+            image = apply_generator(generator, rho, t)
+            assert np.max(np.abs(apply_generator(generator, rho.conj().T, t)
+                                 - image.conj().T)) < 1e-14
 
 
 def test_two_qubit_chain_equivalence():
@@ -510,7 +526,6 @@ def test_rk4_converges_to_the_exact_solution_at_fourth_order(default_setup):
     """vec rho(tau) = D(tau) expm(tau (A(0) - i diag Delta)) vec rho0 is the
     exact solution in the co-rotating variable; halving dt must cut the
     largest RK4 error on the records by about 2^4."""
-    expm = pytest.importorskip("scipy.linalg").expm
     params, envs = default_setup
     env = envs[M.CORRELATED_DISSIPATION]
     delta = frame_frequencies(params, env).reshape(-1)

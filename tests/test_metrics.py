@@ -10,7 +10,6 @@ import lindchain as lc
 from helpers import TABLE_GME_FORMS, random_density, table_gme
 from lindchain import (Diagnostics, EvolutionConfig, default_parameters, diagnostics,
                        initial_bell_density, rk4_evolve, validate_density_matrix)
-from lindchain import EntanglementFamily as F
 
 
 @functools.lru_cache(maxsize=1)
@@ -22,10 +21,10 @@ def _cached_setup():
 MIXED = np.eye(8, dtype=complex) / 8.0
 
 CATALOG_PAIRS = {
-    F.ABC: [(1, 8), (2, 7), (3, 6), (4, 5)],
-    F.AB: [(1, 7), (2, 8), (4, 6), (3, 5)],
-    F.BC: [(1, 4), (5, 8), (2, 3), (6, 7)],
-    F.AC: [(1, 6), (3, 8), (2, 5), (4, 7)],
+    "ABC": [(1, 8), (2, 7), (3, 6), (4, 5)],
+    "AB": [(1, 7), (2, 8), (4, 6), (3, 5)],
+    "BC": [(1, 4), (5, 8), (2, 3), (6, 7)],
+    "AC": [(1, 6), (3, 8), (2, 5), (4, 7)],
 }
 
 
@@ -101,7 +100,7 @@ def test_partial_trace_preserves_trace_and_hermiticity(seed, qubit):
 def test_family_of_pair_matches_catalog():
     for family, pairs in CATALOG_PAIRS.items():
         for pair in pairs:
-            assert lc.family_of_pair(*pair) is family
+            assert lc.family_of_pair(*pair) == family
 
 
 def test_family_of_pair_rejects_single_qubit_pairs():
@@ -123,9 +122,9 @@ def test_gme_of_pure_catalog_states_is_one():
 
 
 def test_gme_of_maximally_mixed_state():
-    for pair in CATALOG_PAIRS[F.ABC]:
+    for pair in CATALOG_PAIRS["ABC"]:
         assert lc.gme(MIXED, pair) == pytest.approx(-0.75, abs=1e-15)
-    for family in (F.AB, F.BC, F.AC):
+    for family in ("AB", "BC", "AC"):
         for pair in CATALOG_PAIRS[family]:
             assert lc.gme(MIXED, pair) == pytest.approx(-0.5, abs=1e-15)
 
@@ -209,25 +208,25 @@ def test_analytic_decay_oracle_values(default_setup):
     _, envs = default_setup
     diag = envs[lc.EnvironmentModel.DEPHASING]
     corr = envs[lc.EnvironmentModel.CORRELATED_DEPHASING]
-    gme_10, purity_10 = lc.analytic_decay_oracle(F.ABC, (1, 8), diag, 10.0)
+    gme_10, purity_10 = lc.analytic_decay_oracle("ABC", (1, 8), diag, 10.0)
     assert gme_10 == pytest.approx(np.exp(-1.5), abs=1e-12)
     assert purity_10 == pytest.approx(0.5 * (1.0 + np.exp(-3.0)), abs=1e-12)
-    gme_0, purity_0 = lc.analytic_decay_oracle(F.AB, (1, 7), diag, 0.0)
+    gme_0, purity_0 = lc.analytic_decay_oracle("AB", (1, 7), diag, 0.0)
     assert (gme_0, purity_0) == (1.0, 1.0)
     taus = np.linspace(0.0, 20.0, 7)
-    gme_c, _ = lc.analytic_decay_oracle(F.ABC, (1, 8), corr, taus)
+    gme_c, _ = lc.analytic_decay_oracle("ABC", (1, 8), corr, taus)
     assert gme_c == pytest.approx(np.exp(-0.325 * taus), abs=1e-12)
-    gme_45, _ = lc.analytic_decay_oracle(F.ABC, (4, 5), corr, taus)
+    gme_45, _ = lc.analytic_decay_oracle("ABC", (4, 5), corr, taus)
     assert gme_45 == pytest.approx(np.exp(-0.075 * taus), abs=1e-12)
 
 
 def test_analytic_decay_oracle_guards(default_setup):
     _, envs = default_setup
     with pytest.raises(ValueError, match="dephasing"):
-        lc.analytic_decay_oracle(F.ABC, (1, 8),
+        lc.analytic_decay_oracle("ABC", (1, 8),
                                  envs[lc.EnvironmentModel.INDEPENDENT_DISSIPATION], 1.0)
     with pytest.raises(ValueError):
-        lc.analytic_decay_oracle(F.AB, (1, 8), envs[lc.EnvironmentModel.DEPHASING], 1.0)
+        lc.analytic_decay_oracle("AB", (1, 8), envs[lc.EnvironmentModel.DEPHASING], 1.0)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

@@ -5,7 +5,7 @@ import lindchain
 
 EXPORTS = [
     "CatalogEntry", "ConfigError", "Diagnostics", "EngineKind",
-    "EntanglementFamily", "EnvironmentModel", "EnvironmentSpec",
+    "EnvironmentModel", "EnvironmentSpec",
     "EvolutionConfig", "IntegrationDivergedError", "RunConfig",
     "SpinChainParams", "Trajectory", "all_energies",
     "analytic_decay_oracle", "basis_bits", "catalog_entry",
@@ -32,8 +32,11 @@ def test_package_surface():
         for gone in ("energy_gap", "lindblad_rhs_operator", "tilde_jump_operators"):
             assert not hasattr(module, gone)
     assert not hasattr(lindchain.EnvironmentSpec, "active_rates")
+    # a state's family and GME partners are read from its pair's bits
+    for gone in ("EntanglementFamily", "GME_ABC_PAIRS"):
+        assert not hasattr(lindchain.metrics, gone)
     # EnvironmentSpec is the one constructor of an environment
-    assert len(EXPORTS) == 36
+    assert len(EXPORTS) == 35
     for module in (lindchain, lindchain.environments):
         assert not hasattr(module, "make_environment")
 

@@ -21,9 +21,9 @@ def test_minimal_config_takes_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.model is EnvironmentModel.DEPHASING
     assert cfg.evolution.engine is EngineKind.ELEMENT_WISE
-    assert cfg.state_name == "psi_18"
+    assert cfg.label == "psi_18"
     assert cfg.pair == (1, 8)
-    assert cfg.family is lc.EntanglementFamily.ABC
+    assert cfg.family == "ABC"
     assert cfg.params == lc.SpinChainParams()
     assert cfg.evolution.t_max == 50.0
     assert cfg.evolution.dt == 1e-3
@@ -107,9 +107,8 @@ def test_missing_required_keys():
 
 def test_explicit_pair():
     cfg = parse_config("model = dephasing\npair_i = 2\npair_j = 5\n")
-    assert cfg.state_name is None
     assert cfg.pair == (2, 5)
-    assert cfg.family is lc.EntanglementFamily.AC
+    assert cfg.family == "AC"
     assert cfg.label == "pair_25"
     with pytest.raises(ConfigError, match="single qubit"):
         parse_config("model = dephasing\npair_i = 1\npair_j = 2\n")

@@ -13,7 +13,7 @@ keys:
     Gamma_1..Gamma_3, Gamma_12, Gamma_13, Gamma_23    dephasing rates
     dt, t_max, stride                                 integration grid
     out      CSV output path
-    plot     SVG output path (purity and gme curves)
+    plot     SVG output path (purity and gme curves); not the CSV's path
 
 Omitted numeric keys fall back to the canonical defaults.  Rate matrices
 are symmetric, so one off-diagonal entry per pair suffices; giving both
@@ -23,6 +23,7 @@ validated; the model picks the one it reads.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -73,6 +74,11 @@ class RunConfig:
     @property
     def model(self) -> EnvironmentModel:
         return self.env.model
+
+    @property
+    def csv_path(self) -> Path:
+        """Where run_scenario writes the CSV: out, else <label>_<model>.csv."""
+        return Path(self.out or f"{self.label}_{self.model.value}.csv")
 
 
 # ------------------------------------------------------------- config text
@@ -177,9 +183,14 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(label=label, pair=pair, params=params, env=env,
-                     evolution=evolution, out=out[0] if out else None,
-                     plot=plot[0] if plot else None)
+    cfg = RunConfig(label=label, pair=pair, params=params, env=env,
+                    evolution=evolution, out=out[0] if out else None,
+                    plot=plot[0] if plot else None)
+    # realpath, not Path.resolve(), which raises RuntimeError on a symlink loop
+    if plot and os.path.realpath(cfg.plot) == os.path.realpath(cfg.csv_path):
+        raise ConfigError(f"plot {cfg.plot!r} is the CSV output path {str(cfg.csv_path)!r}",
+                          plot[1])
+    return cfg
 
 
 def _parse_member(key, kind, item):
@@ -289,7 +300,7 @@ def run_scenario(cfg: RunConfig) -> Path:
     Returns the CSV path.  If the config names a plot path, an SVG of the
     purity and gme columns is rendered next to it.
     """
-    path = Path(cfg.out or f"{cfg.label}_{cfg.model.value}.csv")
+    path = cfg.csv_path
     _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
         # imported here, at call time, so that bench/tracing.py's patch of it is what runs

@@ -4,6 +4,14 @@ No plotting dependency: the chart is a standalone SVG 1.1 document built
 from polylines, so every figure is reproducible from published CSV data
 alone.  Values in a column named "gme" are clamped at zero for display
 (the stored CSV keeps the raw bound, which may be negative).
+
+The plotted columns of a CSV are parsed in one numpy call.  A file that
+call rejects, or one with a cell that is not a finite number, is read
+again cell by cell with csv.reader and float(), so an error still names
+the first bad cell by file, line and column.  Point coordinates are
+computed on whole arrays by the same expressions that place the axes and
+ticks.  A column named twice is drawn once, and an output path that is
+one of the input CSVs is an error.
 """
 
 from __future__ import annotations
@@ -11,8 +19,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 WIDTH = 680
 HEIGHT = 420
@@ -35,13 +46,24 @@ class PlotDataError(ValueError):
 
 def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
     """The named columns of a CSV file as floats, keyed by header name.
-    Cells of other columns are not parsed, so they are not validated."""
+    Cells of other columns are not parsed, so they are not validated.
+
+    The rows are parsed in one numpy call; a file that call rejects, or
+    that holds a cell that is not finite, is read again cell by cell,
+    which names the first bad cell or returns what float() makes of each.
+    """
+    return {name: column.tolist() for name, column in _read_columns(path, names).items()}
+
+
+def _read_columns(path: str | Path, names) -> dict[str, np.ndarray]:
+    """read_csv_columns with each column as a float array."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError:
         raise PlotDataError(f"{path}: not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    stream = io.StringIO(text, newline="")
+    reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         raise PlotDataError(f"{path}: empty CSV")
@@ -53,6 +75,10 @@ def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
             raise PlotDataError(f"{path}: missing column {name!r} (have: {have})")
     # in file order, so that the first bad cell reported is the first in the file
     wanted = sorted({header.index(name) for name in names})
+    # tell() is an index into text: newline="" translates no line end
+    table = _parse_rows(text[stream.tell():], wanted)
+    if table is not None:
+        return {header[index]: column for index, column in zip(wanted, table.T)}
     columns: dict[str, list[float]] = {header[index]: [] for index in wanted}
     for row in reader:
         if not row:  # blank lines are skipped
@@ -70,34 +96,74 @@ def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
             columns[header[index]].append(value)
     if not columns or not next(iter(columns.values())):
         raise PlotDataError(f"{path}: no data rows")
-    return columns
+    return {name: np.array(values) for name, values in columns.items()}
+
+
+def _parse_rows(data: str, wanted: list[int]) -> np.ndarray | None:
+    """The wanted columns of the CSV rows in data as one (rows, columns)
+    array, where one numpy call reads them as csv.reader and float() do;
+    None where it cannot, or where a cell is not finite.
+
+    Rows end at LF, CRLF or CR, blank ones are skipped, and cells split
+    at every comma.  Text with a quote, where csv.reader would not split
+    at every comma, or with one of the control characters U+001C..U+001F,
+    which numpy strips around a number and float() rejects, is left to
+    the caller, as are text without a row (numpy warns of it) and an empty
+    wanted list (numpy returns empty rows, where the caller finds none).
+    """
+    if not wanted or '"' in data or any(char in data for char in "\x1c\x1d\x1e\x1f"):
+        return None
+    if "\r" in data:
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    lines = data.split("\n")
+    if not any(lines):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=wanted, ndmin=2)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
 
 
 def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
     """Write one SVG containing a polyline per (csv file, column) pair.
 
     All CSVs must share a "tau" column, which becomes the x axis.  Only
-    tau and the plotted columns are read.
+    tau and the plotted columns are read; a column named twice is drawn
+    once.  An out_path that is one of the CSVs (the same file, through any
+    path or link) is a PlotDataError.
     """
+    out = Path(out_path)
+    try:
+        target = os.stat(out)
+    except OSError:  # nothing there yet, so no input is it
+        target = None
+    columns = list(dict.fromkeys(columns))
     series = []
     for path in csv_paths:
-        table = read_csv_columns(path, ["tau", *columns])
+        # a missing input raises here what reading it would
+        if target is not None and os.path.samestat(os.stat(path), target):
+            raise PlotDataError(f"{out}: output path would overwrite the input CSV {path}")
+        table = _read_columns(path, ["tau", *columns])
         taus = table["tau"]
         for column in columns:
             values = table[column]
             if column == "gme":
-                values = [max(0.0, v) for v in values]  # display clamp only
+                values = np.where(values > 0.0, values, 0.0)  # display clamp only
             series.append((f"{Path(path).stem}:{column}", taus, values))
 
-    xs = [x for _, taus, _ in series for x in taus]
-    ys = [y for _, _, values in series for y in values]
-    x_lo, x_hi = _expand(min(xs), max(xs), "tau")
-    y_lo, y_hi = _expand(min(ys), max(ys), ", ".join(columns))
+    xs = np.concatenate([taus for _, taus, _ in series])
+    ys = np.concatenate([values for _, _, values in series])
+    # the first extreme, as min() and max() pick it: the sign of a zero
+    # shows in _expand's error
+    x_lo, x_hi = _expand(float(xs[xs.argmin()]), float(xs[xs.argmax()]), "tau")
+    y_lo, y_hi = _expand(float(ys[ys.argmin()]), float(ys[ys.argmax()]), ", ".join(columns))
 
-    def px(x: float) -> float:
+    # on floats and arrays alike, the same operations in the same order
+    def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
 
-    def py(y: float) -> float:
+    def py(y):
         return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * (
             HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
@@ -134,7 +200,9 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
             parts.append(f'<circle cx="{px(taus[0]):.2f}" cy="{py(values[0]):.2f}" '
                          f'r="3" fill="{color}"/>')
         else:
-            points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(taus, values))
+            # one % call for all points: a call per point costs more than its formatting
+            xy = np.column_stack((px(taus), py(values))).ravel().tolist()
+            points = " ".join(["%.2f,%.2f"] * len(taus)) % tuple(xy)
             parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                          f'stroke-width="1.5"/>')
         ly = MARGIN_TOP + 14.0 + 18.0 * index
@@ -145,7 +213,6 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
                      f'{_escape(label)}</text>')
 
     parts.append("</svg>")
-    out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
     return out

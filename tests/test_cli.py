@@ -1,4 +1,5 @@
 import csv
+import errno
 import math
 import os
 import re
@@ -274,6 +275,59 @@ def test_plot_csv_with_bom_matches_without(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert (tmp_path / "bom" / "run.svg").read_bytes() == (
         tmp_path / "plain" / "run.svg").read_bytes()
+
+
+@pytest.mark.parametrize("out, plot", [
+    ("same.csv", "same.csv"),
+    ("d1/x.csv", "d1/./x.csv"),
+    (None, "psi_18_dephasing.csv"),  # the CSV's default name
+], ids=["same", "dot_segment", "default_out"])
+def test_simulate_plot_onto_its_csv_exits_1(tmp_path, capsys, monkeypatch, out, plot):
+    monkeypatch.chdir(tmp_path)
+    lines = ["model = dephasing", "state = psi_18", "t_max = 1", "dt = 0.01"]
+    lines += [f"out = {out}"] * (out is not None) + [f"plot = {plot}"]
+    cfg = write(tmp_path / "run.cfg", "\n".join(lines) + "\n")
+    assert cli.main(["simulate", cfg]) == 1
+    csv_path = out or plot
+    assert capsys.readouterr().err == (
+        f"error: line {len(lines)}: plot {plot!r} is the CSV output path {csv_path!r}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+def test_simulate_plot_through_a_symlink_loop_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop.svg").symlink_to("loop.svg")
+    cfg = write(tmp_path / "run.cfg", "model = dephasing\nstate = psi_18\nt_max = 1\n"
+                "dt = 0.01\nout = run.csv\nplot = loop.svg\n")
+    assert cli.main(["simulate", cfg]) == 2
+    loop = f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'loop.svg'"
+    assert capsys.readouterr().err == f"failure: {loop}\n"
+
+
+@pytest.mark.parametrize("out", ["./a.csv", "link.svg"], ids=["dot_segment", "symlink"])
+def test_plot_onto_its_input_exits_1(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    text = "tau,purity\n0,1\n1,0.5\n"
+    write(tmp_path / "a.csv", text)
+    (tmp_path / "link.svg").symlink_to("a.csv")
+    assert cli.main(["plot", "a.csv", "--columns", "purity", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {Path(out)}: output path would overwrite the input CSV a.csv\n")
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == text
+
+
+def test_plot_repeated_column_draws_once(tmp_path, capsys):
+    csv_path = write(tmp_path / "ok.csv", "tau,purity,gme\n0,1,1\n1,0.5,0.4\n")
+    svgs = {}
+    for columns in ("purity,,purity", "purity", "gme,purity,gme", "gme,purity"):
+        svg = tmp_path / f"{len(svgs)}.svg"
+        assert cli.main(["plot", csv_path, "--columns", columns, "--out", str(svg)]) == 0
+        svgs[columns] = svg.read_text(encoding="utf-8")
+    assert svgs["purity,,purity"].count("<polyline") == 1
+    assert svgs["purity,,purity"].count("ok:purity") == 1
+    assert svgs["purity,,purity"] == svgs["purity"]
+    assert svgs["gme,purity,gme"] == svgs["gme,purity"]  # first occurrence, given order
+    capsys.readouterr()
 
 
 def test_catalog_prints_all_states(capsys):

@@ -1,4 +1,5 @@
-"""The bundled configs still reproduce the committed figures/ CSVs."""
+"""The bundled configs still reproduce the committed figures/ CSVs, and
+those CSVs the committed SVGs."""
 
 import csv
 import dataclasses
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from lindchain.runner import parse_config, run_scenario
+from lindchain.svgplot import emit_svg_plot
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -32,3 +34,18 @@ def test_config_reproduces_committed_figure(config, tmp_path):
     assert header == ref_header
     assert values.shape == ref_values.shape
     np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=ATOL)
+
+
+OVERLAID = ("psi18_correlated_dephasing", "psi18_dephasing", "psi18_independent")
+REDRAWS = [pytest.param(f"{config.stem}.svg", [config.stem], ["purity", "gme"], id=config.stem)
+           for config in CONFIGS]
+REDRAWS += [pytest.param(f"overlay_{column}.svg", OVERLAID, [column], id=f"overlay_{column}")
+            for column in ("gme", "purity")]
+
+
+@pytest.mark.parametrize("svg, stems, columns", REDRAWS)
+def test_committed_csvs_redraw_committed_svg(svg, stems, columns, tmp_path):
+    """What CI's `lindchain plot` step redraws, byte for byte."""
+    csvs = [REPO / "figures" / f"{stem}.csv" for stem in stems]
+    out = emit_svg_plot(csvs, columns, tmp_path / svg)
+    assert out.read_bytes() == (REPO / "figures" / svg).read_bytes()

@@ -1,10 +1,12 @@
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lindchain import svgplot
 from lindchain.svgplot import PlotDataError, emit_svg_plot, read_csv_columns
 
 
@@ -37,6 +39,85 @@ def test_read_csv_columns_parses_only_the_named_columns(tmp_path):
     path.write_text("purity,tau\n1\n", encoding="utf-8")
     with pytest.raises(PlotDataError, match="line 2, column 'tau': missing value"):
         read_csv_columns(path, ["tau"])
+
+
+TAU_PURITY = ["tau", "purity"]
+TWO_ROWS = {"tau": [0.0, 1.0], "purity": [1.0, 0.5]}
+
+
+# what csv.reader and float() make of each file, cell by cell; the one-call
+# parse must return the same lists or leave the file to that loop
+@pytest.mark.parametrize("text, names, expected", [
+    ("tau,purity\r\n0,1\r\n1,0.5\r\n", TAU_PURITY, TWO_ROWS),
+    ("tau,purity\r0,1\r1,0.5\r", TAU_PURITY, TWO_ROWS),
+    ("tau,purity\n0,1\n1,0.5", TAU_PURITY, TWO_ROWS),
+    ('tau,purity\n"0","1"\n1,"0.5"\n', TAU_PURITY, TWO_ROWS),
+    ('tau,note,purity\n0,"a,1",1\n1,b,0.5\n', TAU_PURITY, TWO_ROWS),
+    ("tau,purity\n 0 , 1 \n1,\t0.5\n", TAU_PURITY, TWO_ROWS),
+    ("tau,purity\n0,1_0\n", TAU_PURITY, {"tau": [0.0], "purity": [10.0]}),
+    ("tau,purity\n\f0,1\n1,0.5\n", TAU_PURITY, TWO_ROWS),
+    ("tau,purity\n0,1\f1,0.5\n", TAU_PURITY,
+     "line 2, column 'purity': '1\\x0c1' is not a finite number"),
+    ("tau,purity\n0,1,2,3\n1,0.5,\n", TAU_PURITY, TWO_ROWS),
+    ("tau,purity,note\n0,1\n1,0.5,x\n", TAU_PURITY, TWO_ROWS),
+    ("tau,purity\n0,1\n1\n", TAU_PURITY, "line 3, column 'purity': missing value"),
+    ("tau,purity\n\n0,1\r\n\r\n1,0.5\n\n", TAU_PURITY, TWO_ROWS),
+    ("tau,purity\r\n\r\n0,1\r\n1,x\r\n", TAU_PURITY,
+     "line 4, column 'purity': 'x' is not a finite number"),
+    ("tau,purity\n0,1\n \n", TAU_PURITY, "line 3, column 'tau': ' ' is not a finite number"),
+    ("\ufefftau,purity\n0,1\n", TAU_PURITY, {"tau": [0.0], "purity": [1.0]}),
+    ("tau,purity\n0,nan\n", TAU_PURITY, "line 2, column 'purity': 'nan' is not a finite number"),
+    ("tau,purity\n0,1\n1,1e400\n", TAU_PURITY,
+     "line 3, column 'purity': '1e400' is not a finite number"),
+    ("tau,purity\n0,1 # c\n", TAU_PURITY,
+     "line 2, column 'purity': '1 # c' is not a finite number"),
+    ("tau,purity\n0,1\x1c\n", TAU_PURITY,
+     "line 2, column 'purity': '1\\x1c' is not a finite number"),
+    ("tau,purity\n-0,-0.0\n", TAU_PURITY, {"tau": [-0.0], "purity": [-0.0]}),
+    ("tau,purity\n\n\r\n", TAU_PURITY, "no data rows"),
+    ("tau,purity\n0,1\n", [], "no data rows"),
+], ids=["crlf", "cr", "no_final_newline", "quoted_cells", "quoted_comma_elsewhere",
+        "spaces_around_cell", "underscore", "form_feed_before_row", "form_feed_inside_row",
+        "extra_trailing_cells", "missing_other_cells", "missing_wanted_cell", "blank_lines",
+        "blank_lines_then_bad_cell", "whitespace_line", "bom", "nan", "1e400", "hash",
+        "info_separator", "negative_zero", "only_blank_rows", "no_names"])
+def test_read_csv_columns_odd_inputs(tmp_path, text, names, expected):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(PlotDataError) as err:
+            read_csv_columns(path, names)
+        assert str(err.value) == f"{path}: {expected}"
+    else:  # repr tells -0.0 from 0.0
+        assert repr(read_csv_columns(path, names)) == repr(expected)
+
+
+# mostly numbers, some wrapped in what only one of the two parsers accepts
+# or splits at, a few that neither takes
+_CELLS = st.sampled_from(["0", "1", "-0", "2.5e-3", "7", "0.5", "3", "-1", " 7 ", "\f1", "1\t",
+                          "1\x1c", "\x1f1", "1\u2028", '"1"', '"a,1"', '"a,1,"', "1_0", "nan",
+                          "1e400", "", "x", "1 # c"])
+
+
+@given(rows=st.lists(st.lists(_CELLS, min_size=2, max_size=4), max_size=5),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\f"]), min_size=5,
+                     max_size=5),
+       names=st.lists(st.sampled_from(["tau", "purity", "note"]), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_one_call_parse_matches_the_cell_loop(tmp_path_factory, rows, ends, names):
+    path = tmp_path_factory.mktemp("parse") / "x.csv"
+    path.write_text("tau,purity,note\n" + "".join(
+        ",".join(row) + end for row, end in zip(rows, ends)), encoding="utf-8", newline="")
+
+    def outcome():
+        try:
+            return repr(read_csv_columns(path, names))
+        except PlotDataError as err:
+            return str(err)
+
+    with mock.patch.object(svgplot, "_parse_rows", lambda data, wanted: None):
+        by_cell = outcome()
+    assert outcome() == by_cell
 
 
 def test_two_files_two_columns(tmp_path):

@@ -23,6 +23,7 @@ validated; the model picks the one it reads.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, replace
@@ -266,32 +267,148 @@ def trajectory_table(traj: Trajectory, pair: tuple[int, int]) -> np.ndarray:
 def render_csv(header: tuple[str, ...], rows) -> str:
     """Deterministic CSV text: 12 significant digits, LF endings.
 
-    rows is a sequence of rows or a 2-D array; the cell kinds of the first
-    row (str, int but not bool, else float) fix one %-template for all.  An
-    array column whose cells all have the same bits is formatted once, into
-    the template (bits, not ==: 0.0 and -0.0 print differently).
+    rows is a sequence of rows or a 2-D array.  A column is written with
+    %s when its first cell is a str, with %d when every cell is an int
+    (not a bool), else with %.11e.  An array column whose cells all have
+    the same bits is formatted once, into the line template (bits, not
+    ==: 0.0 and -0.0 print differently).
+
+    The varying columns of a float64 array are formatted as bytes in one
+    numpy pass (_float_lines).  A cell's 12 digits are the integer nearest
+    its magnitude scaled into [1e11, 1e12) by a correctly rounded power of
+    ten; the scaled value is within 4e-4 of exact, since the power and
+    the multiply each round once.  Where that integer could differ from
+    the exact rounding (the scaled value lies within 1e-3 of a
+    half-integer, or outside [1e11, 1e12)), and for a cell that is not
+    finite or whose magnitude lies outside (1e-280, 1e280), the cell is
+    written by '%.11e' itself; zero and -0.0 are not.  So every cell has
+    the bytes '%.11e' gives it.  Other tables are written a row at a time
+    with one %-template.
     """
-    lines = [",".join(header)]
-    if len(rows):
-        first = rows[0].tolist() if isinstance(rows, np.ndarray) else rows[0]
-        cells = [_conversion(cell) for cell in first]
-        if isinstance(rows, np.ndarray):
-            bits = rows.view(f"i{rows.itemsize}") if rows.dtype.kind == "f" else rows
-            constant = (bits == bits[0]).all(axis=0)
-            for j in np.flatnonzero(constant):
-                cells[j] = (cells[j] % first[j]).replace("%", "%%")
-            rows = rows[:, ~constant].tolist()  # Python floats format faster than numpy scalars
-        template = ",".join(cells)
-        lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    text = ",".join(header) + "\n"
+    if not len(rows):
+        return text
+    if not isinstance(rows, np.ndarray) or rows.dtype == object:
+        template = ",".join(_conversion(column) for column in zip(*rows)) + "\n"
+        return text + "".join([template % tuple(row) for row in rows])
+    first = rows[0].tolist()
+    conversions = [_conversion((cell,)) for cell in first]
+    bits = rows.view(f"i{rows.itemsize}") if rows.dtype.kind == "f" else rows
+    constant = (bits == bits[0]).all(axis=0)
+    cells = [conversion % cell if fixed else None
+             for conversion, cell, fixed in zip(conversions, first, constant)]
+    values = rows[:, ~constant]
+    if rows.dtype == np.float64:
+        return text + _float_lines(values, cells)
+    template = ",".join(conversion if cell is None else cell.replace("%", "%%")
+                        for conversion, cell in zip(conversions, cells)) + "\n"
+    # Python scalars format faster than numpy ones
+    return text + "".join([template % tuple(row) for row in values.tolist()])
 
 
-def _conversion(cell) -> str:
-    if isinstance(cell, str):
+def _conversion(column) -> str:
+    """The %-conversion of a column, given its cells."""
+    if isinstance(column[0], str):
         return "%s"
-    if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
+    if all(isinstance(cell, (int, np.integer)) and not isinstance(cell, bool)
+           for cell in column):
         return "%d"
     return "%.11e"
+
+
+def _float_lines(values: np.ndarray, cells: list) -> str:
+    """The CSV lines of a float64 table.  cells holds the text of each
+    constant column and None for each varying one; values holds the
+    varying columns, in order.
+
+    Each varying cell fills a 20-byte slot of five 4-byte words taken from
+    _digit_tables (sign, digit, point, digit; 4 digits; 4 digits; 2
+    digits, 'e', exponent sign; 2 or 3 exponent digits and a pad byte),
+    and the line template around the slots is NUL-padded to whole words.
+    The pad byte holds the first byte after the slot, a comma or the
+    newline; the NUL bytes left (the sign of a positive cell, the third
+    exponent digit of a 2-digit exponent, the padding) are dropped when
+    the lines are compacted.  A cell left to % gets the slot '%.11e',
+    filled in by one % on the compacted text, which holds no other %
+    since every cell is a number.
+    """
+    pow10, lead, digits4, tail, exponent = _digit_tables()
+    magnitude = np.abs(values)
+    normal = (magnitude > 1e-280) & (magnitude < 1e280)  # false for 0, nan, inf
+    magnitude = np.where(normal, magnitude, 1.0)
+    e = np.floor(np.log10(magnitude)).astype(np.intp)  # may be off by one: see sure
+    scaled = magnitude * pow10[_POW10_OFFSET + 11 - e]
+    m = np.rint(scaled)
+    sure = normal & (np.abs(scaled - m) < 0.499) & (scaled >= 1e11) & (scaled < 1e12)
+    fast = sure | (values == 0.0)
+    m = np.where(sure, m, 0.0)
+    carry = m == 1e12  # 9.999999999995e-5 is 1.00000000000e-04
+    e = np.where(normal, e + carry, 0)  # zero is 0.00000000000e+00
+    digits = np.where(carry, 1e11, m).astype(np.int64)
+    top, digits = np.divmod(digits, 10 ** 10)
+    upper, digits = np.divmod(digits, 10 ** 6)
+    lower, last = np.divmod(digits, 100)
+    slots = np.stack((lead[100 * np.signbit(values) + top], digits4[upper], digits4[lower],
+                      tail[2 * last + (e < 0)], exponent[np.abs(e)]), axis=-1)
+    slots[~fast] = _FALLBACK_SLOT
+
+    line = ",".join("\0" if cell is None else cell for cell in cells) + "\n"
+    head, *tails = line.encode("ascii").split(b"\0")
+    # the last byte of a slot holds the first byte after it: a comma or the \n
+    slots.view(np.uint8)[..., 19] = np.frombuffer(bytes(tail[0] for tail in tails), np.uint8)
+    segments = [_padded_words(head), *(_padded_words(tail[1:]) for tail in tails)]
+    n_rows, n_slots = values.shape
+    words = np.empty((n_rows, sum(map(len, segments)) + 5 * n_slots), np.uint32)
+    start = 0
+    for j, segment in enumerate(segments):
+        words[:, start:start + len(segment)] = segment
+        start += len(segment)
+        if j < n_slots:
+            words[:, start:start + 5] = slots[:, j]
+            start += 5
+    text = words.tobytes().replace(b"\0", b"").decode("ascii")
+    return text if fast.all() else text % tuple(values[~fast].tolist())
+
+
+_POW10_OFFSET = 300  # pow10[_POW10_OFFSET + p] is 10**p
+_FALLBACK_SLOT = np.frombuffer(b"%.11e".ljust(20, b"\0"), np.uint32)
+
+
+def _padded_words(data: bytes) -> np.ndarray:
+    """data, NUL-padded to whole 4-byte words."""
+    return np.frombuffer(data + b"\0" * (-len(data) % 4), np.uint32)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """The tables of _float_lines, built on first use: the powers of ten
+    10**p for |p| <= _POW10_OFFSET, correctly rounded (float() of a
+    decimal string is; numpy's power is not always), and the slot words,
+    indexed by 100 * sign + first two digits, by 4 digits, by 2 * last two
+    digits + exponent sign, and by |exponent|."""
+    pow10 = np.array([float(f"1e{p}") for p in range(-_POW10_OFFSET, _POW10_OFFSET + 1)])
+    k = np.arange(10000)
+    digit = ord("0") + k % 10
+    lead = _ascii_words(np.where(k[:200] < 100, 0, ord("-")), ord("0") + k[:200] // 10 % 10,
+                        ord("."), digit[:200])
+    digits4 = _ascii_words(ord("0") + k // 1000, ord("0") + k // 100 % 10,
+                           ord("0") + k // 10 % 10, digit)
+    tail = _ascii_words(ord("0") + k[:200] // 20, ord("0") + k[:200] // 2 % 10, ord("e"),
+                        np.where(k[:200] % 2, ord("-"), ord("+")))
+    k = k[:1000]
+    two = k < 100
+    exponent = _ascii_words(ord("0") + np.where(two, k // 10, k // 100),
+                            ord("0") + np.where(two, k, k // 10) % 10,
+                            np.where(two, 0, digit[:1000]), 0)
+    tables = pow10, lead, digits4, tail, exponent
+    for table in tables:
+        table.flags.writeable = False  # one copy serves every call
+    return tables
+
+
+def _ascii_words(*columns) -> np.ndarray:
+    """4-byte words whose bytes are the 4 given (broadcast) byte values."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8).view(np.uint32)[:, 0]
 
 
 def run_scenario(cfg: RunConfig) -> Path:

@@ -10,8 +10,9 @@ call rejects, or one with a cell that is not a finite number, is read
 again cell by cell with csv.reader and float(), so an error still names
 the first bad cell by file, line and column.  Point coordinates are
 computed on whole arrays by the same expressions that place the axes and
-ticks.  A column named twice is drawn once, and an output path that is
-one of the input CSVs is an error.
+ticks.  A column named twice, or an input that is the same file as an
+earlier one, is drawn once; inputs that share a file stem are labelled
+by their paths; an output path that is one of the input CSVs is an error.
 """
 
 from __future__ import annotations
@@ -129,9 +130,11 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
     """Write one SVG containing a polyline per (csv file, column) pair.
 
     All CSVs must share a "tau" column, which becomes the x axis.  Only
-    tau and the plotted columns are read; a column named twice is drawn
-    once.  An out_path that is one of the CSVs (the same file, through any
-    path or link) is a PlotDataError.
+    tau and the plotted columns are read; a column named twice, or a CSV
+    that is the same file as an earlier one (through any path or link), is
+    drawn once.  A curve is labelled <file stem>:<column>, or
+    <path as given>:<column> where distinct CSVs share a stem.  An
+    out_path that is one of the CSVs is a PlotDataError.
     """
     out = Path(out_path)
     try:
@@ -139,18 +142,23 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
     except OSError:  # nothing there yet, so no input is it
         target = None
     columns = list(dict.fromkeys(columns))
-    series = []
+    inputs = []  # (path, stat, columns) of each distinct input file
     for path in csv_paths:
-        # a missing input raises here what reading it would
-        if target is not None and os.path.samestat(os.stat(path), target):
+        status = os.stat(path)  # a missing input raises here what reading it would
+        if target is not None and os.path.samestat(status, target):
             raise PlotDataError(f"{out}: output path would overwrite the input CSV {path}")
-        table = _read_columns(path, ["tau", *columns])
+        if not any(os.path.samestat(status, seen) for _, seen, _ in inputs):
+            inputs.append((path, status, _read_columns(path, ["tau", *columns])))
+    stems = [Path(path).stem for path, _, _ in inputs]
+    series = []
+    for (path, _, table), stem in zip(inputs, stems):
+        name = stem if stems.count(stem) == 1 else str(path)
         taus = table["tau"]
         for column in columns:
             values = table[column]
             if column == "gme":
                 values = np.where(values > 0.0, values, 0.0)  # display clamp only
-            series.append((f"{Path(path).stem}:{column}", taus, values))
+            series.append((f"{name}:{column}", taus, values))
 
     xs = np.concatenate([taus for _, taus, _ in series])
     ys = np.concatenate([values for _, _, values in series])

@@ -330,6 +330,36 @@ def test_plot_repeated_column_draws_once(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_plot_same_input_twice_draws_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "ok.csv", "tau,purity\n0,1\n1,0.5\n")
+    (tmp_path / "link.csv").symlink_to("ok.csv")
+    svgs = {}
+    for inputs in (["ok.csv"], ["ok.csv", "./ok.csv"], ["ok.csv", "link.csv", "ok.csv"]):
+        svg = tmp_path / f"{len(svgs)}.svg"
+        assert cli.main(["plot", *inputs, "--columns", "purity", "--out", str(svg)]) == 0
+        svgs[len(inputs)] = svg.read_text(encoding="utf-8")
+    assert svgs[1].count("<polyline") == 1 and svgs[1].count("ok:purity") == 1
+    assert svgs[2] == svgs[1] and svgs[3] == svgs[1]
+    capsys.readouterr()
+
+
+def test_plot_inputs_sharing_a_stem_are_labelled_by_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, last in (("x", "0.5"), ("y", "0.25")):
+        (tmp_path / name).mkdir()
+        write(tmp_path / name / "run.csv", f"tau,purity\n0,1\n1,{last}\n")
+    write(tmp_path / "other.csv", "tau,purity\n0,1\n1,0.75\n")
+    svg = tmp_path / "out.svg"
+    assert cli.main(["plot", "x/run.csv", "y/run.csv", "other.csv", "--columns", "purity",
+                     "--out", str(svg)]) == 0
+    text = svg.read_text(encoding="utf-8")
+    assert text.count("<polyline") == 3
+    labels = re.findall(r'font-size="11">([^<]*:purity)</text>', text)
+    assert labels == ["x/run.csv:purity", "y/run.csv:purity", "other:purity"]
+    capsys.readouterr()
+
+
 def test_catalog_prints_all_states(capsys):
     assert cli.main(["catalog"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lindchain as lc
-from lindchain import EngineKind, EnvironmentModel
+from lindchain import EngineKind, EnvironmentModel, runner
 from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines,
                               parse_config, render_csv, run_scenario, sweep,
                               tau_first_below)
@@ -274,6 +276,73 @@ def test_render_csv_empty_rows_give_header_only():
     assert render_csv(("a", "b"), np.empty((0, 2))) == "a,b\n"
 
 
+def test_render_csv_int_column_needs_every_cell_int():
+    # the first row alone used to pick %d and write 2.7 as 2
+    assert render_csv(("a", "b"), [("x", 1), ("y", 2.7)]) == (
+        "a,b\nx,1.00000000000e+00\ny,2.70000000000e+00\n")
+    assert render_csv(("a",), [(1,), (True,)]) == "a\n1.00000000000e+00\n1.00000000000e+00\n"
+    assert render_csv(("a",), [(1,), (np.int64(-2),)]) == "a\n1\n-2\n"
+
+
+def _percent_lines(values) -> str:
+    """The CSV lines '%.11e' writes for a 2-D float array, cell by cell."""
+    n_rows, width = values.shape
+    return ((",".join(["%.11e"] * width) + "\n") * n_rows) % tuple(values.ravel().tolist())
+
+
+def _float_cases() -> np.ndarray:
+    """Cells at the edges of the byte formatter: every power of two,
+    10**k and its float neighbours, 12-digit ties and their neighbours,
+    carries to the next power of ten, the 1e+-280 cut, signed zeros and
+    nans, infinities and subnormals."""
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    rng = np.random.default_rng(20)  # decimal 13-digit ties: the float lies just off them
+    ties = [float(f"{m}5e{k}") for m, k in zip(rng.integers(10 ** 11, 10 ** 12, 300),
+                                                rng.integers(-300, 280, 300))]
+    ties += [100000000000.5, 100000000001.5, 999999999999.5, 123456789012.5, 0.5, 2.5,
+             1.25e-3, 6.103515625e-05]
+    carries = np.array([9.999999999995e-5, 9.9999999999995e-1, 9.999999999995e22,
+                        9.9999999999949e-5, 0.99999999999949])
+    cut = np.array([1e-280, 1e280, 2.5e-280, 9.99e279])
+    special = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                        5e-324, 2.2250738585072014e-308, 2.225073858507201e-308])
+    cells = np.concatenate([powers_of_two, powers_of_ten, ties, carries, cut])
+    cells = np.concatenate([cells, np.nextafter(cells, 0.0), np.nextafter(cells, np.inf)])
+    return np.concatenate([cells, -cells, special, -special])
+
+
+def test_render_csv_float_table_matches_percent_format():
+    cells = _float_cases()
+    for width in (1, 3, 8):
+        table = np.resize(cells, (-(-len(cells) // width), width))
+        text = render_csv(tuple("abcdefgh"[:width]), table)
+        assert text.split("\n", 1)[1] == _percent_lines(table)
+    # constant columns, at the edges and between varying ones, keep their text
+    table = np.column_stack([np.full(len(cells), -0.0), cells, np.full(len(cells), np.nan),
+                             cells[::-1], np.full(len(cells), 1e-300)])
+    assert render_csv(tuple("abcde"), table).split("\n", 1)[1] == _percent_lines(table)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_render_csv_float_table_survives_an_exponent_off_by_one(monkeypatch, shift):
+    # where log10 misses the decimal exponent, the scaled value leaves
+    # [1e11, 1e12) and the cell goes to %
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    table = _float_cases().reshape(-1, 1)
+    assert render_csv(("a",), table).split("\n", 1)[1] == _percent_lines(table)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_render_csv_floats_match_percent_format(cells, width):
+    table = np.resize(np.array(cells), (-(-len(cells) // width), width))
+    assert render_csv(tuple("abcd"[:width]), table) == (
+        ",".join("abcd"[:width]) + "\n" + _percent_lines(table))
+
+
+
 def test_run_scenario_writes_expected_csv(tmp_path):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 10\n"
                        "dt = 0.001\nstride = 1000\n")
@@ -362,8 +431,20 @@ def test_sweep(tmp_path, monkeypatch, propagator_cache):
         return make_rhs(*args)
 
     monkeypatch.setattr(lc.engine, "make_rhs", counted_make_rhs)
+    tables = []
+    render = runner.render_csv
+
+    def kept_render(header, rows):
+        tables.append(rows)
+        return render(header, rows)
+
+    monkeypatch.setattr(runner, "render_csv", kept_render)
     summary = sweep(tmp_path, t_max=10.0)
     assert builds == list(EnvironmentModel)  # one transfer matrix per model
+    # every run table renders as '%.11e' writes each cell
+    assert len(tables) == 65 and all(isinstance(rows, np.ndarray) for rows in tables[:64])
+    for rows in tables[:64]:
+        assert render(CSV_HEADER, rows).split("\n", 1)[1] == _percent_lines(rows)
     files = sorted(p.name for p in tmp_path.iterdir())
     assert len(files) == 65  # 16 states x 4 models + summary
     with summary.open(newline="") as fh:

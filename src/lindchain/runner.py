@@ -269,12 +269,12 @@ def render_csv(header: tuple[str, ...], rows) -> str:
 
     rows is a sequence of rows or a 2-D array.  A column is written with
     %s when its first cell is a str, with %d when every cell is an int
-    (not a bool), else with %.11e.  An array column whose cells all have
-    the same bits is formatted once, into the line template (bits, not
-    ==: 0.0 and -0.0 print differently).
+    (not a bool), else with %.11e.
 
-    The varying columns of a float64 array are formatted as bytes in one
-    numpy pass (_float_lines).  A cell's 12 digits are the integer nearest
+    A float64 array is written as bytes in one numpy pass (_float_lines).
+    A column whose cells all have the same bits is formatted once, into
+    the line template (bits, not ==: 0.0 and -0.0 print differently).
+    For the varying columns, a cell's 12 digits are the integer nearest
     its magnitude scaled into [1e11, 1e12) by a correctly rounded power of
     ten; the scaled value is within 4e-4 of exact, since the power and
     the multiply each round once.  Where that integer could differ from
@@ -288,22 +288,15 @@ def render_csv(header: tuple[str, ...], rows) -> str:
     text = ",".join(header) + "\n"
     if not len(rows):
         return text
-    if not isinstance(rows, np.ndarray) or rows.dtype == object:
-        template = ",".join(_conversion(column) for column in zip(*rows)) + "\n"
-        return text + "".join([template % tuple(row) for row in rows])
-    first = rows[0].tolist()
-    conversions = [_conversion((cell,)) for cell in first]
-    bits = rows.view(f"i{rows.itemsize}") if rows.dtype.kind == "f" else rows
-    constant = (bits == bits[0]).all(axis=0)
-    cells = [conversion % cell if fixed else None
-             for conversion, cell, fixed in zip(conversions, first, constant)]
-    values = rows[:, ~constant]
-    if rows.dtype == np.float64:
-        return text + _float_lines(values, cells)
-    template = ",".join(conversion if cell is None else cell.replace("%", "%%")
-                        for conversion, cell in zip(conversions, cells)) + "\n"
-    # Python scalars format faster than numpy ones
-    return text + "".join([template % tuple(row) for row in values.tolist()])
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        constant = (rows.view(np.int64) == rows.view(np.int64)[0]).all(axis=0)
+        cells = ["%.11e" % cell if fixed else None
+                 for cell, fixed in zip(rows[0].tolist(), constant)]
+        return text + _float_lines(rows[:, ~constant], cells)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()  # Python scalars format faster than numpy ones
+    template = ",".join(_conversion(column) for column in zip(*rows)) + "\n"
+    return text + "".join([template % tuple(row) for row in rows])
 
 
 def _conversion(column) -> str:

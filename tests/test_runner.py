@@ -342,7 +342,6 @@ def test_render_csv_floats_match_percent_format(cells, width):
         ",".join("abcd"[:width]) + "\n" + _percent_lines(table))
 
 
-
 def test_run_scenario_writes_expected_csv(tmp_path):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 10\n"
                        "dt = 0.001\nstride = 1000\n")

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 from .environments import EnvironmentModel, EnvironmentSpec
 from .metrics import family_of_pair
-from .register import N_QUBITS, SpinChainParams, all_energies
-
-DEFAULT_DIAGONAL_RATE = 0.05
-# off-diagonal rates keyed by qubit pair, same numbers for gamma and Gamma
-DEFAULT_CROSS_RATES = {(1, 2): 0.05, (2, 3): 0.025, (1, 3): 0.0125}
+from .register import SpinChainParams, all_energies
 
 
 @dataclass(frozen=True)
@@ -57,15 +53,10 @@ _TABLE = (
 
 
 def default_rate_matrix() -> list[list[float]]:
-    """Fresh 3x3 default rate matrix: DEFAULT_DIAGONAL_RATE on the diagonal,
-    DEFAULT_CROSS_RATES mirrored off it.  Used for both gamma and Gamma."""
-    mat = [[0.0] * N_QUBITS for _ in range(N_QUBITS)]
-    for k in range(N_QUBITS):
-        mat[k][k] = DEFAULT_DIAGONAL_RATE
-    for (a, b), rate in DEFAULT_CROSS_RATES.items():
-        mat[a - 1][b - 1] = rate
-        mat[b - 1][a - 1] = rate
-    return mat
+    """A fresh copy of the default rate matrix, used for both gamma and Gamma."""
+    return [[0.05, 0.05, 0.0125],
+            [0.05, 0.05, 0.025],
+            [0.0125, 0.025, 0.05]]
 
 
 def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, EnvironmentSpec]]:

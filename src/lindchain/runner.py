@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import svgplot
 from .catalog import (catalog_entry, catalog_states, default_parameters,
                       default_rate_matrix)
 from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephasing,
@@ -112,7 +113,7 @@ def parse_config(text: str) -> RunConfig:
 
     def number(key, default):
         item = take(key)
-        return default if item is None else _parse_float(key, item)
+        return default if item is None else _parse_number(key, item)
 
     model = _parse_member("model", EnvironmentModel, take("model"))
     if model is None:
@@ -123,11 +124,8 @@ def parse_config(text: str) -> RunConfig:
 
     chain = SpinChainParams()
     omegas = tuple(number(f"omega_{k}", w) for k, w in enumerate(chain.omegas, start=1))
-    try:
-        params = SpinChainParams(omegas, number("J", chain.coupling_j),
-                                 number("Jp", chain.coupling_jp))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = SpinChainParams(omegas, number("J", chain.coupling_j),
+                             number("Jp", chain.coupling_jp))
 
     gamma = default_rate_matrix()
     big_gamma = default_rate_matrix()
@@ -136,7 +134,7 @@ def parse_config(text: str) -> RunConfig:
         value, lineno = entries.pop(key)
         name, a, b = _RATE_KEY.match(key).groups()
         target = gamma if name == "gamma" else big_gamma
-        rate = _parse_float(key, (value, lineno))
+        rate = _parse_number(key, (value, lineno))
         if b is None:
             if rate < 0.0:
                 raise ConfigError(f"{key} must be nonnegative, got {rate}", lineno)
@@ -154,10 +152,10 @@ def parse_config(text: str) -> RunConfig:
             target[j - 1][i - 1] = rate
 
     dt_item, t_max_item, stride_item = take("dt"), take("t_max"), take("stride")
-    dt = EvolutionConfig.dt if dt_item is None else _parse_float("dt", dt_item)
-    t_max = 50.0 if t_max_item is None else _parse_float("t_max", t_max_item)
+    dt = EvolutionConfig.dt if dt_item is None else _parse_number("dt", dt_item)
+    t_max = 50.0 if t_max_item is None else _parse_number("t_max", t_max_item)
     stride = (EvolutionConfig.record_stride if stride_item is None
-              else _parse_int("stride", stride_item))
+              else _parse_number("stride", stride_item, int))
 
     out = take("out")
     plot = take("plot")
@@ -221,8 +219,8 @@ def _parse_state(state_item, pair_i_item, pair_j_item):
         return entry.name, entry.pair
     if pair_i_item is None or pair_j_item is None:
         raise ConfigError("config must set 'state' or both 'pair_i' and 'pair_j'")
-    i = _parse_int("pair_i", pair_i_item)
-    j = _parse_int("pair_j", pair_j_item)
+    i = _parse_number("pair_i", pair_i_item, int)
+    j = _parse_number("pair_j", pair_j_item, int)
     pair = (min(i, j), max(i, j))
     try:
         family_of_pair(*pair)
@@ -231,23 +229,18 @@ def _parse_state(state_item, pair_i_item, pair_j_item):
     return f"pair_{pair[0]}{pair[1]}", pair
 
 
-def _parse_float(key, item) -> float:
+def _parse_number(key, item, kind=float):
+    """The value of item as a kind, float or int; a float must be finite
+    (int() takes no inf or nan)."""
     value, lineno = item
     try:
-        result = float(value)
+        result = kind(value)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
-    if not np.isfinite(result):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}", lineno) from None
+    if kind is float and not np.isfinite(result):
         raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
     return result
-
-
-def _parse_int(key, item) -> int:
-    value, lineno = item
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
 
 
 # -------------------------------------------------------------- execution
@@ -293,8 +286,6 @@ def render_csv(header: tuple[str, ...], rows) -> str:
         cells = ["%.11e" % cell if fixed else None
                  for cell, fixed in zip(rows[0].tolist(), constant)]
         return text + _float_lines(rows[:, ~constant], cells)
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()  # Python scalars format faster than numpy ones
     template = ",".join(_conversion(column) for column in zip(*rows)) + "\n"
     return text + "".join([template % tuple(row) for row in rows])
 
@@ -380,28 +371,17 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     indexed by 100 * sign + first two digits, by 4 digits, by 2 * last two
     digits + exponent sign, and by |exponent|."""
     pow10 = np.array([float(f"1e{p}") for p in range(-_POW10_OFFSET, _POW10_OFFSET + 1)])
-    k = np.arange(10000)
-    digit = ord("0") + k % 10
-    lead = _ascii_words(np.where(k[:200] < 100, 0, ord("-")), ord("0") + k[:200] // 10 % 10,
-                        ord("."), digit[:200])
-    digits4 = _ascii_words(ord("0") + k // 1000, ord("0") + k // 100 % 10,
-                           ord("0") + k // 10 % 10, digit)
-    tail = _ascii_words(ord("0") + k[:200] // 20, ord("0") + k[:200] // 2 % 10, ord("e"),
-                        np.where(k[:200] % 2, ord("-"), ord("+")))
-    k = k[:1000]
-    two = k < 100
-    exponent = _ascii_words(ord("0") + np.where(two, k // 10, k // 100),
-                            ord("0") + np.where(two, k, k // 10) % 10,
-                            np.where(two, 0, digit[:1000]), 0)
+    # each word is the 4 characters % writes, NUL where _float_lines drops a byte
+    words = (["%s%d.%d" % ("\0-"[k // 100], k // 10 % 10, k % 10) for k in range(200)],
+             ["%04d" % k for k in range(10000)],
+             ["%02de%s" % (k // 2, "+-"[k % 2]) for k in range(200)],
+             ["%02d\0\0" % k if k < 100 else "%03d\0" % k for k in range(1000)])
+    lead, digits4, tail, exponent = (np.frombuffer("".join(table).encode("ascii"), np.uint32)
+                                     for table in words)
     tables = pow10, lead, digits4, tail, exponent
     for table in tables:
         table.flags.writeable = False  # one copy serves every call
     return tables
-
-
-def _ascii_words(*columns) -> np.ndarray:
-    """4-byte words whose bytes are the 4 given (broadcast) byte values."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8).view(np.uint32)[:, 0]
 
 
 def run_scenario(cfg: RunConfig) -> Path:
@@ -413,9 +393,7 @@ def run_scenario(cfg: RunConfig) -> Path:
     path = cfg.csv_path
     _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
-        # imported here, at call time, so that bench/tracing.py's patch of it is what runs
-        from .svgplot import emit_svg_plot
-        emit_svg_plot([path], ["purity", "gme"], cfg.plot)
+        svgplot.emit_svg_plot([path], ["purity", "gme"], cfg.plot)
     return path
 
 

@@ -45,19 +45,14 @@ class PlotDataError(ValueError):
     float axis holds)."""
 
 
-def read_csv_columns(path: str | Path, names) -> dict[str, list[float]]:
-    """The named columns of a CSV file as floats, keyed by header name.
-    Cells of other columns are not parsed, so they are not validated.
+def read_csv_columns(path: str | Path, names) -> dict[str, np.ndarray]:
+    """The named columns of a CSV file as float arrays, keyed by header
+    name.  Cells of other columns are not parsed, so they are not validated.
 
     The rows are parsed in one numpy call; a file that call rejects, or
     that holds a cell that is not finite, is read again cell by cell,
     which names the first bad cell or returns what float() makes of each.
     """
-    return {name: column.tolist() for name, column in _read_columns(path, names).items()}
-
-
-def _read_columns(path: str | Path, names) -> dict[str, np.ndarray]:
-    """read_csv_columns with each column as a float array."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8-sig")  # a leading BOM is dropped
@@ -148,7 +143,7 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
         if target is not None and os.path.samestat(status, target):
             raise PlotDataError(f"{out}: output path would overwrite the input CSV {path}")
         if not any(os.path.samestat(status, seen) for _, seen, _ in inputs):
-            inputs.append((path, status, _read_columns(path, ["tau", *columns])))
+            inputs.append((path, status, read_csv_columns(path, ["tau", *columns])))
     stems = [Path(path).stem for path, _, _ in inputs]
     series = []
     for (path, _, table), stem in zip(inputs, stems):

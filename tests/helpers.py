@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from lindchain import EnvironmentSpec, SpinChainParams, omega_table
-from lindchain.engine import _check_sizes, lowering_operators, sz_operators
+from lindchain import EngineKind, EnvironmentSpec, SpinChainParams, make_rhs, omega_table
+from lindchain.engine import _check_sizes, frame_frequencies, lowering_operators, sz_operators
 
 
 def random_density(rng: np.random.Generator, dim: int = 8,
@@ -59,6 +59,23 @@ def lindblad_rhs_operator(rho: np.ndarray, t: float, params: SpinChainParams,
 def apply_generator(generator, rho: np.ndarray, t: float) -> np.ndarray:
     """d(rho)/dt = unvec(A(t) vec rho) for a generator A returned by make_rhs."""
     return (generator(t) @ rho.reshape(-1)).reshape(rho.shape)
+
+
+def secular_split(params: SpinChainParams, env: EnvironmentSpec,
+                  kind: EngineKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A(0), its secular part, the frame frequency of each entry) for the
+    engine kind.
+
+    A(t) = D(t) A(0) D(-t), so entry (row, col) turns at Delta_row -
+    Delta_col, Delta from frame_frequencies.  The secular part keeps the
+    entries whose frequency is zero, to round-off in the energies, and
+    zeroes the rest.
+    """
+    delta = frame_frequencies(params, env).reshape(-1)
+    freqs = delta[:, None] - delta[None, :]
+    a0 = make_rhs(params, env, kind)(0.0)
+    still = np.abs(freqs) <= 1e-12 * (1.0 + np.max(np.abs(delta)))
+    return a0, np.where(still, a0, 0.0), freqs
 
 
 # Full-matrix bipartite GME bounds, written directly against the 8x8 rho

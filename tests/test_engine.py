@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import lindchain as lc
-from helpers import (apply_generator, lindblad_rhs_operator, random_density,
+from helpers import (apply_generator, lindblad_rhs_operator, random_density, secular_split,
                      tilde_jump_operators)
 from lindchain import EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig, engine
 from lindchain.catalog import default_rate_matrix
@@ -261,6 +261,61 @@ def test_generators_are_frame_covariant(default_setup):
                 frame = np.exp(1j * delta * t)
                 moved = frame[:, None] * generator(c) * frame.conj()[None, :]
                 assert np.max(np.abs(generator(t + c) - moved)) < 1e-12
+
+
+def test_correlations_change_only_turning_entries(default_setup):
+    """The secular split (Breuer & Petruccione, The Theory of Open Quantum
+    Systems, 2002, sec. 3.3) on the default chain, in both engines: the
+    correlated and independent dissipation generators have the same
+    secular part, bit for bit, and all 288 entries the cross rates add
+    turn at 84.8 to 310.4, the Larmor differences shifted by J and J'.
+    Independent dissipation turns in 34 entries of its own, at the J and
+    J' splittings; the dephasing generators turn nowhere."""
+    params, envs = default_setup
+    for kind in EngineKind:
+        independent, independent_secular, freqs = secular_split(
+            params, envs[M.INDEPENDENT_DISSIPATION], kind)
+        correlated, correlated_secular, _ = secular_split(
+            params, envs[M.CORRELATED_DISSIPATION], kind)
+        assert np.array_equal(correlated_secular, independent_secular)
+        added = correlated != independent
+        assert np.count_nonzero(added) == 288
+        assert np.abs(freqs[added]).min() == pytest.approx(84.8)
+        assert np.abs(freqs[added]).max() == pytest.approx(310.4)
+        turning = independent != independent_secular
+        assert np.count_nonzero(turning) == 34
+        assert np.abs(freqs[turning]).min() == pytest.approx(0.4)
+        assert np.abs(freqs[turning]).max() == pytest.approx(20.0)
+        for model in (M.DEPHASING, M.CORRELATED_DEPHASING):
+            a0, secular, _ = secular_split(params, envs[model], kind)
+            assert np.array_equal(a0, secular)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_correlations_keep_the_secular_part_on_random_chains(seed):
+    """Each frame transition frequency of qubit k lies within |J| + |J'| of
+    omega_k, so where the Larmor gaps exceed 2(|J| + |J'|) every entry the
+    cross rates add turns, at no less than the smallest gap minus that
+    spread, and the correlated and independent secular parts agree."""
+    rng = np.random.default_rng(seed)
+    coupling_j, coupling_jp = rng.uniform(-20.0, 20.0), rng.uniform(-2.0, 2.0)
+    spread = 2.0 * (abs(coupling_j) + abs(coupling_jp))
+    omegas = 10.0 + np.cumsum(spread + rng.uniform(0.5, 100.0, size=3))
+    rng.shuffle(omegas)
+    gap = np.min(np.diff(np.sort(omegas)))
+    assert gap > spread
+    chain = lc.SpinChainParams(tuple(omegas), coupling_j, coupling_jp)
+    rates = rng.uniform(0.0, 0.1, size=(3, 3))
+    rates = rates + rates.T
+    for kind in EngineKind:
+        independent, independent_secular, freqs = secular_split(
+            chain, _quiet_environment(M.INDEPENDENT_DISSIPATION, rates), kind)
+        correlated, correlated_secular, _ = secular_split(
+            chain, _quiet_environment(M.CORRELATED_DISSIPATION, rates), kind)
+        assert np.max(np.abs(correlated_secular - independent_secular)) < 1e-15
+        added = np.abs(correlated - independent) > 1e-12
+        assert np.count_nonzero(added) == 288
+        assert np.abs(freqs[added]).min() > gap - spread - 1e-9
 
 
 def test_dephasing_never_moves_populations_exactly(default_setup):

@@ -59,4 +59,4 @@ def test_modules_import_only_earlier_layers():
     for rank, name in enumerate(LAYERS):
         imported = _relative_imports(package / f"{name}.py")
         assert imported <= set(LAYERS[:rank]), f"{name} imports {imported - set(LAYERS[:rank])}"
-    assert "svgplot" in _relative_imports(package / "runner.py")  # lazy, in run_scenario
+    assert "svgplot" in _relative_imports(package / "runner.py")  # run_scenario's plot

@@ -21,16 +21,23 @@ def polyline_points(svg_text):
     return re.findall(r'<polyline points="([^"]+)"', svg_text)
 
 
+def column_lists(path, names):
+    """read_csv_columns with each column as a list of floats: == and repr
+    compare lists exactly, where repr of an array hides digits."""
+    return {name: column.tolist() for name, column in read_csv_columns(path, names).items()}
+
+
 def test_read_csv_columns(tmp_path):
     path = make_csv(tmp_path / "t.csv", ("tau", "purity"), [(0.0, 1.0), (1.0, 0.5)])
-    cols = read_csv_columns(path, ["tau", "purity"])
+    cols = column_lists(path, ["tau", "purity"])
     assert cols == {"tau": [0.0, 1.0], "purity": [1.0, 0.5]}
+    assert read_csv_columns(path, ["tau"])["tau"].dtype == float
 
 
 def test_read_csv_columns_parses_only_the_named_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("tau,purity,note\n0,1,abc\n\n1,0.5,\n", encoding="utf-8")
-    assert read_csv_columns(path, ["purity", "tau", "purity"]) == {
+    assert column_lists(path, ["purity", "tau", "purity"]) == {
         "purity": [1.0, 0.5], "tau": [0.0, 1.0]}
     out = emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
     assert len(polyline_points(out.read_text())) == 1
@@ -89,7 +96,7 @@ def test_read_csv_columns_odd_inputs(tmp_path, text, names, expected):
             read_csv_columns(path, names)
         assert str(err.value) == f"{path}: {expected}"
     else:  # repr tells -0.0 from 0.0
-        assert repr(read_csv_columns(path, names)) == repr(expected)
+        assert repr(column_lists(path, names)) == repr(expected)
 
 
 # mostly numbers, some wrapped in what only one of the two parsers accepts
@@ -111,7 +118,7 @@ def test_one_call_parse_matches_the_cell_loop(tmp_path_factory, rows, ends, name
 
     def outcome():
         try:
-            return repr(read_csv_columns(path, names))
+            return repr(column_lists(path, names))
         except PlotDataError as err:
             return str(err)
 

@@ -51,11 +51,15 @@ diverged; the run reports the earliest over all stacks.
 Everything that depends only on (params, env, cfg) is built once and
 cached with one entry: the generator, Delta and the covariance check on
 the full A(t), the block stacks with their Q, doubling powers and final
-power, the spectral radius, the record times and the frame-phase table
-exp(i tau Delta).  The key hashes params and cfg by value and env by
-identity; an EnvironmentSpec's rates are read-only, so a spec cannot
-change under its entry.  A sweep runs the 16 states of one model back to
-back and builds 4 propagators, not 64.
+power, the spectral radius, the record times and the store of frame
+phases exp(i tau Delta).  The store computes an entry's phases at every
+record when a run first reads that entry, and keeps them for the runs
+after it: a psi_18 run reads 10 of the 64 entries under independent
+dissipation and 4 under dephasing.  The key hashes params and cfg by
+value and env by identity; an EnvironmentSpec's rates are read-only, so
+a spec cannot change under its entry.  A sweep runs the 16 states of one
+model back to back and builds 4 propagators, not 64, each computing the
+phases of an entry at most once.
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ from .metrics import validate_density_matrix
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
 
 
-# the record stack and the frame-phase table each take 1 KiB per record
-# (64 complex entries), so a grid is capped at 1 GiB of each
+# the record stack takes 1 KiB per record (64 complex entries), and the
+# frame-phase store reserves as much but writes only the entries runs read,
+# so a grid is capped at 1 GiB of each
 MAX_RECORDS = 2 ** 20
 
 
@@ -309,8 +314,9 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
     the module docstring) on each block stack the initial state occupies:
     its records are filled by doubling, one product with a cached power of
     Q^stride advancing a run of records at once, then checked and
-    multiplied by their cached frame phases; every other entry stays
-    exactly +0.0.  The state is never renormalized; trace and positivity
+    multiplied by their frame phases, which the cached store computes for
+    the entries no earlier run has read; every other entry stays exactly
+    +0.0.  The state is never renormalized; trace and positivity
     drift are left visible for the diagnostics.  Warns before integrating
     when the spectral radius of Q exceeds 1, i.e. dt lies outside RK4's
     stability region.  Raises IntegrationDivergedError at the first step
@@ -360,7 +366,7 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
                                                       steps[first - 1], steps[first]))
                 continue
             # phase first: a fused complex product is not symmetric in the last bit
-            vecs[:, index] = phases[:, index] * rows.swapaxes(0, 1)
+            vecs[:, index] = phases(index) * rows.swapaxes(0, 1)
     if diverged:
         step = min(diverged)
         raise IntegrationDivergedError(step, step * cfg.dt)
@@ -383,12 +389,14 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
     radius     the spectral radius of Q, the largest over all blocks;
     steps      the step index of each record;
     taus       the record times;
-    phases     exp(i tau Delta) per record.
+    phases     a _FramePhases store of exp(i tau Delta), filled as runs
+               read it.
 
     The blocks are the connected components of the sparsity pattern of
     A(0), A(dt/2) and A(dt), the three matrices of a step, so neither Q
     nor its powers couple two blocks.  Every returned array is read-only:
-    cache hits share them.  The build runs under the errstate of the
+    cache hits share them.  The phase store is written only by itself,
+    and hands out copies.  The build runs under the errstate of the
     record fill: rates too large for RK4 overflow Q and its powers, which
     the stability warning and the divergence check in rk4_evolve report,
     so numpy need not warn as well.
@@ -421,10 +429,35 @@ def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionCon
                         np.linalg.matrix_power(transfer, last_gap).swapaxes(-1, -2))
             stacks.append((index, transfer, np.stack(powers), last_hop))
         radius = max(_spectral_radius(transfer) for _, transfer, *_ in stacks)
-        phases = np.exp(np.outer(taus, delta) * 1j)
-    for array in (*(a for stack in stacks for a in stack), taus, phases):
+    for array in (*(a for stack in stacks for a in stack), taus):
         array.setflags(write=False)
-    return tuple(stacks), radius, steps, taus, phases
+    return tuple(stacks), radius, steps, taus, _FramePhases(taus, delta)
+
+
+class _FramePhases:
+    """exp(i tau Delta) of each entry of vec(rho) at every record,
+    computed for an entry when it is first read.
+
+    Called with a (b, k) index of distinct entries, returns their (n, b, k)
+    phases at the n records.  The table holds one row per entry, so an
+    entry's phases are contiguous: a store reserves 1 KiB per record but
+    writes only the rows its runs read.
+    """
+
+    def __init__(self, taus: np.ndarray, delta: np.ndarray):
+        self._taus = taus
+        self._delta = delta
+        self._table = np.empty((len(delta), len(taus)), dtype=complex)
+        self._filled = np.zeros(len(delta), dtype=bool)
+
+    def __call__(self, index: np.ndarray) -> np.ndarray:
+        new = index[~self._filled[index]]
+        if len(new):
+            # the product of np.outer commutes exactly: each phase has the
+            # bits of the full table exp(outer(taus, delta) * 1j)
+            self._table[new] = np.exp(np.outer(self._delta[new], self._taus) * 1j)
+            self._filled[new] = True
+        return self._table[index].transpose(2, 0, 1)
 
 
 def _invariant_blocks(coupled: np.ndarray) -> list[np.ndarray]:

@@ -655,19 +655,60 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
     rho0 = lc.initial_bell_density(1, 8)
     cfg = EvolutionConfig(t_max=0.3, dt=1e-2, record_stride=10)
     traj = lc.rk4_evolve(rho0, cfg, params, env)
+    first = traj.rhos.copy()
     traj.taus[:] = -1.0
     traj.rhos[:] = 0.0
     again = lc.rk4_evolve(rho0, cfg, params, env)
     assert propagator_cache.cache_info().hits == 1
     assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])
-    assert np.array_equal(again.rhos[0], rho0)
+    assert np.array_equal(again.rhos, first)
     stacks, _, _, taus, phases = propagator_cache(params, env, cfg)
     for index, transfer, powers, last_hop in stacks:
         assert len(powers) == 2  # 3 rows from one by doubling: H^T and (H^2)^T
         for array in (index, transfer, powers, last_hop):
             assert not array.flags.writeable
-    for array in (taus, phases):
-        assert not array.flags.writeable
+    assert not taus.flags.writeable
+    # the phase store is the one cached object that is written, and only by
+    # itself: what it returns is a copy
+    index = stacks[0][0]
+    handed = phases(index)
+    expected = handed.copy()
+    handed[:] = 0.0
+    assert np.array_equal(phases(index), expected)
+
+
+def test_frame_phases_are_filled_once_in_any_order(default_setup, propagator_cache,
+                                                   monkeypatch):
+    """The store computes an entry's phases when a run first reads it.  The
+    16 catalog states, run through one cache entry in catalog order or in
+    reverse, keep the bits of the full exp(i tau Delta) table multiplied
+    phase first, and no entry is computed twice."""
+    params, envs = default_setup
+    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep grid
+    rho0s = [lc.initial_bell_density(*entry.pair) for entry in lc.catalog_states(params)]
+    exp = np.exp
+    for model, count in zip(MODELS, (40, 64, 40, 40)):
+        env = envs[model]
+        built = engine._propagator.__wrapped__(params, env, cfg)
+        table = exp(np.outer(built[3], frame_frequencies(params, env).reshape(-1)) * 1j)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_propagator",
+                          lambda *key: (*built[:4], lambda index: table[:, index]))
+            reference = [lc.rk4_evolve(rho0, cfg, params, env).rhos for rho0 in rho0s]
+        for order in (1, -1):
+            propagator_cache.cache_clear()
+            phases = propagator_cache(params, env, cfg)[4]
+            computed = []  # the rows of every exp call, once the entry is built
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "exp", lambda x: computed.append(len(x)) or exp(x))
+                for rho0, rhos in list(zip(rho0s, reference))[::order]:
+                    assert np.array_equal(lc.rk4_evolve(rho0, cfg, params, env).rhos, rhos)
+            assert sum(computed) == phases._filled.sum() == count
+    # a single run computes only the entries it reads
+    rho0 = lc.initial_bell_density(*lc.catalog_entry("psi_18").pair)
+    for model, count in ((M.INDEPENDENT_DISSIPATION, 10), (M.DEPHASING, 4)):
+        lc.rk4_evolve(rho0, cfg, params, envs[model])
+        assert propagator_cache(params, envs[model], cfg)[4]._filled.sum() == count
 
 
 def test_directly_built_environment_is_read_only():

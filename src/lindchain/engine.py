@@ -22,10 +22,11 @@ D(s dt) M0 D(-s dt), M0 being the step matrix at t = 0, and N steps
 collapse to D(N dt) Q^N with the constant transfer matrix
 Q = D(-dt) M0.
 
-The generators never couple most entries of vec(rho): the connected
-components of the sparsity pattern of A(0), A(dt/2) and A(dt) split it
-into invariant blocks (on the default chain: 64 singletons under both
-dephasing models, 27 blocks of up to 8 entries under independent
+The generators never couple most entries of vec(rho).  A(t) is nonzero
+only where A(0) is, each entry being a constant times a phase, so the
+connected components of the sparsity pattern of A(0) split vec(rho) into
+blocks that no step couples (on the default chain: 64 singletons under
+both dephasing models, 27 blocks of up to 8 entries under independent
 dissipation, and the 7 sectors of the excitation difference, sizes 20,
 15, 15, 6, 6, 1, 1, under correlated dissipation).  M0, Q and all its
 powers are block diagonal in that partition, so they are built only on
@@ -48,18 +49,15 @@ per-step loop.  When a stack's record turns non-finite, single products
 with its Q from its last finite record find the step at which it
 diverged; the run reports the earliest over all stacks.
 
-Everything that depends only on (params, env, cfg) is built once and
-cached with one entry: the generator, Delta and the covariance check on
-the full A(t), the block stacks with their Q, doubling powers and final
-power, the spectral radius, the record times and the store of frame
-phases exp(i tau Delta).  The store computes an entry's phases at every
-record when a run first reads that entry, and keeps them for the runs
-after it: a psi_18 run reads 10 of the 64 entries under independent
-dissipation and 4 under dephasing.  The key hashes params and cfg by
-value and env by identity; an EnvironmentSpec's rates are read-only, so
-a spec cannot change under its entry.  A sweep runs the 16 states of one
-model back to back and builds 4 propagators, not 64, each computing the
-phases of an entry at most once.
+Everything that depends only on (params, env, cfg) is one _Propagator,
+cached with one entry: the block stacks, the spectral radius, the record
+times and the frame phases exp(i tau Delta), which it computes for an
+entry of vec(rho) when a run first reads that entry and keeps for the
+runs after it.  The key hashes params and cfg by value and env by
+identity; an EnvironmentSpec's rates are read-only, so a spec cannot
+change under its entry.  A sweep runs the 16 states of one model back to
+back and builds 4 propagators, not 64, each computing the phases of an
+entry at most once.
 """
 
 from __future__ import annotations
@@ -77,9 +75,10 @@ from .metrics import validate_density_matrix
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
 
 
-# the record stack takes 1 KiB per record (64 complex entries), and the
-# frame-phase store reserves as much but writes only the entries runs read,
-# so a grid is capped at 1 GiB of each
+# a simulate run peaks at about 3.8 KiB per record (ru_maxrss of a dephasing
+# run: 129 MiB at 25,001 records, 221 MiB at 50,001), so nearly 4 GiB at
+# the cap; the record stack is 1 KiB of that, diagnostics and render most
+# of the rest
 MAX_RECORDS = 2 ** 20
 
 
@@ -308,156 +307,151 @@ def make_rhs(params: SpinChainParams, env: EnvironmentSpec,
 
 def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
                env: EnvironmentSpec) -> Trajectory:
-    """Integrate d(rho)/dt with classical fixed-step fourth-order Runge-Kutta.
+    """Integrate d(rho)/dt with classical fixed-step fourth-order Runge-Kutta,
+    as powers of the transfer matrix Q (see the module docstring).
 
-    The steps are applied as powers of the constant transfer matrix Q (see
-    the module docstring) on each block stack the initial state occupies:
-    its records are filled by doubling, one product with a cached power of
-    Q^stride advancing a run of records at once, then checked and
-    multiplied by their frame phases, which the cached store computes for
-    the entries no earlier run has read; every other entry stays exactly
-    +0.0.  The state is never renormalized; trace and positivity
-    drift are left visible for the diagnostics.  Warns before integrating
-    when the spectral radius of Q exceeds 1, i.e. dt lies outside RK4's
-    stability region.  Raises IntegrationDivergedError at the first step
-    whose state is non-finite in any stack.
+    The state is never renormalized; trace and positivity drift are left
+    visible for the diagnostics.  Warns before integrating when the
+    spectral radius of Q exceeds 1, i.e. dt lies outside RK4's stability
+    region.  Raises IntegrationDivergedError at the first step whose state
+    is non-finite.
     """
     rho = validate_density_matrix(rho0)
     if rho.shape[0] != params.dim:
         raise ValueError(f"rho dim {rho.shape[0]} does not match params dim {params.dim}")
-    stacks, radius, steps, taus, phases = _propagator(params, env, cfg)
-    if radius > 1.0 + 1e-9:
+    propagator = _propagator(params, env, cfg)
+    if propagator.radius > 1.0 + 1e-9:
         warnings.warn(f"dt = {cfg.dt:g} lies outside the RK4 stability region: the one-step "
-                      f"transfer matrix has spectral radius {radius:.6g} > 1",
+                      f"transfer matrix has spectral radius {propagator.radius:.6g} > 1",
                       UserWarning, stacklevel=2)
-
-    n = len(steps)
-    vec0 = rho.reshape(-1)
-    vecs = np.zeros((n, rho.size), dtype=complex)
-    diverged = []  # the first non-finite step of each stack that has one
-    # a diverging run overflows here; the finiteness check turns every inf
-    # or NaN into IntegrationDivergedError, so numpy need not warn as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        for index, transfer, powers, last_hop in stacks:
-            occupied = (vec0[index] != 0).any(axis=1)
-            if not occupied.any():
-                continue
-            index, transfer = index[occupied], transfer[occupied]
-            powers, last_hop = powers[:, occupied], last_hop[occupied]
-            # rows[:, i] are H^i on the blocks' entries, H = Q^stride: with
-            # rows 0..m-1 known, one product with (H^h)^T, h = 2^j <= m,
-            # yields rows m..m+h-1; h doubles while the powers last, then
-            # stays at the largest
-            rows = np.empty((len(index), n, index.shape[1]), dtype=complex)
-            rows[:, 0] = vec0[index]
-            m, j = 1, 0
-            while m < n - 1:
-                hop = 1 << j
-                size = min(hop, n - 1 - m)
-                np.matmul(rows[:, m - hop:m - hop + size], powers[j], out=rows[:, m:m + size])
-                m += size
-                j = min(j + 1, len(powers) - 1)
-            if n > 1:
-                np.matmul(rows[:, -2:-1], last_hop, out=rows[:, -1:])
-            finite = np.isfinite(rows).all(axis=(0, 2))
-            if not finite.all():
-                first = int(np.argmin(finite))
-                diverged.append(_first_nonfinite_step(transfer, rows[:, first - 1],
-                                                      steps[first - 1], steps[first]))
-                continue
-            # phase first: a fused complex product is not symmetric in the last bit
-            vecs[:, index] = phases(index) * rows.swapaxes(0, 1)
-    if diverged:
-        step = min(diverged)
-        raise IntegrationDivergedError(step, step * cfg.dt)
-    return Trajectory(taus=taus.copy(), rhos=vecs.reshape(n, *rho.shape))
+    vecs, diverged = propagator.records(rho.reshape(-1))
+    if diverged is not None:
+        raise IntegrationDivergedError(diverged, diverged * cfg.dt)
+    return Trajectory(taus=propagator.taus.copy(), rhos=vecs.reshape(len(vecs), *rho.shape))
 
 
-@functools.lru_cache(maxsize=1)
-def _propagator(params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionConfig):
-    """What rk4_evolve needs that depends only on (params, env, cfg):
+class _Propagator:
+    """What rk4_evolve needs that depends only on (params, env, cfg), and the
+    record fill that reads it.
 
-    stacks     one tuple (index, transfer, powers, last_hop) per block
-               size k, largest first, over the b invariant blocks of that
-               size: index (b, k) holds their entries of vec(rho),
-               transfer (b, k, k) Q on each block, powers (p, b, k, k) the
-               transposed H^(2^j) for j < p, H = Q^stride, and last_hop
-               (b, k, k) the transposed Q^gap for the final gap (powers[0]
-               when gap = stride).  p is as many powers as the doubling
-               over the records needs, cut at the stack's first square
-               that is not finite (at least 1);
-    radius     the spectral radius of Q, the largest over all blocks;
-    steps      the step index of each record;
-    taus       the record times;
-    phases     a _FramePhases store of exp(i tau Delta), filled as runs
-               read it.
+    stacks   one (index, transfer, powers, last_hop) per block size k,
+             largest first, over the b invariant blocks of that size:
+             index (b, k) holds their entries of vec(rho), transfer
+             (b, k, k) Q on each block, powers (p, b, k, k) the transposed
+             H^(2^j) for j < p, H = Q^stride, and last_hop (b, k, k) the
+             transposed Q^gap for the final gap (powers[0] when gap =
+             stride).  p is as many powers as the doubling over the records
+             needs, cut at the stack's first square that is not finite (at
+             least 1);
+    radius   the spectral radius of Q, the largest over all blocks;
+    steps    the step index of each record;
+    taus     the record times.
 
-    The blocks are the connected components of the sparsity pattern of
-    A(0), A(dt/2) and A(dt), the three matrices of a step, so neither Q
-    nor its powers couple two blocks.  Every returned array is read-only:
-    cache hits share them.  The phase store is written only by itself,
-    and hands out copies.  The build runs under the errstate of the
-    record fill: rates too large for RK4 overflow Q and its powers, which
-    the stability warning and the divergence check in rk4_evolve report,
-    so numpy need not warn as well.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        generator = make_rhs(params, env, cfg.engine)
-        dt = cfg.dt
-        stride = int(cfg.record_stride)
-        n_steps = int(round(cfg.t_max / dt))
-        delta = frame_frequencies(params, env).reshape(-1)
-        a0 = generator(0.0)
-        _check_covariance(generator, a0, delta, n_steps * dt)
-        liouville = (a0, generator(0.5 * dt), generator(dt))
-        back = np.exp(delta * (-1j * dt))
-        steps = (*range(0, n_steps, stride), n_steps)
-        taus = np.asarray(steps) * dt
-        last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
-        stacks = []
-        for index in _invariant_blocks(np.logical_or.reduce([a != 0 for a in liouville])):
-            rows, cols = index[:, :, None], index[:, None, :]
-            transfer = back[rows] * _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
-            powers = [np.linalg.matrix_power(transfer, stride).swapaxes(-1, -2)]
-            # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
-            for _ in range(1, (len(steps) - 2).bit_length()):
-                square = powers[-1] @ powers[-1]
-                if not np.isfinite(square).all():
-                    break  # this stack goes on with its largest finite power
-                powers.append(square)
-            last_hop = (powers[0] if last_gap == stride else
-                        np.linalg.matrix_power(transfer, last_gap).swapaxes(-1, -2))
-            stacks.append((index, transfer, np.stack(powers), last_hop))
-        radius = max(_spectral_radius(transfer) for _, transfer, *_ in stacks)
-    for array in (*(a for stack in stacks for a in stack), taus):
-        array.setflags(write=False)
-    return tuple(stacks), radius, steps, taus, _FramePhases(taus, delta)
-
-
-class _FramePhases:
-    """exp(i tau Delta) of each entry of vec(rho) at every record,
-    computed for an entry when it is first read.
-
-    Called with a (b, k) index of distinct entries, returns their (n, b, k)
-    phases at the n records.  The table holds one row per entry, so an
-    entry's phases are contiguous: a store reserves 1 KiB per record but
-    writes only the rows its runs read.
+    The arrays of stacks and taus are read-only: cache hits share them.
+    The frame phase table, one row per entry of vec(rho) so that an
+    entry's phases are contiguous, is written only by phases(), which
+    hands out copies.
+    The build and the fill run with numpy's overflow warnings off: rates
+    too large for RK4 overflow Q, its powers and the records, which the
+    stability warning and the divergence check report instead.
     """
 
-    def __init__(self, taus: np.ndarray, delta: np.ndarray):
-        self._taus = taus
+    def __init__(self, params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionConfig):
+        with np.errstate(over="ignore", invalid="ignore"):
+            generator = make_rhs(params, env, cfg.engine)
+            dt = cfg.dt
+            stride = int(cfg.record_stride)
+            n_steps = int(round(cfg.t_max / dt))
+            delta = frame_frequencies(params, env).reshape(-1)
+            a0 = generator(0.0)
+            _check_covariance(generator, a0, delta, n_steps * dt)
+            liouville = (a0, generator(0.5 * dt), generator(dt))
+            back = np.exp(delta * (-1j * dt))
+            steps = (*range(0, n_steps, stride), n_steps)
+            taus = np.asarray(steps) * dt
+            last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
+            stacks = []
+            for index in _invariant_blocks(a0 != 0):
+                rows, cols = index[:, :, None], index[:, None, :]
+                transfer = back[rows] * _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
+                powers = [np.linalg.matrix_power(transfer, stride).swapaxes(-1, -2)]
+                # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
+                for _ in range(1, (len(steps) - 2).bit_length()):
+                    square = powers[-1] @ powers[-1]
+                    if not np.isfinite(square).all():
+                        break  # this stack goes on with its largest finite power
+                    powers.append(square)
+                last_hop = (powers[0] if last_gap == stride else
+                            np.linalg.matrix_power(transfer, last_gap).swapaxes(-1, -2))
+                stacks.append((index, transfer, np.stack(powers), last_hop))
+            radius = max(_spectral_radius(transfer) for _, transfer, *_ in stacks)
+        for array in (*(a for stack in stacks for a in stack), taus):
+            array.setflags(write=False)
+        self.stacks, self.radius, self.steps, self.taus = tuple(stacks), radius, steps, taus
         self._delta = delta
         self._table = np.empty((len(delta), len(taus)), dtype=complex)
         self._filled = np.zeros(len(delta), dtype=bool)
 
-    def __call__(self, index: np.ndarray) -> np.ndarray:
+    def phases(self, index: np.ndarray) -> np.ndarray:
+        """The (n, b, k) phases exp(i tau Delta) at the n records of a (b, k)
+        index of distinct entries, computing those no earlier call read."""
         new = index[~self._filled[index]]
         if len(new):
             # the product of np.outer commutes exactly: each phase has the
             # bits of the full table exp(outer(taus, delta) * 1j)
-            self._table[new] = np.exp(np.outer(self._delta[new], self._taus) * 1j)
+            self._table[new] = np.exp(np.outer(self._delta[new], self.taus) * 1j)
             self._filled[new] = True
         return self._table[index].transpose(2, 0, 1)
+
+    def records(self, vec0: np.ndarray) -> tuple[np.ndarray, int | None]:
+        """The (n, dim**2) records of vec(rho0) and the first step whose state
+        is non-finite in any stack, None when every record is finite."""
+        n = len(self.steps)
+        vecs = np.zeros((n, len(vec0)), dtype=complex)
+        diverged = []  # the first non-finite step of each stack that has one
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index, transfer, powers, last_hop in self.stacks:
+                occupied = (vec0[index] != 0).any(axis=1)
+                if not occupied.any():
+                    continue
+                index, transfer = index[occupied], transfer[occupied]
+                powers, last_hop = powers[:, occupied], last_hop[occupied]
+                # rows[:, i] are H^i on the blocks' entries: with rows
+                # 0..m-1 known, one product with (H^h)^T, h = 2^j <= m,
+                # yields rows m..m+h-1; h doubles while the powers last,
+                # then stays at the largest
+                rows = np.empty((len(index), n, index.shape[1]), dtype=complex)
+                rows[:, 0] = vec0[index]
+                m, j = 1, 0
+                while m < n - 1:
+                    hop = 1 << j
+                    size = min(hop, n - 1 - m)
+                    np.matmul(rows[:, m - hop:m - hop + size], powers[j],
+                              out=rows[:, m:m + size])
+                    m += size
+                    j = min(j + 1, len(powers) - 1)
+                if n > 1:
+                    np.matmul(rows[:, -2:-1], last_hop, out=rows[:, -1:])
+                finite = np.isfinite(rows).all(axis=(0, 2))
+                if not finite.all():
+                    # single steps with Q from the last finite record; the
+                    # next record's step when none is non-finite, the
+                    # powered Q having overflowed although single steps did not
+                    first = int(np.argmin(finite))
+                    part, step = rows[:, first - 1, :, None], self.steps[first - 1] + 1
+                    while step < self.steps[first]:
+                        part = transfer @ part
+                        if not np.isfinite(part).all():
+                            break
+                        step += 1
+                    diverged.append(step)
+                    continue
+                # phase first: a fused complex product is not symmetric in the last bit
+                vecs[:, index] = self.phases(index) * rows.swapaxes(0, 1)
+        return vecs, min(diverged, default=None)
+
+
+_propagator = functools.lru_cache(maxsize=1)(_Propagator)
 
 
 def _invariant_blocks(coupled: np.ndarray) -> list[np.ndarray]:
@@ -511,20 +505,6 @@ def _spectral_radius(transfer: np.ndarray) -> float:
     if not np.isfinite(transfer).all():
         return float("inf")
     return float(np.max(np.abs(np.linalg.eigvals(transfer))))
-
-
-def _first_nonfinite_step(transfer: np.ndarray, part: np.ndarray, start: int, stop: int) -> int:
-    """Apply a stack's one-step transfer matrices, (b, k, k), to its finite
-    co-rotating state of step start, (b, k), one step at a time, and
-    return the first step at which it is not finite: stop when no earlier
-    one is, the powered transfer matrix having overflowed although
-    single steps did not."""
-    part = part[..., None]
-    for step in range(start + 1, stop):
-        part = transfer @ part
-        if not np.isfinite(part).all():
-            return step
-    return stop
 
 
 def _check_sizes(params: SpinChainParams, env: EnvironmentSpec) -> None:

@@ -88,6 +88,19 @@ def test_simulate_too_many_records_exits_1(tmp_path, capsys):
         "10000000000001 records, more than 1048576\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("gamma_11 = 0.1", "gamma_11 repeats a qubit index"),
+    ("dt = inf", "dt must be finite, got 'inf'"),
+    ("J = nan", "J must be finite, got 'nan'"),
+], ids=["repeated_index", "infinite_dt", "nan_coupling"])
+def test_simulate_bad_value_names_its_line_and_exits_1(tmp_path, capsys, line, message):
+    cfg = write(tmp_path / "bad.cfg",
+                f"model = dephasing\nstate = psi_18\n{line}\nout = {tmp_path}/x.csv\n")
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_divergence_exits_2(tmp_path, capsys):
     # rate far beyond the fixed-step stability limit
     cfg = write(tmp_path / "stiff.cfg",
@@ -173,6 +186,18 @@ def test_plot_extreme_finite_columns(tmp_path, values, code):
         labels = [label for _, _, label in ticks]
         assert len(set(positions)) == len(positions)
         assert len(set(labels)) == len(labels)
+
+
+def test_plot_subnormal_span_draws_that_axis_without_ticks(tmp_path, capsys):
+    # a tick step of 5e-324 / 5 is below the smallest normal float
+    csv_path = write(tmp_path / "x.csv", "tau,y\n0,0\n1,5e-324\n")
+    svg = tmp_path / "x.svg"
+    assert cli.main(["plot", csv_path, "--columns", "y", "--out", str(svg)]) == 0
+    assert capsys.readouterr().err == ""
+    text = svg.read_text()
+    assert re.findall(r'font-size="11" text-anchor="middle">([^<]+)<', text) == ["0", "0.5", "1"]
+    assert 'text-anchor="end"' not in text  # no y ticks
+    assert "nan" not in text and "inf" not in text
 
 
 def test_cli_warning_is_one_line_without_source():

@@ -115,6 +115,8 @@ def test_dephasing_model_guards(default_setup):
     rho = lc.initial_bell_density(1, 8)
     with pytest.raises(ValueError, match="dissipative"):
         lc.closed_form_dephasing(rho, 1.0, envs[M.CORRELATED_DISSIPATION])
+    with pytest.raises(ValueError, match=r"^rho shape \(4, 4\) does not match 3 qubits$"):
+        lc.closed_form_dephasing(np.eye(4) / 4, 1.0, envs[M.DEPHASING])
 
 
 # -------------------------------------------------------- right-hand sides
@@ -247,7 +249,8 @@ TWO_QUBIT_ENV = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.0
 
 def test_generators_are_frame_covariant(default_setup):
     """A(t + c) = D(t) A(c) D(-t) with D(t) = diag(exp(i Delta t)): the
-    symmetry that turns RK4 into powers of one transfer matrix."""
+    symmetry that turns RK4 into powers of one transfer matrix.  A(t) is
+    nonzero only where A(0) is, so A(0) alone gives the invariant blocks."""
     params, envs = default_setup
     cases = [(params, env) for env in envs.values()]
     cases.append((TWO_QUBIT_CHAIN, TWO_QUBIT_ENV))
@@ -257,10 +260,12 @@ def test_generators_are_frame_covariant(default_setup):
         delta = frame_frequencies(chain, env).reshape(-1)
         for kind in EngineKind:
             generator = lc.make_rhs(chain, env, kind)
+            silent = generator(0.0) == 0
             for t, c in ((0.37, 0.0), (2.9, 0.0005), (4.4, 1.3)):
                 frame = np.exp(1j * delta * t)
                 moved = frame[:, None] * generator(c) * frame.conj()[None, :]
                 assert np.max(np.abs(generator(t + c) - moved)) < 1e-12
+                assert np.all(generator(t + c)[silent] == 0)
 
 
 def test_correlations_change_only_turning_entries(default_setup):
@@ -417,9 +422,10 @@ def test_doubled_records_match_sequential_loop(default_setup, propagator_cache,
     cfg = EvolutionConfig(t_max=n_steps * 1e-2, dt=1e-2, record_stride=3)
     for env in envs.values():
         traj = lc.rk4_evolve(rho0, cfg, params, env)
-        stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
+        propagator = propagator_cache(params, env, cfg)
+        steps = propagator.steps
         assert traj.n_records == len(steps) == n_records
-        for _, _, powers, _ in stacks:
+        for _, _, powers, _ in propagator.stacks:
             assert len(powers) == max(1, (n_records - 2).bit_length())
         reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                         frame_frequencies(params, env).reshape(-1))
@@ -436,10 +442,11 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
     rho0 = lc.initial_bell_density(1, 7)
     with pytest.warns(UserWarning, match="spectral radius"):
         traj = lc.rk4_evolve(rho0, cfg, params, env)
-    stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
+    propagator = propagator_cache(params, env, cfg)
+    steps = propagator.steps
     assert traj.n_records == len(steps) == 401
     # the one stack of 64 singletons stopped squaring at the overflow
-    assert [len(powers) for _, _, powers, _ in stacks] == [8]
+    assert [len(powers) for _, _, powers, _ in propagator.stacks] == [8]
     reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                     frame_frequencies(params, env).reshape(-1))
     assert np.isfinite(traj.rhos).all()
@@ -457,7 +464,8 @@ def test_each_stack_squares_to_its_own_first_overflow(propagator_cache):
         with pytest.raises(lc.IntegrationDivergedError) as err:
             lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, env)
     assert err.value.step == 2232
-    stacks, _, steps, _, _ = propagator_cache(params, env, cfg)
+    propagator = propagator_cache(params, env, cfg)
+    stacks, steps = propagator.stacks, propagator.steps
     assert [index.shape for index, *_ in stacks] == [(1, 8), (6, 4), (12, 2), (8, 1)]
     assert [len(powers) for _, _, powers, _ in stacks] == [8, 9, 9, 9]
     powers = stacks[0][2]  # of the population block
@@ -530,7 +538,7 @@ def _block_sizes(stacks):
 
 def _partition(params, env, kind):
     cfg = EvolutionConfig(t_max=1.0, dt=1e-3, engine=kind)
-    stacks, _, _, _, _ = engine._propagator.__wrapped__(params, env, cfg)
+    stacks = engine._propagator.__wrapped__(params, env, cfg).stacks
     blocks = sorted(tuple(block) for index, *_ in stacks for block in index.tolist())
     assert sorted(entry for block in blocks for entry in block) == list(range(params.dim ** 2))
     return stacks, blocks
@@ -569,7 +577,7 @@ def test_records_outside_the_occupied_blocks_are_exactly_zero(default_setup,
         rho0 = lc.initial_bell_density(*pair)
         for env in envs.values():
             traj = lc.rk4_evolve(rho0, cfg, params, env)
-            stacks, _, _, _, _ = propagator_cache(params, env, cfg)
+            stacks = propagator_cache(params, env, cfg).stacks
             occupied = np.zeros(params.dim ** 2, dtype=bool)
             for block in (block for index, *_ in stacks for block in index):
                 occupied[block] = np.any(rho0.reshape(-1)[block] != 0)
@@ -662,19 +670,19 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
     assert propagator_cache.cache_info().hits == 1
     assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])
     assert np.array_equal(again.rhos, first)
-    stacks, _, _, taus, phases = propagator_cache(params, env, cfg)
-    for index, transfer, powers, last_hop in stacks:
+    propagator = propagator_cache(params, env, cfg)
+    for index, transfer, powers, last_hop in propagator.stacks:
         assert len(powers) == 2  # 3 rows from one by doubling: H^T and (H^2)^T
         for array in (index, transfer, powers, last_hop):
             assert not array.flags.writeable
-    assert not taus.flags.writeable
-    # the phase store is the one cached object that is written, and only by
-    # itself: what it returns is a copy
-    index = stacks[0][0]
-    handed = phases(index)
+    assert not propagator.taus.flags.writeable
+    # the phase table is the one cached array that is written, and only by
+    # phases(): what it returns is a copy
+    index = propagator.stacks[0][0]
+    handed = propagator.phases(index)
     expected = handed.copy()
     handed[:] = 0.0
-    assert np.array_equal(phases(index), expected)
+    assert np.array_equal(propagator.phases(index), expected)
 
 
 def test_frame_phases_are_filled_once_in_any_order(default_setup, propagator_cache,
@@ -689,26 +697,26 @@ def test_frame_phases_are_filled_once_in_any_order(default_setup, propagator_cac
     exp = np.exp
     for model, count in zip(MODELS, (40, 64, 40, 40)):
         env = envs[model]
-        built = engine._propagator.__wrapped__(params, env, cfg)
-        table = exp(np.outer(built[3], frame_frequencies(params, env).reshape(-1)) * 1j)
+        built = engine._Propagator(params, env, cfg)
+        table = exp(np.outer(built.taus, frame_frequencies(params, env).reshape(-1)) * 1j)
+        built.phases = lambda index: table[:, index]
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_propagator",
-                          lambda *key: (*built[:4], lambda index: table[:, index]))
+            patch.setattr(engine, "_propagator", lambda *key: built)
             reference = [lc.rk4_evolve(rho0, cfg, params, env).rhos for rho0 in rho0s]
         for order in (1, -1):
             propagator_cache.cache_clear()
-            phases = propagator_cache(params, env, cfg)[4]
+            propagator = propagator_cache(params, env, cfg)
             computed = []  # the rows of every exp call, once the entry is built
             with monkeypatch.context() as patch:
                 patch.setattr(np, "exp", lambda x: computed.append(len(x)) or exp(x))
                 for rho0, rhos in list(zip(rho0s, reference))[::order]:
                     assert np.array_equal(lc.rk4_evolve(rho0, cfg, params, env).rhos, rhos)
-            assert sum(computed) == phases._filled.sum() == count
+            assert sum(computed) == propagator._filled.sum() == count
     # a single run computes only the entries it reads
     rho0 = lc.initial_bell_density(*lc.catalog_entry("psi_18").pair)
     for model, count in ((M.INDEPENDENT_DISSIPATION, 10), (M.DEPHASING, 4)):
         lc.rk4_evolve(rho0, cfg, params, envs[model])
-        assert propagator_cache(params, envs[model], cfg)[4]._filled.sum() == count
+        assert propagator_cache(params, envs[model], cfg)._filled.sum() == count
 
 
 def test_directly_built_environment_is_read_only():

@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 

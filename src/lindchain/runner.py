@@ -91,11 +91,12 @@ _RATE_KEY = re.compile(rf"^(gamma|Gamma)_([1-{N_QUBITS}])([1-{N_QUBITS}])?$")
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
-    Raises ConfigError with a line number for any malformed, unknown,
-    duplicated, or out-of-range entry.
+    One leading byte-order mark (U+FEFF) is dropped.  Raises ConfigError
+    with a line number for any malformed, unknown, duplicated, or
+    out-of-range entry.
     """
     entries: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -96,6 +96,27 @@ def test_error_line_numbers():
         parse_config("model = dephasing\nstate = psi_99\n")
 
 
+def test_leading_bom_is_dropped():
+    """A config saved with a byte-order mark parses as the same text
+    without it, and its errors name the same lines."""
+    text = ("# saved with a byte-order mark\nmodel = correlated_dissipation\n"
+            "state = xi_47\nJ = 12\ngamma_13 = 0.02\nt_max = 5\n")
+    plain, marked = parse_config(text), parse_config("\ufeff" + text)
+    assert replace(marked, env=None) == replace(plain, env=None)
+    assert marked.model is plain.model
+    assert np.array_equal(marked.env.rates, plain.env.rates)
+    for bad in ("# a comment\nmodel = dephasing\nnot a pair\n",
+                "bogus\nmodel = dephasing\n",
+                "# a comment\nmodel = dephasing\nstate = psi_18\nt_max = 5\nt_max = 6\n"):
+        messages = []
+        for prefix in ("", "\ufeff"):
+            with pytest.raises(ConfigError) as caught:
+                parse_config(prefix + bad)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert re.match(r"line [0-9]+: ", messages[0])
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="model"):
         parse_config("state = psi_18\n")

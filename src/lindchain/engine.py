@@ -51,14 +51,14 @@ with its Q from its last finite record find the step at which it
 diverged; the run reports the earliest over all stacks.
 
 Everything that depends only on (params, env, cfg) is one _Propagator,
-cached with one entry: the block stacks, the spectral radius, the record
-times and the frame phases exp(i tau Delta), which it computes for an
-entry of vec(rho) when a run first reads that entry and keeps for the
-runs after it.  The key hashes params and cfg by value and env by
+cached with one entry: Q on every stack, the spectral radius and the
+record times, built at once, then a stack's record powers and an entry's
+frame phases exp(i tau Delta), built when a run first reads them and kept
+for the runs after it.  The key hashes params and cfg by value and env by
 identity; an EnvironmentSpec's rates are read-only, so a spec cannot
 change under its entry.  A sweep runs the 16 states of one model back to
-back and builds 4 propagators, not 64, each computing the phases of an
-entry at most once.
+back and builds 4 propagators, not 64, each building a stack's powers
+and an entry's phases at most once.
 """
 
 from __future__ import annotations
@@ -279,9 +279,11 @@ class _OperatorBuilt:
         fac = 0.5 if env.model.dissipative else 1.0
         eye = np.eye(dim)
         # sum_kl gamma_kl S_k (x) conj(S_l) and sum_kl gamma_kl S_l^dag S_k
-        feed = np.einsum("kl,kac,lbd->abcd", env.rates, ops, ops.conj()).reshape(dim * dim, -1)
+        feed = np.einsum("kl,kac,lbd->abcd", env.rates, ops, ops.conj())
         anti = np.einsum("kl,lba,kbc->ac", env.rates, ops.conj(), ops)
-        self._liouville = fac * (2.0 * feed - np.kron(anti, eye) - np.kron(eye, anti.T))
+        # anti (x) I and I (x) anti^T as [a, b, c, d], the products np.kron forms
+        self._liouville = fac * (2.0 * feed - anti[:, None, :, None] * eye[:, None]
+                                 - eye[:, None, :, None] * anti.T[:, None]).reshape(dim * dim, -1)
         self._delta = frame_frequencies(params, env).reshape(-1)
 
     def __call__(self, t: float) -> np.ndarray:
@@ -333,26 +335,22 @@ class _Propagator:
     """What rk4_evolve needs that depends only on (params, env, cfg), and the
     record fill that reads it.
 
-    stacks   one (index, transfer, powers, last_hop) per block size k,
-             largest first, over the b invariant blocks of that size:
-             index (b, k) holds their entries of vec(rho), transfer
-             (b, k, k) Q on each block, powers (p, b, k, k) the transposed
-             H^(2^j) for j < p, H = Q^stride, and last_hop (b, k, k) the
-             transposed Q^gap for the final gap (powers[0] when gap =
-             stride).  p is as many powers as the doubling over the records
-             needs, cut at the stack's first square that is not finite (at
-             least 1);
+    stacks   one (index, transfer) per block size k, largest first, over
+             the b invariant blocks of that size: index (b, k) holds their
+             entries of vec(rho), transfer (b, k, k) Q on each block;
     radius   the spectral radius of Q, the largest over all blocks;
     steps    the step index of each record;
     taus     the record times.
 
-    The arrays of stacks and taus are read-only: cache hits share them.
-    The frame phase table, one row per entry of vec(rho) so that an
-    entry's phases are contiguous, is written only by phases(), which
-    hands out copies.
-    The build and the fill run with numpy's overflow warnings off: rates
-    too large for RK4 overflow Q, its powers and the records, which the
-    stability warning and the divergence check report instead.
+    Q and the radius cover every stack, since the stability warning reads
+    all of Q; a stack's powers are built when a run first occupies it (a
+    lone run under a dissipative model occupies 2 of its 4 stacks).  The
+    arrays of stacks, powers and taus are read-only: cache hits share them.
+    The frame phase table, one row per entry of vec(rho) so that an entry's
+    phases are contiguous, is written only by phases(), which hands out
+    copies.  The build and the fill run with numpy's overflow warnings off:
+    rates too large for RK4 overflow Q, its powers and the records, which
+    the stability warning and the divergence check report instead.
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionConfig):
@@ -372,23 +370,39 @@ class _Propagator:
             for index in _invariant_blocks(a0 != 0):
                 rows, cols = index[:, :, None], index[:, None, :]
                 transfer = back[rows] * _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
-                powers = [np.linalg.matrix_power(transfer, stride).swapaxes(-1, -2)]
+                stacks.append((index, transfer))
+            radius = max(_spectral_radius(transfer) for _, transfer in stacks)
+        for array in (*(a for stack in stacks for a in stack), taus):
+            array.setflags(write=False)
+        self.stacks, self.radius, self.steps, self.taus = tuple(stacks), radius, steps, taus
+        self._stride, self._last_gap = stride, last_gap
+        self._powers = [None] * len(stacks)
+        self._delta = delta
+        self._table = np.empty((len(delta), len(taus)), dtype=complex)
+        self._filled = np.zeros(len(delta), dtype=bool)
+
+    def powers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stack i's powers (p, b, k, k), the transposed H^(2^j) for j < p,
+        H = Q^stride, and last_hop (b, k, k), the transposed Q^gap for the
+        final gap (powers[0] when gap = stride), built on the first call.
+        p is as many powers as the doubling over the records needs, cut at
+        the stack's first square that is not finite (at least 1)."""
+        if self._powers[i] is None:
+            transfer = self.stacks[i][1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = [np.linalg.matrix_power(transfer, self._stride).swapaxes(-1, -2)]
                 # doubling n - 1 rows from one takes ceil(log2(n - 1)) products
-                for _ in range(1, (len(steps) - 2).bit_length()):
+                for _ in range(1, (len(self.steps) - 2).bit_length()):
                     square = powers[-1] @ powers[-1]
                     if not np.isfinite(square).all():
                         break  # this stack goes on with its largest finite power
                     powers.append(square)
-                last_hop = (powers[0] if last_gap == stride else
-                            np.linalg.matrix_power(transfer, last_gap).swapaxes(-1, -2))
-                stacks.append((index, transfer, np.stack(powers), last_hop))
-            radius = max(_spectral_radius(transfer) for _, transfer, *_ in stacks)
-        for array in (*(a for stack in stacks for a in stack), taus):
-            array.setflags(write=False)
-        self.stacks, self.radius, self.steps, self.taus = tuple(stacks), radius, steps, taus
-        self._delta = delta
-        self._table = np.empty((len(delta), len(taus)), dtype=complex)
-        self._filled = np.zeros(len(delta), dtype=bool)
+                last_hop = (powers[0] if self._last_gap == self._stride else
+                            np.linalg.matrix_power(transfer, self._last_gap).swapaxes(-1, -2))
+            self._powers[i] = np.stack(powers), last_hop
+            for array in self._powers[i]:
+                array.setflags(write=False)
+        return self._powers[i]
 
     def phases(self, index: np.ndarray) -> np.ndarray:
         """The (n, b, k) phases exp(i tau Delta) at the n records of a (b, k)
@@ -408,10 +422,11 @@ class _Propagator:
         vecs = np.zeros((n, len(vec0)), dtype=complex)
         diverged = []  # the first non-finite step of each stack that has one
         with np.errstate(over="ignore", invalid="ignore"):
-            for index, transfer, powers, last_hop in self.stacks:
+            for i, (index, transfer) in enumerate(self.stacks):
                 occupied = (vec0[index] != 0).any(axis=1)
                 if not occupied.any():
                     continue
+                powers, last_hop = self.powers(i)
                 index, transfer = index[occupied], transfer[occupied]
                 powers, last_hop = powers[:, occupied], last_hop[occupied]
                 # rows[:, i] are H^i on the blocks' entries: with rows

@@ -313,9 +313,8 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
     The pad byte holds the first byte after the slot, a comma or the
     newline; the NUL bytes left (the sign of a positive cell, the third
     exponent digit of a 2-digit exponent, the padding) are dropped when
-    the lines are compacted.  A cell left to % gets the slot '%.11e',
-    filled in by one % on the compacted text, which holds no other %
-    since every cell is a number.
+    the lines are compacted.  A cell left to % gets its '%.11e' text,
+    NUL-padded, as its slot.
     """
     pow10, lead, digits4, tail, exponent = _digit_tables()
     magnitude = np.abs(values)
@@ -335,7 +334,9 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
     lower, last = np.divmod(digits, 100)
     slots = np.stack((lead[100 * np.signbit(values) + top], digits4[upper], digits4[lower],
                       tail[2 * last + (e < 0)], exponent[np.abs(e)]), axis=-1)
-    slots[~fast] = _FALLBACK_SLOT
+    # at most 19 bytes (-4.94065645841e-324): the slot's last byte is left for the pad
+    fallback = np.array(["%.11e" % x for x in values[~fast].tolist()], "S20")
+    slots[~fast] = fallback.view(np.uint32).reshape(-1, 5)
 
     line = ",".join("\0" if cell is None else cell for cell in cells) + "\n"
     head, *tails = line.encode("ascii").split(b"\0")
@@ -351,12 +352,10 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
         if j < n_slots:
             words[:, start:start + 5] = slots[:, j]
             start += 5
-    text = words.tobytes().replace(b"\0", b"").decode("ascii")
-    return text if fast.all() else text % tuple(values[~fast].tolist())
+    return words.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 _POW10_OFFSET = 300  # pow10[_POW10_OFFSET + p] is 10**p
-_FALLBACK_SLOT = np.frombuffer(b"%.11e".ljust(20, b"\0"), np.uint32)
 
 
 def _padded_words(data: bytes) -> np.ndarray:

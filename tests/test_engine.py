@@ -254,6 +254,27 @@ TWO_QUBIT_ENV = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.0
 @given(chains_and_rates())
 @example(chain_and_rates=(lc.SpinChainParams(), default_rate_matrix()))
 @example(chain_and_rates=(TWO_QUBIT_CHAIN, TWO_QUBIT_ENV.rates))
+@settings(max_examples=25, deadline=None)
+def test_operator_built_liouville_has_the_bits_of_the_kron_formula(chain_and_rates):
+    """The broadcast anti (x) I and I (x) anti^T multiply the pairs np.kron
+    multiplies, so the Liouville matrix keeps every bit."""
+    chain, rates = chain_and_rates
+    dim = chain.dim
+    for model in MODELS:
+        env = _quiet_environment(model, rates)
+        ops = (lowering_operators if model.dissipative else sz_operators)(chain.n_qubits)
+        feed = np.einsum("kl,kac,lbd->abcd", env.rates, ops, ops.conj()).reshape(dim * dim, -1)
+        anti = np.einsum("kl,lba,kbc->ac", env.rates, ops.conj(), ops)
+        eye = np.eye(dim)
+        kron = ((0.5 if model.dissipative else 1.0)
+                * (2.0 * feed - np.kron(anti, eye) - np.kron(eye, anti.T)))
+        liouville = lc.make_rhs(chain, env, EngineKind.OPERATOR_BUILT)._liouville
+        assert liouville.shape == kron.shape and liouville.tobytes() == kron.tobytes()
+
+
+@given(chains_and_rates())
+@example(chain_and_rates=(lc.SpinChainParams(), default_rate_matrix()))
+@example(chain_and_rates=(TWO_QUBIT_CHAIN, TWO_QUBIT_ENV.rates))
 @settings(max_examples=60, deadline=None)
 def test_generators_are_frame_covariant(chain_and_rates):
     """A(t + c) = D(t) A(c) D(-t) with D(t) = diag(exp(i Delta t)): the
@@ -418,6 +439,12 @@ def _sequential_records(transfer, rho0, steps, dt, delta):
     return phased.reshape(len(steps), *rho0.shape)
 
 
+def _stacks_with_powers(propagator):
+    """(index, transfer, powers, last_hop) per stack, building the powers
+    of any stack no run has occupied yet."""
+    return [(*stack, *propagator.powers(i)) for i, stack in enumerate(propagator.stacks)]
+
+
 @pytest.mark.parametrize("n_steps, n_records", [
     (0, 1), (3, 2), (6, 3), (90, 31), (93, 32), (96, 33), (99, 34), (1200, 401), (100, 35),
 ], ids=["1", "2", "3", "2^5-1", "2^5", "2^5+1", "2^5+2", "sweep_401", "short_final_gap"])
@@ -431,7 +458,7 @@ def test_doubled_records_match_sequential_loop(default_setup, propagator_cache,
         propagator = propagator_cache(params, env, cfg)
         steps = propagator.steps
         assert traj.n_records == len(steps) == n_records
-        for _, _, powers, _ in propagator.stacks:
+        for _, _, powers, _ in _stacks_with_powers(propagator):
             assert len(powers) == max(1, (n_records - 2).bit_length())
         reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                         frame_frequencies(params, env).reshape(-1))
@@ -452,7 +479,7 @@ def test_overflowing_power_leaves_finite_records_finite(propagator_cache):
     steps = propagator.steps
     assert traj.n_records == len(steps) == 401
     # the one stack of 64 singletons stopped squaring at the overflow
-    assert [len(powers) for _, _, powers, _ in propagator.stacks] == [8]
+    assert [len(powers) for _, _, powers, _ in _stacks_with_powers(propagator)] == [8]
     reference = _sequential_records(_dense_transfer(params, env, cfg), rho0, steps, cfg.dt,
                                     frame_frequencies(params, env).reshape(-1))
     assert np.isfinite(traj.rhos).all()
@@ -471,7 +498,7 @@ def test_each_stack_squares_to_its_own_first_overflow(propagator_cache):
             lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, env)
     assert err.value.step == 2232
     propagator = propagator_cache(params, env, cfg)
-    stacks, steps = propagator.stacks, propagator.steps
+    stacks, steps = _stacks_with_powers(propagator), propagator.steps
     assert [index.shape for index, *_ in stacks] == [(1, 8), (6, 4), (12, 2), (8, 1)]
     assert [len(powers) for _, _, powers, _ in stacks] == [8, 9, 9, 9]
     powers = stacks[0][2]  # of the population block
@@ -659,7 +686,7 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
     assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])
     assert np.array_equal(again.rhos, first)
     propagator = propagator_cache(params, env, cfg)
-    for index, transfer, powers, last_hop in propagator.stacks:
+    for index, transfer, powers, last_hop in _stacks_with_powers(propagator):
         assert len(powers) == 2  # 3 rows from one by doubling: H^T and (H^2)^T
         for array in (index, transfer, powers, last_hop):
             assert not array.flags.writeable
@@ -705,6 +732,63 @@ def test_frame_phases_are_filled_once_in_any_order(default_setup, propagator_cac
     for model, count in ((M.INDEPENDENT_DISSIPATION, 10), (M.DEPHASING, 4)):
         lc.rk4_evolve(rho0, cfg, params, envs[model])
         assert propagator_cache(params, envs[model], cfg)._filled.sum() == count
+
+
+def _count_power_builds(patch):
+    """Patch matrix_power to log the shape of each stack it powers: one
+    call per stack build on a grid whose final gap is a whole stride."""
+    built, matrix_power = [], np.linalg.matrix_power
+    patch.setattr(np.linalg, "matrix_power",
+                  lambda a, n: built.append(a.shape[:2]) or matrix_power(a, n))
+    return built
+
+
+def test_a_lone_run_builds_the_powers_of_the_stacks_it_occupies(default_setup,
+                                                                 propagator_cache, monkeypatch):
+    params, envs = default_setup
+    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep grid
+    rho0 = lc.initial_bell_density(*lc.catalog_entry("psi_18").pair)
+    occupied = {M.INDEPENDENT_DISSIPATION: [(1, 8), (8, 1)],
+                M.CORRELATED_DISSIPATION: [(1, 20), (2, 1)],
+                M.DEPHASING: [(64, 1)], M.CORRELATED_DEPHASING: [(64, 1)]}
+    for model, shapes in occupied.items():
+        with monkeypatch.context() as patch:
+            built = _count_power_builds(patch)
+            lc.rk4_evolve(rho0, cfg, params, envs[model])
+        propagator = propagator_cache(params, envs[model], cfg)
+        assert len(propagator.stacks) == (4 if model.dissipative else 1)
+        assert built == shapes
+        assert [index.shape for (index, _), powers in zip(propagator.stacks, propagator._powers)
+                if powers is not None] == shapes
+
+
+def test_record_powers_are_built_once_in_any_order(default_setup, propagator_cache,
+                                                   monkeypatch):
+    """The 16 catalog states, run through one cache entry in catalog order
+    or in reverse, build each stack's powers at most once, never those of
+    independent dissipation's (6, 4) stack, which no state occupies, and
+    the bits of an eager build."""
+    params, envs = default_setup
+    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep grid
+    rho0s = [lc.initial_bell_density(*entry.pair) for entry in lc.catalog_states(params)]
+    for model in MODELS:
+        env = envs[model]
+        eager = _stacks_with_powers(engine._Propagator(params, env, cfg))
+        for order in (1, -1):
+            propagator_cache.cache_clear()
+            with monkeypatch.context() as patch:
+                built = _count_power_builds(patch)
+                for rho0 in rho0s[::order]:
+                    lc.rk4_evolve(rho0, cfg, params, env)
+            propagator = propagator_cache(params, env, cfg)
+            filled = [i for i, powers in enumerate(propagator._powers) if powers is not None]
+            shapes = [eager[i][0].shape for i in filled]
+            assert sorted(built) == sorted(shapes) and len(set(built)) == len(built)
+            never = [(6, 4)] if model is M.INDEPENDENT_DISSIPATION else []
+            assert [index.shape for index, *_ in eager if index.shape not in shapes] == never
+            for i in filled:
+                for lazy, full in zip(propagator.powers(i), eager[i][2:]):
+                    assert lazy.tobytes() == full.tobytes()
 
 
 def test_directly_built_environment_is_read_only():

@@ -345,6 +345,18 @@ def test_render_csv_float_table_matches_percent_format():
     assert render_csv(tuple("abcde"), table).split("\n", 1)[1] == _percent_lines(table)
 
 
+def test_render_csv_fallback_cells_fill_their_own_slots():
+    # rows holding several cells left to '%.11e', in the first and the last
+    # varying column, between constant columns; -1.5e-308 prints 19 bytes
+    fallback = np.array([np.nan, -np.inf, 5e-324, -1.5e-308, 1e300])
+    ordinary = np.linspace(-2.5, 7.25, len(fallback))
+    table = np.column_stack([np.full(len(fallback), 0.5), fallback, ordinary, fallback[::-1],
+                             np.full(len(fallback), -3.0)])
+    text = render_csv(tuple("abcde"), table)
+    assert ",-1.50000000000e-308," in text
+    assert text.split("\n", 1)[1] == _percent_lines(table)
+
+
 @pytest.mark.parametrize("shift", [-0.5, 0.5])
 def test_render_csv_float_table_survives_an_exponent_off_by_one(monkeypatch, shift):
     # where log10 misses the decimal exponent, the scaled value leaves

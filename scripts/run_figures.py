@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from lindchain.runner import parse_config, run_scenario, sweep
-from lindchain.svgplot import emit_svg_plot
+from lindchain.svgplot import plot_csvs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     if overlays:
         figures = overlays[0].parent
         for column in ("gme", "purity"):
-            out = emit_svg_plot(overlays, [column], figures / f"overlay_{column}.svg")
+            out = plot_csvs(overlays, [column], figures / f"overlay_{column}.svg")
             print(f"{'overlay':<34} -> {out}")
 
     with tempfile.TemporaryDirectory() as tmp:

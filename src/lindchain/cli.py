@@ -24,7 +24,7 @@ from .catalog import catalog_states
 from .engine import IntegrationDivergedError
 from .runner import (ConfigError, compare_engines, parse_config, run_scenario, sweep,
                      write_csv)
-from .svgplot import PlotDataError, emit_svg_plot
+from .svgplot import PlotDataError, plot_csvs
 
 CATALOG_HEADER = ("state", "family", "pair_i", "pair_j", "paper_delta_e",
                   "computed_delta_e")
@@ -117,7 +117,7 @@ def _cmd_plot(args) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
         raise PlotDataError("--columns must name at least one column")
-    out = emit_svg_plot(args.csv, columns, args.out)
+    out = plot_csvs(args.csv, columns, args.out)
     print(out)
     return 0
 

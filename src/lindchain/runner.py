@@ -186,11 +186,18 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(label=label, pair=pair, params=params, env=env,
                     evolution=evolution, out=out[0] if out else None,
                     plot=plot[0] if plot else None)
-    # realpath, not Path.resolve(), which raises RuntimeError on a symlink loop
-    if plot and os.path.realpath(cfg.plot) == os.path.realpath(cfg.csv_path):
+    if plot and _same_file(cfg.plot, cfg.csv_path):
         raise ConfigError(f"plot {cfg.plot!r} is the CSV output path {str(cfg.csv_path)!r}",
                           plot[1])
     return cfg
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths a and b name one file, hard links included."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing, or a link loops: Path.resolve() would raise
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _parse_member(key, kind, item):
@@ -387,13 +394,21 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 def run_scenario(cfg: RunConfig) -> Path:
     """Integrate the configured scenario and write its CSV time series.
 
-    Returns the CSV path.  If the config names a plot path, an SVG of the
-    purity and gme columns is rendered next to it.
+    Returns the CSV path.  If the config names a plot path, tau, purity
+    and gme are read back from the CSV with one np.loadtxt call, which
+    reads render_csv's LF-ended, unquoted '%.11e' cells to the float() of
+    each, and drawn there: the SVG `lindchain plot` draws from the CSV.  A
+    cell that is not finite is a PlotDataError naming it, and no SVG is
+    written.
     """
     path = cfg.csv_path
     _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
     if cfg.plot:
-        svgplot.emit_svg_plot([path], ["purity", "gme"], cfg.plot)
+        names = CSV_HEADER[:3]  # tau, purity, gme
+        table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+        if not np.isfinite(table).all():  # the cell loop names the first bad cell
+            svgplot.read_csv_columns(path, names)
+        svgplot.emit_svg_plot([(path.stem, dict(zip(names, table.T)))], names[1:], cfg.plot)
     return path
 
 

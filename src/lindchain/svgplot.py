@@ -1,18 +1,17 @@
-"""Static SVG line charts rendered straight from CSV files.
+"""Static SVG line charts of decay curves.
 
 No plotting dependency: the chart is a standalone SVG 1.1 document built
 from polylines, so every figure is reproducible from published CSV data
 alone.  Values in a column named "gme" are clamped at zero for display
 (the stored CSV keeps the raw bound, which may be negative).
 
-The plotted columns of a CSV are parsed in one numpy call.  A file that
-call rejects, or one with a cell that is not a finite number, is read
-again cell by cell with csv.reader and float(), so an error still names
-the first bad cell by file, line and column.  Point coordinates are
-computed on whole arrays by the same expressions that place the axes and
-ticks.  A column named twice, or an input that is the same file as an
-earlier one, is drawn once; inputs that share a file stem are labelled
-by their paths; an output path that is one of the input CSVs is an error.
+plot_csvs draws CSV files, read cell by cell with csv.reader and float()
+so that an error names the first bad cell by file, line and column.  A
+column named twice, or an input that is the same file as an earlier one,
+is drawn once; inputs that share a file stem are labelled by their paths;
+an output path that is one of the input CSVs is an error.  emit_svg_plot
+draws columns already in memory: point coordinates are computed on whole
+arrays by the same expressions that place the axes and ticks.
 """
 
 from __future__ import annotations
@@ -49,17 +48,16 @@ def read_csv_columns(path: str | Path, names) -> dict[str, np.ndarray]:
     """The named columns of a CSV file as float arrays, keyed by header
     name.  Cells of other columns are not parsed, so they are not validated.
 
-    The rows are parsed in one numpy call; a file that call rejects, or
-    that holds a cell that is not finite, is read again cell by cell,
-    which names the first bad cell or returns what float() makes of each.
+    Rows are read with csv.reader and each wanted cell with float(); a
+    cell that is missing or not a finite number is a PlotDataError naming
+    the first such cell by line and column.
     """
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError:
         raise PlotDataError(f"{path}: not UTF-8 text") from None
-    stream = io.StringIO(text, newline="")
-    reader = csv.reader(stream)
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
         raise PlotDataError(f"{path}: empty CSV")
@@ -71,10 +69,6 @@ def read_csv_columns(path: str | Path, names) -> dict[str, np.ndarray]:
             raise PlotDataError(f"{path}: missing column {name!r} (have: {have})")
     # in file order, so that the first bad cell reported is the first in the file
     wanted = sorted({header.index(name) for name in names})
-    # tell() is an index into text: newline="" translates no line end
-    table = _parse_rows(text[stream.tell():], wanted)
-    if table is not None:
-        return {header[index]: column for index, column in zip(wanted, table.T)}
     columns: dict[str, list[float]] = {header[index]: [] for index in wanted}
     for row in reader:
         if not row:  # blank lines are skipped
@@ -95,39 +89,13 @@ def read_csv_columns(path: str | Path, names) -> dict[str, np.ndarray]:
     return {name: np.array(values) for name, values in columns.items()}
 
 
-def _parse_rows(data: str, wanted: list[int]) -> np.ndarray | None:
-    """The wanted columns of the CSV rows in data as one (rows, columns)
-    array, where one numpy call reads them as csv.reader and float() do;
-    None where it cannot, or where a cell is not finite.
+def plot_csvs(csv_paths, columns, out_path: str | Path) -> Path:
+    """Draw columns of CSV files against their shared "tau" column into
+    one SVG (emit_svg_plot) and return its path.
 
-    Rows end at LF, CRLF or CR, blank ones are skipped, and cells split
-    at every comma.  Text with a quote, where csv.reader would not split
-    at every comma, or with one of the control characters U+001C..U+001F,
-    which numpy strips around a number and float() rejects, is left to
-    the caller, as are text without a row (numpy warns of it) and an empty
-    wanted list (numpy returns empty rows, where the caller finds none).
-    """
-    if not wanted or '"' in data or any(char in data for char in "\x1c\x1d\x1e\x1f"):
-        return None
-    if "\r" in data:
-        data = data.replace("\r\n", "\n").replace("\r", "\n")
-    lines = data.split("\n")
-    if not any(lines):
-        return None
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=wanted, ndmin=2)
-    except ValueError:
-        return None
-    return table if np.isfinite(table).all() else None
-
-
-def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
-    """Write one SVG containing a polyline per (csv file, column) pair.
-
-    All CSVs must share a "tau" column, which becomes the x axis.  Only
-    tau and the plotted columns are read; a column named twice, or a CSV
-    that is the same file as an earlier one (through any path or link), is
-    drawn once.  A curve is labelled <file stem>:<column>, or
+    Only tau and the plotted columns are read; a column named twice, or a
+    CSV that is the same file as an earlier one (through any path or
+    link), is drawn once.  A curve is labelled <file stem>:<column>, or
     <path as given>:<column> where distinct CSVs share a stem.  An
     out_path that is one of the CSVs is a PlotDataError.
     """
@@ -145,9 +113,22 @@ def emit_svg_plot(csv_paths, columns, out_path: str | Path) -> Path:
         if not any(os.path.samestat(status, seen) for _, seen, _ in inputs):
             inputs.append((path, status, read_csv_columns(path, ["tau", *columns])))
     stems = [Path(path).stem for path, _, _ in inputs]
+    tables = [(stem if stems.count(stem) == 1 else str(path), table)
+              for (path, _, table), stem in zip(inputs, stems)]
+    return emit_svg_plot(tables, columns, out)
+
+
+def emit_svg_plot(tables, columns, out_path: str | Path) -> Path:
+    """Write one SVG containing a polyline per (table, column) pair and
+    return its path.
+
+    tables holds (label, {column: array}) pairs; each maps "tau", the x
+    axis, and every name in columns to float arrays of one length.  A
+    curve is labelled <label>:<column>.
+    """
+    out = Path(out_path)
     series = []
-    for (path, _, table), stem in zip(inputs, stems):
-        name = stem if stems.count(stem) == 1 else str(path)
+    for name, table in tables:
         taus = table["tau"]
         for column in columns:
             values = table[column]

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lindchain.cli as cli
+from lindchain import runner
 from lindchain.runner import EngineComparison
 
 REPO = Path(__file__).resolve().parent.parent
@@ -317,6 +319,38 @@ def test_simulate_plot_onto_its_csv_exits_1(tmp_path, capsys, monkeypatch, out, 
     assert capsys.readouterr().err == (
         f"error: line {len(lines)}: plot {plot!r} is the CSV output path {csv_path!r}\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+def test_simulate_non_finite_purity_keeps_the_csv_and_draws_no_svg(tmp_path, capsys,
+                                                                   monkeypatch):
+    purity = runner.purity
+
+    def one_inf(rhos):
+        values = np.array(purity(rhos))
+        values[3] = np.inf
+        return values
+
+    monkeypatch.setattr(runner, "purity", one_inf)
+    out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    cfg = write(tmp_path / "run.cfg", "model = dephasing\nstate = psi_18\nt_max = 1\n"
+                f"dt = 0.01\nstride = 10\nout = {out}\nplot = {svg}\n")
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}: line 5, column 'purity': 'inf' is not a finite number\n")
+    assert out.read_text(encoding="utf-8").splitlines()[4].split(",")[1] == "inf"
+    assert not svg.exists()
+
+
+def test_simulate_plot_onto_a_hard_link_of_its_csv_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.csv").write_text("kept\n", encoding="utf-8")
+    os.link(tmp_path / "run.csv", tmp_path / "link.svg")
+    cfg = write(tmp_path / "run.cfg", "model = dephasing\nstate = psi_18\nt_max = 1\n"
+                "dt = 0.01\nout = run.csv\nplot = link.svg\n")
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 6: plot 'link.svg' is the CSV output path 'run.csv'\n")
+    assert (tmp_path / "run.csv").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_simulate_plot_through_a_symlink_loop_exits_2(tmp_path, capsys, monkeypatch):

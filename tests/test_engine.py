@@ -11,7 +11,8 @@ from scipy.linalg import expm
 import lindchain as lc
 from helpers import (apply_generator, lindblad_rhs_operator, random_density, secular_split,
                      tilde_jump_operators)
-from lindchain import EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig, engine
+from lindchain import (EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig,
+                       dephasing_rate_matrix, engine)
 from lindchain.catalog import default_rate_matrix
 from lindchain.engine import MAX_RECORDS, frame_frequencies, lowering_operators, sz_operators
 
@@ -526,6 +527,48 @@ def test_rk4_warns_outside_stability_region(default_setup):
         warnings.simplefilter("error")
         for env in envs.values():
             lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, params, env)
+
+
+@pytest.mark.parametrize("factor, warns", [(1 + 2e-4, True), (1 - 2e-4, False)])
+def test_stability_warning_has_no_slack_past_the_boundary(propagator_cache, factor, warns):
+    # under dephasing Q is diagonal, so its radius is RK4's |1 + z + ... + z**4/24|
+    # at z = -3 g dt, the fastest coherence decay, or 1 (the populations);
+    # the real-axis boundary is z = -2.785293...
+    dt = 1e-3
+    g = 2.785293 * factor / (3 * dt)
+    env = lc.EnvironmentSpec(M.DEPHASING, g * np.eye(3))
+    cfg = EvolutionConfig(t_max=0.01, dt=dt, record_stride=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lc.rk4_evolve(lc.initial_bell_density(1, 8), cfg, lc.SpinChainParams(), env)
+    assert [str(w.message) for w in caught] == [
+        "dt = 0.001 lies outside the RK4 stability region: the one-step transfer "
+        "matrix has spectral radius 1.00084 > 1"] * warns
+
+
+def test_spectral_radius_is_the_modulus_of_complex_eigenvalues():
+    angle = 0.3
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    assert engine._spectral_radius(1.01 * rotation[None]) == pytest.approx(1.01, rel=1e-14)
+
+
+def test_correlated_dephasing_is_not_positive_off_the_catalog(default_setup):
+    """The default correlated dephasing map takes |+++><+++| out of the PSD
+    cone; plain dephasing does not.  Every rate R_mn is >= 0, so a Bell
+    pair's 2x2 block keeps populations 1/2 and a coherence that only
+    shrinks, and no catalog state shows it."""
+    params, envs = default_setup
+    plus = np.full((8, 8), 1 / 8, dtype=complex)
+    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep's grid
+    low = {}
+    for model in (M.CORRELATED_DEPHASING, M.DEPHASING):
+        traj = lc.rk4_evolve(plus, cfg, params, envs[model])
+        low[model] = lc.diagnostics(traj.rhos).min_eigenvalue
+        assert dephasing_rate_matrix(envs[model]).min() == 0.0
+    k = int(np.argmin(low[M.CORRELATED_DEPHASING]))
+    assert low[M.CORRELATED_DEPHASING][k] < -1e-2
+    assert k * cfg.dt * cfg.record_stride == pytest.approx(33.1)
+    assert low[M.DEPHASING].min() > -1e-15
 
 
 def test_rk4_matches_closed_form_dephasing(default_setup):

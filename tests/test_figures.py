@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lindchain.runner import parse_config, run_scenario, sweep
-from lindchain.svgplot import emit_svg_plot
+from lindchain.svgplot import plot_csvs
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -39,5 +39,5 @@ REDRAWS += [pytest.param(f"overlay_{column}.svg", OVERLAID, [column], id=f"overl
 def test_committed_csvs_redraw_committed_svg(svg, stems, columns, tmp_path):
     """What CI's `lindchain plot` step redraws, byte for byte."""
     csvs = [REPO / "figures" / f"{stem}.csv" for stem in stems]
-    out = emit_svg_plot(csvs, columns, tmp_path / svg)
+    out = plot_csvs(csvs, columns, tmp_path / svg)
     assert out.read_bytes() == (REPO / "figures" / svg).read_bytes()

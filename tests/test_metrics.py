@@ -293,6 +293,9 @@ def test_validate_rejects_bad_states():
         validate_density_matrix(0.5 * good)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         validate_density_matrix(np.diag([1.5, -0.5] + [0.0] * 6).astype(complex))
+    # just below the -1e-12 rounding allowance, not only far below it
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-09"):
+        validate_density_matrix(np.diag([1.0 + 1e-9, -1e-9] + [0.0] * 6).astype(complex))
 
 
 # -------------------------------------------------------------- diagnostics

@@ -5,16 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
 from lindchain import EngineKind, EnvironmentModel, runner
 from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines,
                               parse_config, render_csv, run_scenario, sweep,
-                              tau_first_below)
+                              tau_first_below, write_csv)
 
-MINIMAL = "model = dephasing\nstate = psi_18\nt_max = 50\n"
+MINIMAL = "model = dephasing\nstate = psi_18\n"  # every other key defaulted
 
 
 # ------------------------------------------------------------------ parsing
@@ -373,6 +373,23 @@ def test_render_csv_floats_match_percent_format(cells, width):
     table = np.resize(np.array(cells), (-(-len(cells) // width), width))
     assert render_csv(tuple("abcd"[:width]), table) == (
         ",".join("abcd"[:width]) + "\n" + _percent_lines(table))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(cells=st.lists(_finite, min_size=1, max_size=24))
+@example(cells=[5e-324, -0.0, 1.7e308, 1.0, -1.7e308, 0.0, -5e-324, 2.0])
+@settings(max_examples=40, deadline=None)
+def test_csv_reads_back_as_float_of_each_cell(tmp_path_factory, cells):
+    """run_scenario draws its SVG from np.loadtxt of the CSV it wrote, and
+    `lindchain plot` from float() of each cell: both read the same bits."""
+    path = tmp_path_factory.getbasetemp() / "read_back.csv"
+    write_csv(path, CSV_HEADER[:4], np.resize(np.array(cells), (-(-len(cells) // 4), 4)))
+    read = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    floats = np.array([[float(cell) for cell in line.split(",")[:3]] for line in lines])
+    assert read.tobytes() == floats.tobytes()
 
 
 def test_run_scenario_writes_expected_csv(tmp_path):

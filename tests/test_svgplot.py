@@ -1,13 +1,12 @@
 import math
 import re
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindchain import svgplot
-from lindchain.svgplot import PlotDataError, emit_svg_plot, read_csv_columns
+from lindchain.svgplot import PlotDataError, emit_svg_plot, plot_csvs, read_csv_columns
 
 
 def make_csv(path, header, rows):
@@ -39,7 +38,7 @@ def test_read_csv_columns_parses_only_the_named_columns(tmp_path):
     path.write_text("tau,purity,note\n0,1,abc\n\n1,0.5,\n", encoding="utf-8")
     assert column_lists(path, ["purity", "tau", "purity"]) == {
         "purity": [1.0, 0.5], "tau": [0.0, 1.0]}
-    out = emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+    out = plot_csvs([path], ["purity"], tmp_path / "fig.svg")
     assert len(polyline_points(out.read_text())) == 1
     with pytest.raises(PlotDataError, match="line 2, column 'note'"):
         read_csv_columns(path, ["tau", "note"])
@@ -52,8 +51,8 @@ TAU_PURITY = ["tau", "purity"]
 TWO_ROWS = {"tau": [0.0, 1.0], "purity": [1.0, 0.5]}
 
 
-# what csv.reader and float() make of each file, cell by cell; the one-call
-# parse must return the same lists or leave the file to that loop
+# what csv.reader and float() make of each file, cell by cell: odd but
+# valid cells read as numbers, and an error names the first bad cell
 @pytest.mark.parametrize("text, names, expected", [
     ("tau,purity\r\n0,1\r\n1,0.5\r\n", TAU_PURITY, TWO_ROWS),
     ("tau,purity\r0,1\r1,0.5\r", TAU_PURITY, TWO_ROWS),
@@ -99,40 +98,12 @@ def test_read_csv_columns_odd_inputs(tmp_path, text, names, expected):
         assert repr(column_lists(path, names)) == repr(expected)
 
 
-# mostly numbers, some wrapped in what only one of the two parsers accepts
-# or splits at, a few that neither takes
-_CELLS = st.sampled_from(["0", "1", "-0", "2.5e-3", "7", "0.5", "3", "-1", " 7 ", "\f1", "1\t",
-                          "1\x1c", "\x1f1", "1\u2028", '"1"', '"a,1"', '"a,1,"', "1_0", "nan",
-                          "1e400", "", "x", "1 # c"])
-
-
-@given(rows=st.lists(st.lists(_CELLS, min_size=2, max_size=4), max_size=5),
-       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\f"]), min_size=5,
-                     max_size=5),
-       names=st.lists(st.sampled_from(["tau", "purity", "note"]), min_size=1, max_size=3))
-@settings(max_examples=300, deadline=None)
-def test_one_call_parse_matches_the_cell_loop(tmp_path_factory, rows, ends, names):
-    path = tmp_path_factory.mktemp("parse") / "x.csv"
-    path.write_text("tau,purity,note\n" + "".join(
-        ",".join(row) + end for row, end in zip(rows, ends)), encoding="utf-8", newline="")
-
-    def outcome():
-        try:
-            return repr(column_lists(path, names))
-        except PlotDataError as err:
-            return str(err)
-
-    with mock.patch.object(svgplot, "_parse_rows", lambda data, wanted: None):
-        by_cell = outcome()
-    assert outcome() == by_cell
-
-
 def test_two_files_two_columns(tmp_path):
     a = make_csv(tmp_path / "a.csv", ("tau", "purity", "gme"),
                  [(0, 1.0, 1.0), (1, 0.8, 0.6), (2, 0.6, 0.3)])
     b = make_csv(tmp_path / "b.csv", ("tau", "purity", "gme"),
                  [(0, 1.0, 1.0), (1, 0.7, 0.5), (2, 0.55, 0.2)])
-    out = emit_svg_plot([a, b], ["purity", "gme"], tmp_path / "fig.svg")
+    out = plot_csvs([a, b], ["purity", "gme"], tmp_path / "fig.svg")
     text = out.read_text()
     assert text.startswith("<?xml")
     assert text.rstrip().endswith("</svg>")
@@ -141,9 +112,20 @@ def test_two_files_two_columns(tmp_path):
     assert "a:purity" in text and "b:gme" in text
 
 
+def test_drawer_takes_tables_in_memory(tmp_path):
+    table = {"tau": np.array([0.0, 1.0, 2.0]), "purity": np.array([1.0, 0.7, 0.55]),
+             "gme": np.array([1.0, 0.5, -0.2])}
+    path = make_csv(tmp_path / "run.csv", tuple(table),
+                    zip(*(column.tolist() for column in table.values())))
+    drawn = emit_svg_plot([("run", table)], ["purity", "gme"], tmp_path / "drawn.svg")
+    assert "run:gme" in drawn.read_text()
+    read = plot_csvs([path], ["purity", "gme"], tmp_path / "read.svg")
+    assert drawn.read_bytes() == read.read_bytes()
+
+
 def test_single_point_series_becomes_circle(tmp_path):
     path = make_csv(tmp_path / "one.csv", ("tau", "purity"), [(0.0, 1.0)])
-    out = emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+    out = plot_csvs([path], ["purity"], tmp_path / "fig.svg")
     text = out.read_text()
     assert "<circle" in text
     assert not polyline_points(text)
@@ -154,7 +136,7 @@ def test_negative_gme_clamped_for_display_only(tmp_path):
     # polyline must coincide with it point for point
     rows = [(0.0, 1.0, 1.0), (1.0, 0.2, 0.2), (2.0, -0.4, 0.0), (3.0, -0.9, 0.0)]
     path = make_csv(tmp_path / "g.csv", ("tau", "gme", "mirror"), rows)
-    out = emit_svg_plot([path], ["gme", "mirror"], tmp_path / "fig.svg")
+    out = plot_csvs([path], ["gme", "mirror"], tmp_path / "fig.svg")
     gme_pts, mirror_pts = polyline_points(out.read_text())
     assert gme_pts == mirror_pts
 
@@ -162,32 +144,32 @@ def test_negative_gme_clamped_for_display_only(tmp_path):
 def test_missing_column_lists_available(tmp_path):
     path = make_csv(tmp_path / "t.csv", ("tau", "purity"), [(0, 1), (1, 0.5)])
     with pytest.raises(PlotDataError, match=r"missing column 'nope'.*purity"):
-        emit_svg_plot([path], ["nope"], tmp_path / "fig.svg")
+        plot_csvs([path], ["nope"], tmp_path / "fig.svg")
 
 
 def test_missing_tau_column(tmp_path):
     path = make_csv(tmp_path / "t.csv", ("time", "purity"), [(0, 1), (1, 0.5)])
     with pytest.raises(PlotDataError, match="'tau'"):
-        emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+        plot_csvs([path], ["purity"], tmp_path / "fig.svg")
 
 
 def test_empty_csv_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(PlotDataError, match="empty"):
-        emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+        plot_csvs([path], ["purity"], tmp_path / "fig.svg")
 
 
 def test_header_only_csv_rejected(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("tau,purity\n", encoding="utf-8")
     with pytest.raises(PlotDataError, match="no data rows"):
-        emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+        plot_csvs([path], ["purity"], tmp_path / "fig.svg")
 
 
 def test_legend_labels_are_escaped(tmp_path):
     path = make_csv(tmp_path / "a&b.csv", ("tau", "purity"), [(0, 1), (1, 0.5)])
-    out = emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+    out = plot_csvs([path], ["purity"], tmp_path / "fig.svg")
     text = out.read_text()
     assert "a&amp;b:purity" in text
     assert "a&b:purity" not in text
@@ -196,7 +178,7 @@ def test_legend_labels_are_escaped(tmp_path):
 def test_flat_series_still_renders(tmp_path):
     path = make_csv(tmp_path / "flat.csv", ("tau", "purity"),
                     [(0, 1.0), (1, 1.0), (2, 1.0)])
-    out = emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+    out = plot_csvs([path], ["purity"], tmp_path / "fig.svg")
     pts = polyline_points(out.read_text())
     assert len(pts) == 1
     ys = {pair.split(",")[1] for pair in pts[0].split()}
@@ -213,7 +195,7 @@ def test_bad_cell_names_file_line_and_column(tmp_path, last_row, found):
     path = tmp_path / "bad.csv"
     path.write_text(f"tau,purity\n0,1\n{last_row}\n", encoding="utf-8")
     with pytest.raises(PlotDataError) as err:
-        emit_svg_plot([path], ["purity"], tmp_path / "fig.svg")
+        plot_csvs([path], ["purity"], tmp_path / "fig.svg")
     assert str(err.value) == f"{path}: line 3, column 'purity': {found}"
     assert not (tmp_path / "fig.svg").exists()
 
@@ -227,7 +209,7 @@ def test_any_finite_column_draws_or_fails_cleanly(tmp_path_factory, rows):
     path = make_csv(tmp_path_factory.mktemp("plot") / "x.csv", ("tau", "y"),
                     [(repr(t), repr(y)) for t, y in rows])
     try:
-        out = emit_svg_plot([path], ["y"], path.with_suffix(".svg"))
+        out = plot_csvs([path], ["y"], path.with_suffix(".svg"))
     except PlotDataError as err:
         assert "span more than a float axis holds" in str(err)
         return

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Run the bundled example scenarios and render overlay figures.
+"""Regenerate figures/ by running `lindchain` commands.
 
-Each config in configs/ writes its own CSV and SVG under figures/ (paths
-are set inside the config files).  On top of those, this script overlays
-the psi_18 runs into two comparison charts so the four environments can
-be read off a single axis pair, and runs the default `lindchain sweep`
-into a temporary directory, keeping its summary (the 64 tau* values of
-the 16-state x 4-environment decay table) as figures/sweep_summary.csv.
+`lindchain simulate` runs each config in configs/, and each writes its own
+CSV and SVG under figures/ (the paths are set inside the config files).
+`lindchain plot` then overlays three of the psi_18 runs into two charts,
+so three environments can be read off one pair of axes.  Last,
+`lindchain sweep` runs into a temporary directory, and its summary (the
+64 tau* values of the 16-state x 4-environment decay table) is copied to
+figures/sweep_summary.csv.  Paths are relative to the working directory.
+
+Each command prints its own output, warning and error lines.  The first
+command that exits nonzero ends the script with its exit code.
 """
 
 import argparse
@@ -15,34 +19,26 @@ import sys
 import tempfile
 from pathlib import Path
 
-from lindchain.runner import parse_config, run_scenario, sweep
-from lindchain.svgplot import plot_csvs
+from lindchain.cli import main as lindchain
 
-REPO = Path(__file__).resolve().parent.parent
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+OVERLAID = ("psi18_correlated_dephasing", "psi18_dephasing", "psi18_independent")
 
 
 def main(argv=None) -> int:
     # no options; the parser gives --help its description
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
-    csv_paths = []
-    for path in sorted((REPO / "configs").glob("*.cfg")):
-        cfg = parse_config(path.read_text(encoding="utf-8"))
-        out = run_scenario(cfg)
-        print(f"{path.name:<34} -> {out}")
-        csv_paths.append(out)
-
-    overlays = [p for p in csv_paths if p.stem != "psi18_big_dissipation"]
-    if overlays:
-        figures = overlays[0].parent
-        for column in ("gme", "purity"):
-            out = plot_csvs(overlays, [column], figures / f"overlay_{column}.svg")
-            print(f"{'overlay':<34} -> {out}")
-
+    commands = [["simulate", str(path)] for path in sorted(CONFIGS.glob("*.cfg"))]
+    csvs = [f"figures/{stem}.csv" for stem in OVERLAID]
+    commands += [["plot", *csvs, "--columns", column, "--out", f"figures/overlay_{column}.svg"]
+                 for column in ("gme", "purity")]
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path("figures") / "sweep_summary.csv"  # next to the configs' outputs
-        shutil.copyfile(sweep(tmp), out)
-        print(f"{'sweep':<34} -> {out}")
+        for command in commands + [["sweep", "--out", tmp]]:
+            code = lindchain(command)
+            if code:
+                return code
+        print(shutil.copyfile(Path(tmp) / "summary.csv", "figures/sweep_summary.csv"))
     return 0
 
 

@@ -668,7 +668,7 @@ def test_rk4_converges_to_the_exact_solution_at_fourth_order(default_setup):
     params, envs = default_setup
     env = envs[M.CORRELATED_DISSIPATION]
     delta = frame_frequencies(params, env).reshape(-1)
-    generator = lc.make_rhs(params, env, EngineKind.ELEMENT_WISE)(0.0) - 1j * np.diag(delta)
+    generator = _lab_generator(params, env, EngineKind.ELEMENT_WISE)
     taus = np.linspace(0.0, 2.0, 9)
     flows = np.exp(1j * np.outer(taus, delta))[:, :, None] * np.stack(
         [expm(tau * generator) for tau in taus])
@@ -682,6 +682,83 @@ def test_rk4_converges_to_the_exact_solution_at_fourth_order(default_setup):
             assert traj.taus == pytest.approx(taus)
             errors.append(np.max(np.abs(traj.rhos - exact)))
         assert 12.0 < errors[0] / errors[1] < 20.0, (name, errors)
+
+
+# -------------------------------------------------------- complete positivity
+
+def _lab_generator(params, env, kind):
+    """G = A(0) - i diag(Delta): vec rho(tau) = D(tau) expm(tau G) vec rho0,
+    with D(tau) = diag(exp(i tau Delta)) a unitary change of frame."""
+    delta = frame_frequencies(params, env).reshape(-1)
+    return lc.make_rhs(params, env, kind)(0.0) - 1j * np.diag(delta)
+
+
+def _choi(superoperator, dim):
+    """C[(m,p),(n,q)] = S[(p,q),(m,n)], i.e. sum_mn |m><n| (x) S(|m><n|).
+    A map is completely positive iff its Choi matrix is PSD (Choi, Linear
+    Algebra Appl. 10 (1975) 285)."""
+    return superoperator.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim**2, dim**2)
+
+
+def _gks_minimum(generator, dim):
+    """The smallest eigenvalue of G's Choi matrix compressed to the
+    complement of Omega = sum_m |mm>/sqrt(dim).  For a generator that keeps
+    trace and hermiticity, expm(tau G) is completely positive at every
+    tau >= 0 iff this is >= 0 (Gorini, Kossakowski & Sudarshan, J. Math.
+    Phys. 17 (1976) 821; Lindblad, Commun. Math. Phys. 48 (1976) 119)."""
+    omega = np.eye(dim).reshape(-1) / np.sqrt(dim)
+    outside = np.eye(dim**2) - np.outer(omega, omega)
+    return np.linalg.eigvalsh(outside @ _choi(generator, dim) @ outside)[0]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), chains_and_rates())
+@settings(max_examples=30, deadline=None)
+def test_psd_rates_generate_completely_positive_maps(seed, chain_and_rates):
+    """With PSD rates B B^T, every model's generator, from either engine,
+    passes the GKS/Lindblad test: a certificate for all states and times,
+    where diagnostics' min_eig samples one trajectory at its records."""
+    chain, rates = chain_and_rates
+    root = np.random.default_rng(seed).uniform(-0.3, 0.3, size=rates.shape)
+    for model in MODELS:
+        env = _quiet_environment(model, root @ root.T)
+        for kind in EngineKind:
+            assert _gks_minimum(_lab_generator(chain, env, kind), chain.dim) >= -1e-11
+
+
+def test_default_correlated_generators_fail_the_gks_test(default_setup):
+    """The paper's correlated rates have a negative eigenvalue, and the
+    property above can fail: both correlated models, both engines."""
+    params, envs = default_setup
+    for model in MODELS:
+        for kind in EngineKind:
+            low = _gks_minimum(_lab_generator(params, envs[model], kind), params.dim)
+            if model.correlated:
+                assert low == pytest.approx(-6.97e-3, rel=1e-3)
+            else:
+                assert low >= -1e-12
+
+
+# floor(log10 |min eigenvalue|) of the Choi matrix of the default map
+# expm(tau G), wherever that eigenvalue is negative beyond round-off.
+# Correlated dephasing only gets worse; correlated dissipation is not CP at
+# short times only.
+NOT_CP_EXPONENTS = {
+    M.CORRELATED_DEPHASING: {1e-3: -6, 3e-3: -5, 3e-2: -4, 0.1: -4, 1.0: -3, 40.0: -2},
+    M.CORRELATED_DISSIPATION: {1e-3: -6, 3e-3: -5, 3e-2: -9},
+}
+
+
+def test_default_maps_are_completely_positive_except_where_pinned(default_setup):
+    params, envs = default_setup
+    for model in MODELS:
+        generator = _lab_generator(params, envs[model], EngineKind.ELEMENT_WISE)
+        pinned = NOT_CP_EXPONENTS.get(model, {})
+        for tau in (1e-3, 3e-3, 3e-2, 0.1, 1.0, 40.0):
+            low = np.linalg.eigvalsh(_choi(expm(tau * generator), params.dim))[0]
+            if tau in pinned:
+                assert low < 0 and np.floor(np.log10(-low)) == pinned[tau], (model, tau, low)
+            else:
+                assert low >= -1e-12, (model, tau, low)
 
 
 # ------------------------------------------------------ transfer-matrix cache

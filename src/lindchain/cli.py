@@ -24,7 +24,7 @@ from .catalog import catalog_states
 from .engine import IntegrationDivergedError
 from .runner import (ConfigError, compare_engines, parse_config, run_scenario, sweep,
                      write_csv)
-from .svgplot import PlotDataError, plot_csvs
+from .svgplot import PlotDataError, plot_csvs, same_file
 
 CATALOG_HEADER = ("state", "family", "pair_i", "pair_j", "paper_delta_e",
                   "computed_delta_e")
@@ -95,6 +95,9 @@ def _read_config(path: str) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config(_read_config(args.config))
+    for key, output in (("out", cfg.csv_path), ("plot", cfg.plot)):
+        if output is not None and same_file(output, args.config):
+            raise ConfigError(f"{key} {str(output)!r} is the config file {args.config!r}")
     path = run_scenario(cfg)
     print(path)
     return 0

@@ -24,7 +24,6 @@ validated; the model picks the one it reads.
 from __future__ import annotations
 
 import functools
-import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -186,18 +185,10 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(label=label, pair=pair, params=params, env=env,
                     evolution=evolution, out=out[0] if out else None,
                     plot=plot[0] if plot else None)
-    if plot and _same_file(cfg.plot, cfg.csv_path):
+    if plot and svgplot.same_file(cfg.plot, cfg.csv_path):
         raise ConfigError(f"plot {cfg.plot!r} is the CSV output path {str(cfg.csv_path)!r}",
                           plot[1])
     return cfg
-
-
-def _same_file(a, b) -> bool:
-    """Whether paths a and b name one file, hard links included."""
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one is missing, or a link loops: Path.resolve() would raise
-        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _parse_member(key, kind, item):

@@ -9,9 +9,11 @@ plot_csvs draws CSV files, read cell by cell with csv.reader and float()
 so that an error names the first bad cell by file, line and column.  A
 column named twice, or an input that is the same file as an earlier one,
 is drawn once; inputs that share a file stem are labelled by their paths;
-an output path that is one of the input CSVs is an error.  emit_svg_plot
-draws columns already in memory: point coordinates are computed on whole
-arrays by the same expressions that place the axes and ticks.
+an output path that is one of the input CSVs is an error.  same_file, the
+one rule of whether two paths name one file, serves every command's output
+guard.  emit_svg_plot draws columns already in memory: point coordinates
+are computed on whole arrays by the same expressions that place the axes
+and ticks.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ def read_csv_columns(path: str | Path, names) -> dict[str, np.ndarray]:
     return {name: np.array(values) for name, values in columns.items()}
 
 
+def same_file(a, b) -> bool:
+    """Whether paths a and b name one file, hard links included."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing, or a link loops: Path.resolve() would raise
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def plot_csvs(csv_paths, columns, out_path: str | Path) -> Path:
     """Draw columns of CSV files against their shared "tau" column into
     one SVG (emit_svg_plot) and return its path.
@@ -100,21 +110,17 @@ def plot_csvs(csv_paths, columns, out_path: str | Path) -> Path:
     out_path that is one of the CSVs is a PlotDataError.
     """
     out = Path(out_path)
-    try:
-        target = os.stat(out)
-    except OSError:  # nothing there yet, so no input is it
-        target = None
     columns = list(dict.fromkeys(columns))
-    inputs = []  # (path, stat, columns) of each distinct input file
+    inputs = {}  # the table of each distinct input file, by its first path
     for path in csv_paths:
-        status = os.stat(path)  # a missing input raises here what reading it would
-        if target is not None and os.path.samestat(status, target):
+        os.stat(path)  # a missing input raises here what reading it would
+        if same_file(out, path):
             raise PlotDataError(f"{out}: output path would overwrite the input CSV {path}")
-        if not any(os.path.samestat(status, seen) for _, seen, _ in inputs):
-            inputs.append((path, status, read_csv_columns(path, ["tau", *columns])))
-    stems = [Path(path).stem for path, _, _ in inputs]
+        if not any(same_file(path, seen) for seen in inputs):
+            inputs[path] = read_csv_columns(path, ["tau", *columns])
+    stems = [Path(path).stem for path in inputs]
     tables = [(stem if stems.count(stem) == 1 else str(path), table)
-              for (path, _, table), stem in zip(inputs, stems)]
+              for (path, table), stem in zip(inputs.items(), stems)]
     return emit_svg_plot(tables, columns, out)
 
 

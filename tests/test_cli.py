@@ -308,7 +308,8 @@ def test_plot_csv_with_bom_matches_without(tmp_path, capsys):
     ("same.csv", "same.csv"),
     ("d1/x.csv", "d1/./x.csv"),
     (None, "psi_18_dephasing.csv"),  # the CSV's default name
-], ids=["same", "dot_segment", "default_out"])
+    ("run.csv", "new/../run.csv"),  # through a directory not yet made
+], ids=["same", "dot_segment", "default_out", "new_directory"])
 def test_simulate_plot_onto_its_csv_exits_1(tmp_path, capsys, monkeypatch, out, plot):
     monkeypatch.chdir(tmp_path)
     lines = ["model = dephasing", "state = psi_18", "t_max = 1", "dt = 0.01"]
@@ -363,7 +364,8 @@ def test_simulate_plot_through_a_symlink_loop_exits_2(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == f"failure: {loop}\n"
 
 
-@pytest.mark.parametrize("out", ["./a.csv", "link.svg"], ids=["dot_segment", "symlink"])
+@pytest.mark.parametrize("out", ["./a.csv", "link.svg", "new/../a.csv"],
+                         ids=["dot_segment", "symlink", "new_directory"])
 def test_plot_onto_its_input_exits_1(tmp_path, capsys, monkeypatch, out):
     monkeypatch.chdir(tmp_path)
     text = "tau,purity\n0,1\n1,0.5\n"
@@ -373,6 +375,18 @@ def test_plot_onto_its_input_exits_1(tmp_path, capsys, monkeypatch, out):
     assert capsys.readouterr().err == (
         f"error: {Path(out)}: output path would overwrite the input CSV a.csv\n")
     assert (tmp_path / "a.csv").read_text(encoding="utf-8") == text
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("key", ["out", "plot"])
+def test_simulate_onto_its_config_exits_1(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    text = f"model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.01\n{key} = run.cfg\n"
+    write(tmp_path / "run.cfg", text)
+    assert cli.main(["simulate", "run.cfg"]) == 1
+    assert capsys.readouterr().err == f"error: {key} 'run.cfg' is the config file 'run.cfg'\n"
+    assert (tmp_path / "run.cfg").read_text(encoding="utf-8") == text
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
 def test_plot_repeated_column_draws_once(tmp_path, capsys):

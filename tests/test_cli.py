@@ -260,7 +260,10 @@ def test_plot_missing_column_exits_1(quick_config, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["plot", str(out), "--columns", "nope",
                      "--out", str(tmp_path / "f.svg")]) == 1
-    assert "nope" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {out}: missing column 'nope' (have: coh_abs, gme, herm_err, min_eig, "
+        "p1, p2, p3, p4, p5, p6, p7, p8, purity, tau, trace_err)\n")
+    assert not (tmp_path / "f.svg").exists()
 
 
 def test_plot_empty_columns_exits_1(quick_config, tmp_path, capsys):
@@ -272,13 +275,17 @@ def test_plot_empty_columns_exits_1(quick_config, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("last_row", ["1", "1,inf", "1,nan", "1,abc"])
-def test_plot_bad_cell_exits_1(tmp_path, capsys, last_row):
+@pytest.mark.parametrize("last_row, found", [
+    ("1", "missing value"),
+    ("1,inf", "'inf' is not a finite number"),
+    ("1,nan", "'nan' is not a finite number"),
+    ("1,abc", "'abc' is not a finite number"),
+], ids=["1", "1,inf", "1,nan", "1,abc"])
+def test_plot_bad_cell_exits_1(tmp_path, capsys, last_row, found):
     csv_path = write(tmp_path / "bad.csv", f"tau,purity\n0,1\n{last_row}\n")
     assert cli.main(["plot", csv_path, "--columns", "purity",
                      "--out", str(tmp_path / "f.svg")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {csv_path}: line 3, column 'purity': ")
+    assert capsys.readouterr().err == f"error: {csv_path}: line 3, column 'purity': {found}\n"
     assert not (tmp_path / "f.svg").exists()
 
 

@@ -1,4 +1,3 @@
-import functools
 import warnings
 from dataclasses import replace
 
@@ -18,13 +17,6 @@ from lindchain.engine import MAX_RECORDS, frame_frequencies, lowering_operators,
 
 M = EnvironmentModel
 MODELS = tuple(M)
-
-
-@functools.lru_cache(maxsize=1)
-def _setup():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return lc.default_parameters()
 
 
 # ------------------------------------------------------------- jump operators
@@ -134,21 +126,6 @@ def test_bell_rhs_values_independent_dissipation(default_setup):
     assert abs(np.trace(rhs)) < 1e-15
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-       st.integers(min_value=0, max_value=3))
-@settings(max_examples=80, deadline=None)
-def test_element_wise_matches_operator_form(seed, t, model_index):
-    """The per-entry rate equations and the jump-operator products are the
-    same generator."""
-    params, envs = _setup()
-    env = envs[MODELS[model_index]]
-    rho = random_density(np.random.default_rng(seed))
-    element = apply_generator(lc.make_rhs(params, env, EngineKind.ELEMENT_WISE), rho, t)
-    operator = lindblad_rhs_operator(rho, t, params, env)
-    assert np.max(np.abs(element - operator)) < 1e-12
-
-
 @st.composite
 def chains_and_rates(draw):
     """A 2- or 3-qubit chain and a symmetric rate matrix for it, some of
@@ -172,10 +149,15 @@ def _quiet_environment(model, rates):
         return EnvironmentSpec(model, rates)
 
 
+TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
+TWO_QUBIT_ENV = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.02, 0.04]])
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
        chains_and_rates())
 @example(seed=0, t=1.3, chain_and_rates=(lc.SpinChainParams(), default_rate_matrix()))
+@example(seed=11, t=0.7, chain_and_rates=(TWO_QUBIT_CHAIN, TWO_QUBIT_ENV.rates))
 @settings(max_examples=40, deadline=None)
 def test_compiled_engines_match_literal_operator_form(seed, t, chain_and_rates):
     chain, rates = chain_and_rates
@@ -220,37 +202,7 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, chain_and_rates, psd
                                  - image.conj().T)) < 1e-14
 
 
-def test_two_qubit_chain_equivalence():
-    params = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
-    env = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.02, 0.04]])
-    rho = random_density(np.random.default_rng(11), dim=4)
-    for kind in EngineKind:
-        generator = lc.make_rhs(params, env, kind)
-        for t in (0.0, 0.7, 3.1):
-            literal = lindblad_rhs_operator(rho, t, params, env)
-            assert np.max(np.abs(apply_generator(generator, rho, t) - literal)) < 1e-12
-
-
-def test_zeroed_correlations_reduce_bitwise(default_setup):
-    params, _ = default_setup
-    diag = [0.05, 0.03, 0.02]
-    rho = random_density(np.random.default_rng(21))
-    for plain, correlated in ((M.INDEPENDENT_DISSIPATION, M.CORRELATED_DISSIPATION),
-                              (M.DEPHASING, M.CORRELATED_DEPHASING)):
-        independent = lc.EnvironmentSpec(plain, np.diag(diag))
-        zeroed = lc.EnvironmentSpec(correlated, np.diag(diag))
-        for t in (0.0, 0.45, 2.3):
-            for kind in EngineKind:
-                a = apply_generator(lc.make_rhs(params, independent, kind), rho, t)
-                b = apply_generator(lc.make_rhs(params, zeroed, kind), rho, t)
-                assert np.array_equal(a, b)
-
-
 # ------------------------------------------------------- Liouville matrices
-
-TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
-TWO_QUBIT_ENV = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.02, 0.04]])
-
 
 @given(chains_and_rates())
 @example(chain_and_rates=(lc.SpinChainParams(), default_rate_matrix()))
@@ -920,7 +872,8 @@ def test_directly_built_environment_is_read_only():
     assert spec.rates[0, 0] == 0.05
 
 
-def test_evolution_config_validation():
+def test_evolution_config_validation(default_setup):
+    params, envs = default_setup
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, dt=0.0)
     with pytest.raises(ValueError):
@@ -948,4 +901,4 @@ def test_evolution_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, engine="element_wise")
     with pytest.raises(ValueError):
-        lc.make_rhs(lc.SpinChainParams(), _setup()[1][M.DEPHASING], "element_wise")
+        lc.make_rhs(params, envs[M.DEPHASING], "element_wise")

@@ -49,18 +49,6 @@ def test_default_energies(params):
     assert np.array_equal(energies, _loop_energies(params))
 
 
-def test_energy_gaps(params):
-    energies = all_energies(params)
-
-    def gap(i, j):
-        return energies[j - 1] - energies[i - 1]
-
-    assert gap(1, 8) == pytest.approx(700.0, abs=1e-9)
-    assert gap(2, 7) == pytest.approx(500.0, abs=1e-9)
-    assert gap(4, 5) == pytest.approx(100.0, abs=1e-9)
-    assert gap(1, 7) == pytest.approx(610.4, abs=1e-9)
-
-
 def test_omega_eigenvalues(params):
     table = omega_table(params)
     assert table.shape == (3, 8)

@@ -35,6 +35,11 @@ def test_computed_gaps_come_from_the_energies():
         assert entry.computed_delta_e == energies[j - 1] - energies[i - 1]
 
 
+def test_tripartite_computed_gaps_are_exact():
+    got = [e.computed_delta_e for e in lc.catalog_states() if e.family == "ABC"]
+    assert got == pytest.approx([700.0, 500.0, 300.0, 100.0], abs=1e-9)
+
+
 def test_quoted_vs_computed_discrepancies_are_retained():
     by_name = {e.name: e for e in lc.catalog_states()}
     # several bipartite rows disagree with the recomputed gap; both survive

@@ -202,6 +202,21 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, chain_and_rates, psd
                                  - image.conj().T)) < 1e-14
 
 
+def test_zeroed_correlations_reduce_bitwise(default_setup):
+    params, _ = default_setup
+    diag = [0.05, 0.03, 0.02]
+    rho = random_density(np.random.default_rng(21))
+    for plain, correlated in ((M.INDEPENDENT_DISSIPATION, M.CORRELATED_DISSIPATION),
+                              (M.DEPHASING, M.CORRELATED_DEPHASING)):
+        independent = lc.EnvironmentSpec(plain, np.diag(diag))
+        zeroed = lc.EnvironmentSpec(correlated, np.diag(diag))
+        for t in (0.0, 0.45, 2.3):
+            for kind in EngineKind:
+                a = apply_generator(lc.make_rhs(params, independent, kind), rho, t)
+                b = apply_generator(lc.make_rhs(params, zeroed, kind), rho, t)
+                assert np.array_equal(a, b)
+
+
 # ------------------------------------------------------- Liouville matrices
 
 @given(chains_and_rates())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
-from helpers import random_density
+from helpers import TABLE_GME_FORMS, random_density, table_gme
 from lindchain import (Diagnostics, EvolutionConfig, diagnostics, initial_bell_density,
                        rk4_evolve, validate_density_matrix)
 
@@ -104,6 +104,21 @@ def test_family_of_pair_rejects_single_qubit_pairs():
 
 # ---------------------------------------------------------------- gme bounds
 
+def test_gme_of_pure_catalog_states_is_one():
+    for pairs in CATALOG_PAIRS.values():
+        for pair in pairs:
+            rho = lc.initial_bell_density(*pair)
+            assert lc.gme(rho, pair) == 1.0
+
+
+def test_gme_of_maximally_mixed_state():
+    for pair in CATALOG_PAIRS["ABC"]:
+        assert lc.gme(MIXED, pair) == pytest.approx(-0.75, abs=1e-15)
+    for family in ("AB", "BC", "AC"):
+        for pair in CATALOG_PAIRS[family]:
+            assert lc.gme(MIXED, pair) == pytest.approx(-0.5, abs=1e-15)
+
+
 def test_gme_argument_errors():
     rho = lc.initial_bell_density(1, 8)
     with pytest.raises(ValueError, match="single qubit"):
@@ -114,6 +129,15 @@ def test_gme_argument_errors():
         lc.gme(rho, (0, 8))
     with pytest.raises(ValueError):
         lc.gme(rho, (8, 1))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_gme_pair_matches_full_matrix_forms(seed):
+    """Reduction route equals the direct full-matrix expressions."""
+    rho = random_density(np.random.default_rng(seed))
+    for pair in TABLE_GME_FORMS:
+        assert abs(lc.gme(rho, pair) - table_gme(rho, pair)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -205,6 +205,13 @@ def test_grid_errors_name_their_line(grid, line):
         parse_config("model = dephasing\nstate = psi_18\n" + grid)
 
 
+def test_too_many_records_names_the_stride_key():
+    with pytest.raises(ConfigError) as info:
+        parse_config("model = dephasing\nstate = psi_18\nt_max = 1e12\n")
+    assert str(info.value) == ("line 3: t_max = 1e+12 at dt = 0.001 and stride = 100 gives "
+                               "10000000000001 records, more than 1048576")
+
+
 @pytest.mark.parametrize("stride, message", [
     ("0", "stride must be a positive integer, got 0"),
     ("2.5", "stride must be an integer, got '2.5'"),
@@ -404,6 +411,14 @@ def test_run_scenario_writes_expected_csv(tmp_path):
     assert float(last["coh_abs"]) == pytest.approx(0.5 * math.exp(-1.5), abs=1e-8)
     assert abs(float(last["trace_err"])) < 1e-12
     assert abs(float(last["min_eig"])) < 1e-10
+
+
+def test_run_scenario_is_byte_deterministic(tmp_path):
+    cfg = parse_config("model = independent_dissipation\nstate = psi_18\n"
+                       "t_max = 2\ndt = 0.001\nstride = 200\n")
+    a = run_scenario(replace(cfg, out=str(tmp_path / "a.csv")))
+    b = run_scenario(replace(cfg, out=str(tmp_path / "b.csv")))
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_run_scenario_writes_plot(tmp_path):

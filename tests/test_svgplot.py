@@ -141,6 +141,12 @@ def test_negative_gme_clamped_for_display_only(tmp_path):
     assert gme_pts == mirror_pts
 
 
+def test_missing_column_lists_available(tmp_path):
+    path = make_csv(tmp_path / "t.csv", ("tau", "purity"), [(0, 1), (1, 0.5)])
+    with pytest.raises(PlotDataError, match=r"missing column 'nope'.*purity"):
+        plot_csvs([path], ["nope"], tmp_path / "fig.svg")
+
+
 def test_missing_tau_column(tmp_path):
     path = make_csv(tmp_path / "t.csv", ("time", "purity"), [(0, 1), (1, 0.5)])
     with pytest.raises(PlotDataError, match="'tau'"):
@@ -177,6 +183,21 @@ def test_flat_series_still_renders(tmp_path):
     assert len(pts) == 1
     ys = {pair.split(",")[1] for pair in pts[0].split()}
     assert len(ys) == 1  # horizontal line at a finite pixel row
+
+
+@pytest.mark.parametrize("last_row, found", [
+    ("1", "missing value"),
+    ("1,inf", "'inf' is not a finite number"),
+    ("1,nan", "'nan' is not a finite number"),
+    ("1,abc", "'abc' is not a finite number"),
+], ids=["short_row", "inf", "nan", "not_a_number"])
+def test_bad_cell_names_file_line_and_column(tmp_path, last_row, found):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"tau,purity\n0,1\n{last_row}\n", encoding="utf-8")
+    with pytest.raises(PlotDataError) as err:
+        plot_csvs([path], ["purity"], tmp_path / "fig.svg")
+    assert str(err.value) == f"{path}: line 3, column 'purity': {found}"
+    assert not (tmp_path / "fig.svg").exists()
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -26,15 +26,17 @@ tests/test_engine.py proves it for both engines on random chains.
 The generators never couple most entries of vec(rho).  A(t) is nonzero
 only where A(0) is, each entry being a constant times a phase, so the
 connected components of the sparsity pattern of A(0) split vec(rho) into
-blocks that no step couples (on the default chain: 64 singletons under
-both dephasing models, 27 blocks of up to 8 entries under independent
-dissipation, and the 7 sectors of the excitation difference, sizes 20,
-15, 15, 6, 6, 1, 1, under correlated dissipation).  M0, Q and all its
-powers are block diagonal in that partition, so they are built only on
-the blocks, those of equal size k stacked into (b, k, k) arrays for
-numpy's batched matmul, matrix_power and eigvals.  A run fills, checks
-and phase-multiplies each stack on its own, and only the blocks its
-initial state occupies; every other entry of its records stays +0.0.
+blocks that no step couples (metrics.connected_blocks finds them, the
+routine that also splits each record's support for diagnostics).  On the
+default chain they are 64 singletons under both dephasing models, 27
+blocks of up to 8 entries under independent dissipation, and the 7
+sectors of the excitation difference, sizes 20, 15, 15, 6, 6, 1, 1,
+under correlated dissipation.  M0, Q and all its powers are block
+diagonal in that partition, so they are built only on the blocks, those
+of equal size k stacked into (b, k, k) arrays for numpy's batched matmul,
+matrix_power and eigvals.  A run fills, checks and phase-multiplies each
+stack on its own, and only the blocks its initial state occupies; every
+other entry of its records stays +0.0.
 
 A stack's records are filled by doubling: record i is H^i vec(rho0) with
 H = Q^stride, so once records 0..m-1 exist, one product with H^m yields
@@ -72,14 +74,14 @@ from enum import Enum
 import numpy as np
 
 from .environments import EnvironmentSpec, dephasing_rate_matrix
-from .metrics import validate_density_matrix
+from .metrics import connected_blocks, validate_density_matrix
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
 
 
-# a simulate run peaks at about 3.8 KiB per record (ru_maxrss of a dephasing
-# run: 129 MiB at 25,001 records, 221 MiB at 50,001), so nearly 4 GiB at
-# the cap; the record stack is 1 KiB of that, diagnostics and render most
-# of the rest
+# a simulate run peaks at about 2.6 KiB per record (ru_maxrss of a dephasing
+# run: 102 MiB at 25,001 records, 166 MiB at 50,001), so about 2.7 GiB at
+# the cap; the record stack is 1 KiB of that, the CSV render most of the
+# rest
 MAX_RECORDS = 2 ** 20
 
 
@@ -367,7 +369,7 @@ class _Propagator:
             taus = np.asarray(steps) * dt
             last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
             stacks = []
-            for index in _invariant_blocks(a0 != 0):
+            for index in connected_blocks(a0 != 0):
                 rows, cols = index[:, :, None], index[:, None, :]
                 transfer = back[rows] * _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
                 stacks.append((index, transfer))
@@ -465,26 +467,6 @@ class _Propagator:
 
 
 _propagator = functools.lru_cache(maxsize=1)(_Propagator)
-
-
-def _invariant_blocks(coupled: np.ndarray) -> list[np.ndarray]:
-    """Split the entries of vec(rho) into the blocks that the boolean
-    pattern coupled never links: the connected components of its graph.
-
-    Returns one (b, k) index array per block size k, largest first, each
-    row one block in increasing entry order.
-    """
-    reach = coupled | coupled.T | np.eye(len(coupled), dtype=bool)
-    while True:  # transitive closure by squaring: at most log2(len) rounds
-        linked = reach.astype(float)
-        grown = linked @ linked > 0.0
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    root = reach.argmax(axis=1)  # the first entry of each entry's block
-    size = np.bincount(root)[root]
-    order = np.lexsort((root, -size))  # stable: entries of one block stay sorted
-    return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)[::-1]]
 
 
 def _rk4_step_matrix(a0: np.ndarray, a_half: np.ndarray, a1: np.ndarray,

@@ -21,10 +21,17 @@ Each function of rho takes one matrix or a stack (..., d, d) and returns
 numpy results of the input's leading shape (0-d for one matrix), each
 equal to the result for that matrix alone (purity to rounding, the rest
 bit for bit).
+
+diagnostics costs what each matrix's support needs: it splits the
+support into its connected blocks and takes the minimum eigenvalue block
+by block, in closed form for blocks of one or two entries and with LAPACK
+on larger ones.  Its components routine, connected_blocks, also splits
+vec(rho) into the engine's invariant blocks.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -85,25 +92,121 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 def diagnostics(rho: np.ndarray) -> Diagnostics:
     """(trace error, hermiticity error, minimum eigenvalue) of rho.
 
-    rho is one (d, d) matrix or a stack (..., d, d).  The minimum
-    eigenvalue comes from the Hermitian part (rho + rho^dagger)/2, with one
-    LAPACK `eigvalsh` call over the whole stack.  Each entry equals bit for
-    bit the result for that matrix alone.  Raises ValueError on non-square
-    or non-finite input.
+    rho is one (d, d) matrix or a stack (..., d, d).  The hermiticity
+    error is max |rho_mn - conj rho_nm|, read over the upper triangle of
+    the support S = (rho != 0) | (rho != 0)^T (it is 0 off S and symmetric
+    in m, n).  The minimum eigenvalue is that of the Hermitian part
+    (rho + rho^dagger)/2, the minimum over the connected blocks of S: a 1x1
+    block is its real diagonal entry, exactly; a 2x2 block [[a, h],
+    [conj h, c]] is (a + c - hypot(a - c, 2|h|))/2; the blocks of each size
+    k >= 3 go through one LAPACK `eigvalsh` call, so a dense matrix, one
+    d-block, gets the whole-matrix call.  Matrices with one pattern of
+    nonzero entries share one plan of indices; no group of them is copied
+    whole, only their entries in S are gathered.  Each entry equals bit
+    for bit the result for that matrix alone.  Raises ValueError on
+    non-square or non-finite input.
     """
     arr = np.asarray(rho, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected (..., d, d) matrices, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("density matrix has non-finite entries")
-    adjoint = np.swapaxes(arr.conj(), -1, -2)
-    trace_error = np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0)
-    hermiticity_error = np.max(np.abs(arr - adjoint), axis=(-2, -1))
-    # the Hermitian part overwrites the adjoint: one stack-sized temporary less
-    adjoint += arr
-    adjoint *= 0.5
-    low = np.linalg.eigvalsh(adjoint)[..., 0]
-    return Diagnostics(trace_error, hermiticity_error, low)
+    lead, dim = arr.shape[:-2], arr.shape[-1]
+    flat = arr.reshape(-1, dim * dim)
+    trace_error = np.abs(arr.trace(axis1=-2, axis2=-1) - 1.0)
+    # matrices with one pattern of nonzero entries have one support
+    keys = np.packbits(flat != 0, axis=1)
+    if (keys == keys[:1]).all():  # one support, the common case: no sort
+        patterns, group = keys[:1], None
+    else:
+        patterns, group = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_inverse=True)
+    hermiticity_error, low = np.empty(len(flat)), np.empty(len(flat))
+    for g, pattern in enumerate(patterns):
+        # group g's rows of flat, gathered entry by entry in S: no group is
+        # copied whole, and a lone group is indexed by a slice
+        out = slice(None) if group is None else np.flatnonzero(group == g)
+        rows = out if group is None else out[:, None]
+        small, (n_upper, n_one, n_two), blocks = _support_plan(pattern.tobytes(), dim)
+        lows = [_lowest_eigenvalue(flat, rows, *block) for block in blocks]
+        values = flat[rows, small]
+        upper, mirror = values[:, :n_upper], values[:, n_upper:2 * n_upper]
+        hermiticity_error[out] = np.abs(upper - mirror.conj()).max(axis=1, initial=0.0)
+        diagonal = values[:, 2 * n_upper:]
+        # a 1x1 block is its real diagonal entry; a 2x2 block (p, q) with
+        # a = rho_pp, c = rho_qq and 2h = rho_pq + conj rho_qp, twice its
+        # Hermitian part's entry (p, q), has (a + c - hypot(a - c, 2|h|))/2
+        lows.append(diagonal[:, :n_one].real.min(axis=1, initial=np.inf))
+        if n_two:
+            a, c, pq, qp = diagonal[:, n_one:].reshape(-1, 4, n_two).swapaxes(0, 1)
+            a, c = a.real, c.real
+            lows.append(((a + c - np.hypot(a - c, np.abs(pq + qp.conj()))) * 0.5).min(axis=1))
+        low[out] = functools.reduce(np.minimum, lows)
+    return Diagnostics(trace_error, hermiticity_error.reshape(lead), low.reshape(lead))
+
+
+def _lowest_eigenvalue(flat: np.ndarray, rows, entries: np.ndarray,
+                       mirrored: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue over the (b, k, k) blocks at entries of the
+    Hermitian part of each row of flat, from one LAPACK `eigvalsh` call.
+
+    The Hermitian part is (conj rho^T + rho) * 0.5 in this order of
+    operations, as a whole matrix's was: a dense matrix keeps its bits.
+    """
+    part = flat[rows, mirrored.ravel()].reshape(-1, *mirrored.shape)
+    np.conjugate(part, out=part)
+    part += flat[rows, entries.ravel()].reshape(part.shape)
+    part *= 0.5
+    return np.linalg.eigvalsh(part)[..., 0].min(axis=1)
+
+
+@functools.lru_cache(maxsize=256)
+def _support_plan(key: bytes, dim: int) -> tuple[np.ndarray, ...]:
+    """How diagnostics reads a (dim, dim) matrix whose nonzero entries are
+    packed in key: (small, (n_upper, n_one, n_two), blocks).
+
+    small holds flat indices: the n_upper entries (m, n) of the support S
+    with m <= n, then their mirrors (n, m), then the diagonal entry of each
+    of the n_one 1x1 blocks, then, over the n_two 2x2 blocks (p, q), the
+    entries pp, then qq, pq and qp.  blocks holds one (entries, mirrored)
+    pair of flat (b, k, k) index arrays per block size k >= 3, mirrored[i,
+    r, c] being entries[i, c, r].
+    """
+    nonzero = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=dim * dim)
+    nonzero = nonzero.reshape(dim, dim).astype(bool)
+    row, col = np.nonzero(np.triu(nonzero | nonzero.T))
+    by_size = {index.shape[1]: index for index in connected_blocks(nonzero)}
+    singles = by_size.get(1, np.empty((0, 1), dtype=np.intp))[:, 0]
+    first, second = by_size.get(2, np.empty((0, 2), dtype=np.intp)).T
+    small = np.concatenate([row * dim + col, col * dim + row, singles * (dim + 1),
+                            first * (dim + 1), second * (dim + 1),
+                            first * dim + second, second * dim + first])
+    small.setflags(write=False)  # cached: every caller shares the plan
+    blocks = []
+    for index in (index for k, index in by_size.items() if k > 2):
+        entries = index[:, :, None] * dim + index[:, None, :]
+        entries.setflags(write=False)
+        blocks.append((entries, entries.swapaxes(1, 2)))
+    return small, (len(row), len(singles), len(first)), tuple(blocks)
+
+
+def connected_blocks(coupled: np.ndarray) -> list[np.ndarray]:
+    """Split the indices of a square boolean pattern into the blocks it
+    never links: the connected components of its graph.
+
+    Returns one (b, k) index array per block size k, largest first, each
+    row one block in increasing index order.
+    """
+    reach = coupled | coupled.T | np.eye(len(coupled), dtype=bool)
+    while True:  # transitive closure by squaring: at most log2(len) rounds
+        linked = reach.astype(float)
+        grown = linked @ linked > 0.0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    root = reach.argmax(axis=1)  # the first index of each index's block
+    size = np.bincount(root)[root]
+    order = np.lexsort((root, -size))  # stable: indices of one block stay sorted
+    return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)[::-1]]
 
 
 def family_of_pair(i: int, j: int) -> str:

@@ -20,6 +20,18 @@ def random_density(rng: np.random.Generator, dim: int = 8,
     return (1.0 - noise) * rho + noise * mixer
 
 
+def dense_diagnostics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(trace error, hermiticity error, minimum eigenvalue) of a stack
+    (n, d, d), each from whole matrices: the trace, max |rho - rho^dagger|
+    and one LAPACK eigvalsh of the Hermitian part (conj rho^T + rho) * 0.5.
+    The oracle for metrics.diagnostics, which reads only each matrix's
+    support."""
+    adjoint = np.swapaxes(rho.conj(), -1, -2)
+    trace_error = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    hermiticity_error = np.max(np.abs(rho - adjoint), axis=(-2, -1))
+    return trace_error, hermiticity_error, np.linalg.eigvalsh((adjoint + rho) * 0.5)[..., 0]
+
+
 def tilde_jump_operators(t: float, params: SpinChainParams,
                          env: EnvironmentSpec) -> np.ndarray:
     """Rotating-frame jump operators at time t, stacked as (n_qubits, dim, dim).

@@ -728,6 +728,32 @@ def test_default_maps_are_completely_positive_except_where_pinned(default_setup)
                 assert low >= -1e-12, (model, tau, low)
 
 
+def test_correlated_dissipation_dips_on_the_sweep_grid_are_rk4s(default_setup):
+    """beta_23's deepest min_eig under correlated dissipation on the sweep
+    grid (dt = 1e-2, stride 10) is -6.32e-7 at tau = 20.1.  At that tau the
+    dip shrinks at least 16x per halving of dt, as RK4's fourth-order error
+    does: it is the integrator's, not the model's."""
+    params, envs = default_setup
+    env = envs[M.CORRELATED_DISSIPATION]
+    rho0 = lc.initial_bell_density(2, 3)
+    sweep_run = lc.rk4_evolve(rho0, EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10),
+                              params, env)
+    low = lc.diagnostics(sweep_run.rhos).min_eigenvalue
+    assert sweep_run.taus[np.argmin(low)] == pytest.approx(20.1)
+    dips = []
+    for halvings in range(3):
+        cfg = EvolutionConfig(t_max=20.1, dt=1e-2 / 2 ** halvings,
+                              record_stride=10 * 2 ** halvings)
+        traj = lc.rk4_evolve(rho0, cfg, params, env)
+        assert traj.taus[-1] == pytest.approx(20.1)
+        dips.append(float(lc.diagnostics(traj.rhos[-1]).min_eigenvalue))
+    assert np.min(low) == pytest.approx(dips[0], rel=1e-9)
+    assert dips[0] == pytest.approx(-6.320e-7, rel=1e-3)
+    assert dips[1] == pytest.approx(-2.316e-8, rel=1e-3)
+    assert dips[2] == pytest.approx(-7.534e-10, rel=1e-3)
+    assert all(16 * abs(finer) <= abs(coarser) for coarser, finer in zip(dips, dips[1:]))
+
+
 # ------------------------------------------------------ transfer-matrix cache
 
 def test_cache_hit_miss_and_fresh_environment_agree(default_setup, propagator_cache):

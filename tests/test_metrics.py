@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
-from helpers import TABLE_GME_FORMS, random_density, table_gme
+from helpers import TABLE_GME_FORMS, dense_diagnostics, random_density, table_gme
 from lindchain import (Diagnostics, EvolutionConfig, diagnostics, initial_bell_density,
                        rk4_evolve, validate_density_matrix)
+from lindchain.metrics import connected_blocks
 
 MIXED = np.eye(8, dtype=complex) / 8.0
 
@@ -317,6 +320,12 @@ def test_diagnostics_stack_matches_per_record_loop(default_setup):
     stacks = [rk4_evolve(initial_bell_density(2, 7), cfg, params, env).rhos
               for env in envs.values()]
     stacks.append(np.array([random_density(rng) for _ in range(30)]))
+    # supports of three kinds in one stack: a Bell pair, a dense state and
+    # a block-diagonal state with blocks of sizes 3, 2, 2 and 1
+    blocks = np.zeros((8, 8), dtype=complex)
+    for start, size, weight in ((0, 3, 0.4), (3, 2, 0.3), (5, 2, 0.2), (7, 1, 0.1)):
+        blocks[start:start + size, start:start + size] = weight * random_density(rng, size)
+    stacks.append(np.array([initial_bell_density(2, 7), random_density(rng), blocks]))
     for stack in stacks:
         batched = diagnostics(stack)
         loop = [diagnostics(rho) for rho in stack]
@@ -324,8 +333,76 @@ def test_diagnostics_stack_matches_per_record_loop(default_setup):
             assert column.shape == (len(stack),)
             assert np.array_equal(column, [diag[k] for diag in loop])
     # any leading shape: (2, 15, 8, 8) gives (2, 15) arrays
-    grid = diagnostics(stacks[-1].reshape(2, 15, 8, 8))
-    assert np.array_equal(grid.min_eigenvalue.ravel(), batched.min_eigenvalue)
+    grid = diagnostics(stacks[-2].reshape(2, 15, 8, 8))
+    assert np.array_equal(grid.min_eigenvalue.ravel(), diagnostics(stacks[-2]).min_eigenvalue)
+
+
+@st.composite
+def block_stacks(draw):
+    """A stack of (d, d) matrices, d = 8 or 4: Hermitian blocks of sizes 1
+    to d along the diagonal, some entry pairs zeroed, rows and columns
+    permuted; among them zero matrices and matrices with one one-sided
+    (non-Hermitian) entry."""
+    dim = draw(st.sampled_from([8, 4]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["hermitian", "zero", "one-sided"]),
+                          min_size=1, max_size=6))
+    stack = np.zeros((len(kinds), dim, dim), dtype=complex)
+    for rho, kind in zip(stack, kinds):
+        if kind == "zero":
+            continue
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=dim - 1))))
+        for start, stop in zip([0, *cuts], [*cuts, dim]):
+            shape = (stop - start, stop - start)
+            raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            rho[start:stop, start:stop] = raw + raw.conj().T
+        dropped = np.triu(rng.random((dim, dim)) < 0.2, 1)
+        rho[dropped | dropped.T] = 0.0
+        rho *= 10.0 ** rng.uniform(-3, 3)
+        order = rng.permutation(dim)
+        rho[:] = rho[order][:, order]
+        if kind == "one-sided":
+            m, n = rng.integers(dim, size=2)
+            rho[m, n] += 1e-3 * np.max(np.abs(rho)) * (rng.normal() + 1j * rng.normal())
+    return stack
+
+
+@given(block_stacks())
+@settings(max_examples=80, deadline=None)
+def test_diagnostics_match_the_dense_oracle(stack):
+    """Per block of the support, the result of the whole matrix: trace and
+    hermiticity errors bit for bit, the minimum eigenvalue to 4 eps d
+    max|rho| (d max|rho| bounds the spectral norm, the scale of LAPACK's
+    own error: on such matrices the whole-matrix eigvalsh is off the exact
+    value by up to about 10 eps max|rho|), and bit for bit where the
+    support is connected (one LAPACK call on the same matrix)."""
+    trace_error, hermiticity_error, low = dense_diagnostics(stack)
+    diag = diagnostics(stack)
+    assert np.array_equal(diag.trace_error, trace_error)
+    assert np.array_equal(diag.hermiticity_error, hermiticity_error)
+    scale = stack.shape[-1] * np.max(np.abs(stack), axis=(1, 2))
+    assert np.all(np.abs(diag.min_eigenvalue - low) <= 4 * np.finfo(float).eps * scale)
+    for rho, mine, oracle in zip(stack, diag.min_eigenvalue, low):
+        if connected_blocks(rho != 0)[0].shape == (1, len(rho)):
+            assert mine == oracle
+
+
+def test_closed_form_of_a_nearly_pure_pair():
+    """A 2x2 block with eigenvalues 1 and 1e-17: the closed form's absolute
+    error against the exact smallest eigenvalue of the stored entries."""
+    c, s = np.cos(0.3), np.sin(0.3) * np.exp(1.1j)
+    psi, perp = np.array([c, s]), np.array([-s.conjugate(), c])
+    rho = np.outer(psi, psi.conj()) + 1e-17 * np.outer(perp, perp.conj())
+    a, d = Fraction(rho[0, 0].real), Fraction(rho[1, 1].real)
+    h_re = (Fraction(rho[0, 1].real) + Fraction(rho[1, 0].real)) / 2
+    h_im = (Fraction(rho[0, 1].imag) - Fraction(rho[1, 0].imag)) / 2
+    det = a * d - h_re ** 2 - h_im ** 2
+    larger = float(a + d) / 2 + np.sqrt(float((a - d) ** 2 / 4 + h_re ** 2 + h_im ** 2))
+    exact = float(det) / larger  # det / lambda_max: no cancellation
+    assert abs(exact) < 1e-15
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(rho))
+    assert abs(diagnostics(rho).min_eigenvalue - exact) <= bound
+    assert abs(dense_diagnostics(rho)[2] - exact) <= bound
 
 
 def test_min_eigenvalue_recovers_spectrum():

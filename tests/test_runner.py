@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
-from lindchain import EngineKind, EnvironmentModel, runner
+from lindchain import EngineKind, EnvironmentModel, cli, runner
 from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines,
                               parse_config, render_csv, run_scenario, sweep,
                               tau_first_below, write_csv)
@@ -559,3 +559,17 @@ def test_sweep(tmp_path, monkeypatch, propagator_cache):
     delta = np.abs(gme_column("psi_18_independent_dissipation.csv")
                    - gme_column("psi_18_correlated_dissipation.csv"))
     assert float(delta.max()) < 1e-3
+
+
+def test_sweep_run_reproduces_through_simulate(tmp_path):
+    """`lindchain simulate` of a config on the sweep's grid writes the
+    sweep's CSV byte for byte: both go through one metrics path."""
+    sweep(tmp_path / "sweep", t_max=1.0)
+    for model in EnvironmentModel:
+        out = tmp_path / f"{model.value}.csv"
+        config = tmp_path / f"{model.value}.cfg"
+        config.write_text(f"model = {model.value}\nstate = alpha_46\nt_max = 1\n"
+                          f"dt = 0.01\nstride = 10\nout = {out}\n", encoding="utf-8")
+        assert cli.main(["simulate", str(config)]) == 0
+        swept = tmp_path / "sweep" / f"alpha_46_{model.value}.csv"
+        assert out.read_bytes() == swept.read_bytes()

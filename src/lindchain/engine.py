@@ -92,7 +92,7 @@ class EngineKind(Enum):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Fixed-step integration settings.
+    """Fixed-step integration settings; the defaults are a config's.
 
     record_stride is the number of steps between recorded samples; the
     initial and final states are always recorded.  t_max must be a whole
@@ -101,7 +101,7 @@ class EvolutionConfig:
     the name of the field at fault.
     """
 
-    t_max: float
+    t_max: float = 50.0
     dt: float = 1e-3
     record_stride: int = 100
     engine: EngineKind = EngineKind.ELEMENT_WISE

@@ -11,14 +11,15 @@ keys:
     omega_1..omega_3, J, Jp                           chain parameters
     gamma_1..gamma_3, gamma_12, gamma_13, gamma_23    dissipation rates
     Gamma_1..Gamma_3, Gamma_12, Gamma_13, Gamma_23    dephasing rates
-    dt, t_max, stride                                 integration grid
+    dt, t_max, stride               integration grid (EvolutionConfig's defaults)
     out      CSV output path
     plot     SVG output path (purity and gme curves); not the CSV's path
 
 Omitted numeric keys fall back to the canonical defaults.  Rate matrices
 are symmetric, so one off-diagonal entry per pair suffices; giving both
 orders with different values is an error.  Both rate families are
-validated; the model picks the one it reads.
+validated; the model picks the one it reads.  Every run, simulate's or
+sweep's, is a RunConfig that one function, _run_to_csv, writes.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class RunConfig:
 
     @property
     def csv_path(self) -> Path:
-        """Where run_scenario writes the CSV: out, else <label>_<model>.csv."""
+        """Where _run_to_csv writes the CSV: out, else <label>_<model>.csv."""
         return Path(self.out or f"{self.label}_{self.model.value}.csv")
 
 
@@ -111,9 +112,9 @@ def parse_config(text: str) -> RunConfig:
     def take(key):
         return entries.pop(key, None)
 
-    def number(key, default):
+    def number(key, default, kind=float):
         item = take(key)
-        return default if item is None else _parse_number(key, item)
+        return default if item is None else _parse_number(key, item, kind)
 
     model = _parse_member("model", EnvironmentModel, take("model"))
     if model is None:
@@ -127,8 +128,7 @@ def parse_config(text: str) -> RunConfig:
     params = SpinChainParams(omegas, number("J", chain.coupling_j),
                              number("Jp", chain.coupling_jp))
 
-    gamma = default_rate_matrix()
-    big_gamma = default_rate_matrix()
+    gamma, big_gamma = default_rate_matrix(), default_rate_matrix()
     rate_lines = {}
     for key in [k for k in entries if _RATE_KEY.match(k)]:
         value, lineno = entries.pop(key)
@@ -151,14 +151,12 @@ def parse_config(text: str) -> RunConfig:
             target[i - 1][j - 1] = rate
             target[j - 1][i - 1] = rate
 
-    dt_item, t_max_item, stride_item = take("dt"), take("t_max"), take("stride")
-    dt = EvolutionConfig.dt if dt_item is None else _parse_number("dt", dt_item)
-    t_max = 50.0 if t_max_item is None else _parse_number("t_max", t_max_item)
-    stride = (EvolutionConfig.record_stride if stride_item is None
-              else _parse_number("stride", stride_item, int))
+    dt_item, t_max_item, stride_item = map(entries.get, ("dt", "t_max", "stride"))
+    dt = number("dt", EvolutionConfig.dt)
+    t_max = number("t_max", EvolutionConfig.t_max)
+    stride = number("stride", EvolutionConfig.record_stride, int)
 
-    out = take("out")
-    plot = take("plot")
+    out, plot = take("out"), take("plot")
 
     if entries:
         key = min(entries, key=lambda k: entries[k][1])
@@ -223,8 +221,10 @@ def _parse_state(state_item, pair_i_item, pair_j_item):
     pair = (min(i, j), max(i, j))
     try:
         family_of_pair(*pair)
-    except ValueError as exc:
-        raise ConfigError(str(exc), pair_i_item[1]) from exc
+    except ValueError as exc:  # an index out of range is its own key's fault
+        indices = range(1, 2 ** N_QUBITS + 1)
+        item = pair_j_item if i in indices and j not in indices else pair_i_item
+        raise ConfigError(str(exc), item[1]) from exc
     return f"pair_{pair[0]}{pair[1]}", pair
 
 
@@ -393,7 +393,7 @@ def run_scenario(cfg: RunConfig) -> Path:
     written.
     """
     path = cfg.csv_path
-    _run_to_csv(path, cfg.pair, cfg.evolution, cfg.params, cfg.env)
+    _run_to_csv(cfg)
     if cfg.plot:
         names = CSV_HEADER[:3]  # tau, purity, gme
         table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
@@ -403,13 +403,12 @@ def run_scenario(cfg: RunConfig) -> Path:
     return path
 
 
-def _run_to_csv(path: Path, pair: tuple[int, int], evolution: EvolutionConfig,
-                params: SpinChainParams, env: EnvironmentSpec) -> np.ndarray:
-    """Integrate the Bell state of pair, write its CSV to path and return
-    the rows (columns as in CSV_HEADER)."""
-    traj = rk4_evolve(initial_bell_density(*pair), evolution, params, env)
-    rows = trajectory_table(traj, pair)
-    write_csv(path, CSV_HEADER, rows)
+def _run_to_csv(cfg: RunConfig) -> np.ndarray:
+    """Integrate cfg's Bell state, write its CSV to cfg.csv_path and return
+    the rows (columns as in CSV_HEADER): every run, simulate's or sweep's."""
+    traj = rk4_evolve(initial_bell_density(*cfg.pair), cfg.evolution, cfg.params, cfg.env)
+    rows = trajectory_table(traj, cfg.pair)
+    write_csv(cfg.csv_path, CSV_HEADER, rows)
     return rows
 
 
@@ -483,30 +482,31 @@ def tau_first_below(taus: np.ndarray, values: np.ndarray) -> float:
 
 SWEEP_HEADER = ("state", "family", "pair_i", "pair_j", "model",
                 "paper_delta_e", "computed_delta_e", "tau_star")
+SWEEP_GRID = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)
 
 
-def sweep(out_dir: str | Path, t_max: float = 40.0) -> Path:
+def sweep(out_dir: str | Path, t_max: float = SWEEP_GRID.t_max) -> Path:
     """Run all 16 catalog states under all four models.
 
-    Writes one CSV per run plus summary.csv with the interpolated time
-    tau_star at which the gme bound first drops below 0.5 (NaN when it
-    never does, e.g. coherences the correlated dephasing model leaves
-    decoherence-free).  Returns the summary path.
-
-    Every run steps by dt = 1e-2 and records every 10 steps up to t_max;
-    the default t_max covers every finite tau_star.
+    Each run is a RunConfig (the catalog entry's name and pair, the
+    model's default environment, SWEEP_GRID up to t_max, whose default
+    covers every finite tau_star), written as run_scenario writes one, to
+    its csv_path under out_dir.  Also writes summary.csv with the
+    interpolated time tau_star at which the gme bound first drops below
+    0.5 (NaN when it never does, e.g. coherences the correlated dephasing
+    model leaves decoherence-free).  Returns the summary path.
     """
     out = Path(out_dir)
     params, environments = default_parameters()
-    evolution = EvolutionConfig(t_max=t_max, dt=1e-2, record_stride=10)
+    evolution = replace(SWEEP_GRID, t_max=t_max)
     entries = catalog_states(params)
     tau_stars = {}
     # model-major, so that the 16 runs of one model share one cached
-    # transfer matrix (engine._propagator)
+    # transfer matrix (engine._propagator keys the spec by identity)
     for model in EnvironmentModel:
         for entry in entries:
-            rows = _run_to_csv(out / f"{entry.name}_{model.value}.csv", entry.pair,
-                               evolution, params, environments[model])
+            run = RunConfig(entry.name, entry.pair, params, environments[model], evolution)
+            rows = _run_to_csv(replace(run, out=str(out / run.csv_path)))
             tau_stars[entry.name, model] = tau_first_below(rows[:, 0], rows[:, 2])
     summary_rows = [
         (entry.name, entry.family, entry.pair[0], entry.pair[1], model.value,

@@ -14,6 +14,7 @@ from lindchain import (EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionC
                        dephasing_rate_matrix, engine)
 from lindchain.catalog import default_rate_matrix
 from lindchain.engine import MAX_RECORDS, frame_frequencies, lowering_operators, sz_operators
+from lindchain.runner import SWEEP_GRID
 
 M = EnvironmentModel
 MODELS = tuple(M)
@@ -526,7 +527,7 @@ def test_correlated_dephasing_is_not_positive_off_the_catalog(default_setup):
     shrinks, and no catalog state shows it."""
     params, envs = default_setup
     plus = np.full((8, 8), 1 / 8, dtype=complex)
-    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep's grid
+    cfg = SWEEP_GRID
     low = {}
     for model in (M.CORRELATED_DEPHASING, M.DEPHASING):
         traj = lc.rk4_evolve(plus, cfg, params, envs[model])
@@ -732,12 +733,12 @@ def test_correlated_dissipation_dips_on_the_sweep_grid_are_rk4s(default_setup):
     """beta_23's deepest min_eig under correlated dissipation on the sweep
     grid (dt = 1e-2, stride 10) is -6.32e-7 at tau = 20.1.  At that tau the
     dip shrinks at least 16x per halving of dt, as RK4's fourth-order error
-    does: it is the integrator's, not the model's."""
+    does, and the exact state there is positive to round-off: the dip is
+    the integrator's, not the model's."""
     params, envs = default_setup
     env = envs[M.CORRELATED_DISSIPATION]
     rho0 = lc.initial_bell_density(2, 3)
-    sweep_run = lc.rk4_evolve(rho0, EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10),
-                              params, env)
+    sweep_run = lc.rk4_evolve(rho0, SWEEP_GRID, params, env)
     low = lc.diagnostics(sweep_run.rhos).min_eigenvalue
     assert sweep_run.taus[np.argmin(low)] == pytest.approx(20.1)
     dips = []
@@ -752,6 +753,38 @@ def test_correlated_dissipation_dips_on_the_sweep_grid_are_rk4s(default_setup):
     assert dips[1] == pytest.approx(-2.316e-8, rel=1e-3)
     assert dips[2] == pytest.approx(-7.534e-10, rel=1e-3)
     assert all(16 * abs(finer) <= abs(coarser) for coarser, finer in zip(dips, dips[1:]))
+    delta = frame_frequencies(params, env).reshape(-1)
+    generator = _lab_generator(params, env, EngineKind.ELEMENT_WISE)
+    exact = np.exp(20.1j * delta) * (expm(20.1 * generator) @ rho0.reshape(-1))
+    assert lc.diagnostics(exact.reshape(8, 8)).min_eigenvalue >= -1e-13
+
+
+def test_rk4_record_map_of_a_cp_generator_is_not_cp_on_the_sweep_grid(default_setup):
+    """Correlated dissipation with its negative rate eigenvalue clipped has
+    PSD rates, so its generator passes the GKS test and its exact map is
+    CP.  The RK4 map over one record, D(h) Q^stride with h = stride * dt,
+    is not CP on the sweep grid (Choi minimum -3.1e-8); at the simulate
+    defaults it is, to round-off (-3.5e-13).  RK4 alone can take a state
+    out of the PSD cone."""
+    params, envs = default_setup
+    values, vectors = np.linalg.eigh(envs[M.CORRELATED_DISSIPATION].rates)
+    assert values[0] < 0.0
+    env = _quiet_environment(M.CORRELATED_DISSIPATION,
+                             (vectors * np.clip(values, 0.0, None)) @ vectors.T)
+    generator = _lab_generator(params, env, EngineKind.ELEMENT_WISE)
+    assert _gks_minimum(generator, params.dim) >= -1e-11
+    delta = frame_frequencies(params, env).reshape(-1)
+    lows = []
+    for cfg in (SWEEP_GRID, EvolutionConfig(t_max=1.0)):
+        h = cfg.dt * cfg.record_stride
+        phases = np.exp(1j * delta * h)[:, None]
+        record_map = phases * np.linalg.matrix_power(_dense_transfer(params, env, cfg),
+                                                     cfg.record_stride)
+        lows.append(np.linalg.eigvalsh(_choi(record_map, params.dim))[0])
+        exact = phases * expm(h * generator)
+        assert np.linalg.eigvalsh(_choi(exact, params.dim))[0] >= -1e-12
+    assert lows[0] < -1e-8
+    assert lows[1] >= -1e-12
 
 
 # ------------------------------------------------------ transfer-matrix cache
@@ -820,7 +853,7 @@ def test_frame_phases_are_filled_once_in_any_order(default_setup, propagator_cac
     reverse, keep the bits of the full exp(i tau Delta) table multiplied
     phase first, and no entry is computed twice."""
     params, envs = default_setup
-    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep grid
+    cfg = SWEEP_GRID
     rho0s = [lc.initial_bell_density(*entry.pair) for entry in lc.catalog_states(params)]
     exp = np.exp
     for model, count in zip(MODELS, (40, 64, 40, 40)):
@@ -859,7 +892,7 @@ def _count_power_builds(patch):
 def test_a_lone_run_builds_the_powers_of_the_stacks_it_occupies(default_setup,
                                                                  propagator_cache, monkeypatch):
     params, envs = default_setup
-    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep grid
+    cfg = SWEEP_GRID
     rho0 = lc.initial_bell_density(*lc.catalog_entry("psi_18").pair)
     occupied = {M.INDEPENDENT_DISSIPATION: [(1, 8), (8, 1)],
                 M.CORRELATED_DISSIPATION: [(1, 20), (2, 1)],
@@ -882,7 +915,7 @@ def test_record_powers_are_built_once_in_any_order(default_setup, propagator_cac
     independent dissipation's (6, 4) stack, which no state occupies, and
     the bits of an eager build."""
     params, envs = default_setup
-    cfg = EvolutionConfig(t_max=40.0, dt=1e-2, record_stride=10)  # the sweep grid
+    cfg = SWEEP_GRID
     rho0s = [lc.initial_bell_density(*entry.pair) for entry in lc.catalog_states(params)]
     for model in MODELS:
         env = envs[model]

@@ -30,6 +30,7 @@ def test_minimal_config_takes_defaults():
     assert cfg.evolution.t_max == 50.0
     assert cfg.evolution.dt == 1e-3
     assert cfg.evolution.record_stride == 100
+    assert cfg.evolution == lc.EvolutionConfig()  # the grid defaults are the class's
     assert cfg.out is None and cfg.plot is None
     # canonical rates survive untouched
     assert np.array_equal(cfg.env.rates, 0.05 * np.eye(3))
@@ -135,6 +136,19 @@ def test_explicit_pair():
     assert cfg.label == "pair_25"
     with pytest.raises(ConfigError, match="single qubit"):
         parse_config("model = dephasing\npair_i = 1\npair_j = 2\n")
+
+
+@pytest.mark.parametrize("pairs, lineno", [
+    ("pair_j = 9\npair_i = 1\n", 2),  # pair_j out of range: its own line
+    ("pair_j = 1\npair_i = 0\n", 3),
+    ("pair_i = 3\npair_j = 0\n", 3),
+    ("pair_j = 9\npair_i = 0\n", 3),  # both out of range: pair_i's line
+    ("pair_j = 2\npair_i = 1\n", 3),  # the pair as a whole: pair_i's line
+    ("pair_j = 4\npair_i = 4\n", 3),
+], ids=["j_high", "i_low", "j_low", "both", "single_qubit", "equal"])
+def test_pair_error_names_the_line_at_fault(pairs, lineno):
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: pair \("):
+        parse_config("model = dephasing\n" + pairs)
 
 
 def test_explicit_pair_runs_as_the_catalog_state(tmp_path):

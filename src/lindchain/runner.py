@@ -266,16 +266,10 @@ def render_csv(header: tuple[str, ...], rows) -> str:
     A float64 array is written as bytes in one numpy pass (_float_lines).
     A column whose cells all have the same bits is formatted once, into
     the line template (bits, not ==: 0.0 and -0.0 print differently).
-    For the varying columns, a cell's 12 digits are the integer nearest
-    its magnitude scaled into [1e11, 1e12) by a correctly rounded power of
-    ten; the scaled value is within 4e-4 of exact, since the power and
-    the multiply each round once.  Where that integer could differ from
-    the exact rounding (the scaled value lies within 1e-3 of a
-    half-integer, or outside [1e11, 1e12)), and for a cell that is not
-    finite or whose magnitude lies outside (1e-280, 1e280), the cell is
-    written by '%.11e' itself; zero and -0.0 are not.  So every cell has
-    the bytes '%.11e' gives it.  Other tables are written a row at a time
-    with one %-template.
+    For the varying columns, a cell's digits come from _digit_split; a
+    cell it is not sure of, other than zero and -0.0, is written by
+    '%.11e' itself.  So every cell has the bytes '%.11e' gives it.  Other
+    tables are written a row at a time with one %-template.
     """
     text = ",".join(header) + "\n"
     if not len(rows):
@@ -314,20 +308,10 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
     the lines are compacted.  A cell left to % gets its '%.11e' text,
     NUL-padded, as its slot.
     """
-    pow10, lead, digits4, tail, exponent = _digit_tables()
-    magnitude = np.abs(values)
-    normal = (magnitude > 1e-280) & (magnitude < 1e280)  # false for 0, nan, inf
-    magnitude = np.where(normal, magnitude, 1.0)
-    e = np.floor(np.log10(magnitude)).astype(np.intp)  # may be off by one: see sure
-    scaled = magnitude * pow10[_POW10_OFFSET + 11 - e]
-    m = np.rint(scaled)
-    sure = normal & (np.abs(scaled - m) < 0.499) & (scaled >= 1e11) & (scaled < 1e12)
+    _, lead, digits4, tail, exponent = _digit_tables()
+    m, e, sure = _digit_split(values)
     fast = sure | (values == 0.0)
-    m = np.where(sure, m, 0.0)
-    carry = m == 1e12  # 9.999999999995e-5 is 1.00000000000e-04
-    e = np.where(normal, e + carry, 0)  # zero is 0.00000000000e+00
-    digits = np.where(carry, 1e11, m).astype(np.int64)
-    top, digits = np.divmod(digits, 10 ** 10)
+    top, digits = np.divmod(m.astype(np.int64), 10 ** 10)
     upper, digits = np.divmod(digits, 10 ** 6)
     lower, last = np.divmod(digits, 100)
     slots = np.stack((lead[100 * np.signbit(values) + top], digits4[upper], digits4[lower],
@@ -351,6 +335,57 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
             words[:, start:start + 5] = slots[:, j]
             start += 5
     return words.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _digit_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits '%.11e' writes for each cell of a float64 array, where
+    one rounding decides them: (m, e, sure), the 12 digits as an integer
+    float m in [1e11, 1e12) and the decimal exponent e, so that the cell
+    is +-m * 10**(e - 11).  Where sure is false, m is 0, and e is 0 for a
+    cell that is zero or not finite.
+
+    m is the integer nearest |cell| scaled into [1e11, 1e12) by a
+    correctly rounded power of ten; the scaled value is within 4e-4 of
+    exact, since the power and the multiply each round once.  A cell is
+    not sure where that integer could differ from the exact rounding (the
+    scaled value lies within 1e-3 of a half-integer, or outside [1e11,
+    1e12)), or where it is zero, not finite, or of magnitude outside
+    (1e-280, 1e280).
+    """
+    pow10 = _digit_tables()[0]
+    magnitude = np.abs(values)
+    normal = (magnitude > 1e-280) & (magnitude < 1e280)  # false for 0, nan, inf
+    magnitude = np.where(normal, magnitude, 1.0)
+    e = np.floor(np.log10(magnitude)).astype(np.intp)  # may be off by one: see sure
+    scaled = magnitude * pow10[_POW10_OFFSET + 11 - e]
+    m = np.rint(scaled)
+    sure = normal & (np.abs(scaled - m) < 0.499) & (scaled >= 1e11) & (scaled < 1e12)
+    m = np.where(sure, m, 0.0)
+    carry = m == 1e12  # 9.999999999995e-5 is 1.00000000000e-04
+    e = np.where(normal, e + carry, 0)  # zero is 0.00000000000e+00
+    return np.where(carry, 1e11, m), e, sure
+
+
+def read_back(values: np.ndarray) -> np.ndarray:
+    """float('%.11e' % x) of each cell x of a float64 array: what `lindchain
+    plot` reads from the cell render_csv writes, bit for bit.
+
+    A sure cell of _digit_split whose power 10**|11 - e| is at most 1e22
+    reads as m / 10**(11 - e) or m * 10**(e - 11): one IEEE operation on
+    two exact operands (m < 2**53, and every power of ten up to 1e22 is a
+    float), so it is the correctly rounded value of the decimal text, as
+    float() is.  A zero keeps its sign; every other cell goes through
+    float('%.11e' % x).
+    """
+    pow10 = _digit_tables()[0]
+    m, e, sure = _digit_split(values)
+    shift = 11 - e
+    exact = sure & (np.abs(shift) <= 22)
+    power = pow10[_POW10_OFFSET + np.where(exact, np.abs(shift), 0)]
+    read = np.copysign(np.where(shift > 0, m / power, m * power), values)  # m is 0 for a zero
+    slow = ~exact & (values != 0.0)
+    read[slow] = [float("%.11e" % x) for x in values[slow].tolist()]
+    return read
 
 
 _POW10_OFFSET = 300  # pow10[_POW10_OFFSET + p] is 10**p
@@ -386,17 +421,16 @@ def run_scenario(cfg: RunConfig) -> Path:
     """Integrate the configured scenario and write its CSV time series.
 
     Returns the CSV path.  If the config names a plot path, tau, purity
-    and gme are read back from the CSV with one np.loadtxt call, which
-    reads render_csv's LF-ended, unquoted '%.11e' cells to the float() of
-    each, and drawn there: the SVG `lindchain plot` draws from the CSV.  A
-    cell that is not finite is a PlotDataError naming it, and no SVG is
-    written.
+    and gme are drawn there as the CSV's cells read: read_back gives the
+    float() of each cell from the rows in memory, so this is the SVG
+    `lindchain plot` draws from the CSV.  A cell that is not finite is a
+    PlotDataError naming it, and no SVG is written.
     """
     path = cfg.csv_path
-    _run_to_csv(cfg)
+    rows = _run_to_csv(cfg)
     if cfg.plot:
         names = CSV_HEADER[:3]  # tau, purity, gme
-        table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+        table = read_back(rows[:, :3])
         if not np.isfinite(table).all():  # the cell loop names the first bad cell
             svgplot.read_csv_columns(path, names)
         svgplot.emit_svg_plot([(path.stem, dict(zip(names, table.T)))], names[1:], cfg.plot)
@@ -494,9 +528,14 @@ def sweep(out_dir: str | Path, t_max: float = SWEEP_GRID.t_max) -> Path:
     its csv_path under out_dir.  Also writes summary.csv with the
     interpolated time tau_star at which the gme bound first drops below
     0.5 (NaN when it never does, e.g. coherences the correlated dephasing
-    model leaves decoherence-free).  Returns the summary path.
+    model leaves decoherence-free).  Returns the summary path.  out_dir is
+    made before any run; where it exists and is not a directory, that is
+    a NotADirectoryError naming it.
     """
     out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"{out}: output path is not a directory")
+    out.mkdir(parents=True, exist_ok=True)
     params, environments = default_parameters()
     evolution = replace(SWEEP_GRID, t_max=t_max)
     entries = catalog_states(params)

@@ -13,7 +13,11 @@ an output path that is one of the input CSVs is an error.  same_file, the
 one rule of whether two paths name one file, serves every command's output
 guard.  emit_svg_plot draws columns already in memory: point coordinates
 are computed on whole arrays by the same expressions that place the axes
-and ticks.
+and ticks, and written in one numpy pass with the bytes '%.2f' gives each
+(_points).  simulate draws through it too, from its rows read as float()
+reads their CSV cells (runner.read_back), so it draws the SVG that
+plot_csvs draws from its CSV.  The plot area keeps its place on the
+canvas; the canvas grows below it when the legend needs the room.
 """
 
 from __future__ import annotations
@@ -157,11 +161,14 @@ def emit_svg_plot(tables, columns, out_path: str | Path) -> Path:
         return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * (
             HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
+    # the plot area keeps its place in the top HEIGHT pixels; the canvas
+    # grows to 10 px below the last legend baseline (22 entries fit in HEIGHT)
+    height = max(HEIGHT, int(_legend_y(len(series) - 1)) + 10)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'width="{WIDTH}" height="{height}" viewBox="0 0 {WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{height}" fill="white"/>',
     ]
 
     axis_style = 'stroke="black" stroke-width="1" fill="none"'
@@ -190,12 +197,10 @@ def emit_svg_plot(tables, columns, out_path: str | Path) -> Path:
             parts.append(f'<circle cx="{px(taus[0]):.2f}" cy="{py(values[0]):.2f}" '
                          f'r="3" fill="{color}"/>')
         else:
-            # one % call for all points: a call per point costs more than its formatting
-            xy = np.column_stack((px(taus), py(values))).ravel().tolist()
-            points = " ".join(["%.2f,%.2f"] * len(taus)) % tuple(xy)
+            points = _points(px(taus), py(values))
             parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                          f'stroke-width="1.5"/>')
-        ly = MARGIN_TOP + 14.0 + 18.0 * index
+        ly = _legend_y(index)
         parts.append(f'<line x1="{legend_x:.2f}" y1="{ly - 4:.2f}" '
                      f'x2="{legend_x + 22:.2f}" y2="{ly - 4:.2f}" '
                      f'stroke="{color}" stroke-width="2"/>')
@@ -206,6 +211,50 @@ def emit_svg_plot(tables, columns, out_path: str | Path) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
     return out
+
+
+def _legend_y(index: int) -> float:
+    """The baseline of legend entry index."""
+    return MARGIN_TOP + 14.0 + 18.0 * index
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """'%.2f,%.2f' of each point (x, y), joined by spaces: the digits of
+    every coordinate are computed in one numpy pass.
+
+    A coordinate v in [0, 1e4) prints as the integer nearest 100 * v, in
+    cents.  The product rounds once, by less than 1.2e-10 there, so where
+    it lies 1e-6 or more from a half-integer, its nearest integer is that
+    of the exact 100 * v, which '%.2f' prints.  A coordinate within 1e-6
+    of a half-cent, with its sign bit set (-0.0 prints -0.00), of 1e4 or
+    more, or nan, is printed by '%.2f' itself.
+    """
+    v = np.column_stack((xs, ys)).ravel()
+    fast = (v < 1e4) & ~np.signbit(v)
+    scaled = 100.0 * np.where(fast, v, 0.0)
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6
+    # cents // 10**k, k = 6..0: exact, since cents / 10**k (cents <= 1e6)
+    # is an integer or lies 1e-6 or more below the next one
+    quotients = np.floor(np.where(fast, np.rint(scaled), 0.0)
+                         / np.array([[1e6], [1e5], [1e4], [1e3], [1e2], [1e1], [1.0]]))
+    digits = quotients.copy()
+    digits[1:] -= 10.0 * quotients[:-1]
+    digits += ord("0")
+    # a column of 9 bytes per coordinate: 5 integer digits (leading zeros
+    # NUL, dropped with the other NULs), point, 2 cent digits, separator
+    field = np.empty((9, v.size), np.uint8)
+    field[:4] = np.where(quotients[:4] >= 1.0, digits[:4], 0.0)
+    field[4] = digits[4]
+    field[5] = ord(".")
+    field[6:8] = digits[5:]
+    field[8] = ord(" ")
+    field[8, ::2] = ord(",")
+    field[:8, ~fast] = np.frombuffer(b"%s\0\0\0\0\0\0", np.uint8)[:, None]  # filled in by %
+    flat = field.T.ravel()
+    text = flat[flat != 0][:-1].tobytes().decode("ascii")  # no separator after the last y
+    if fast.all():
+        return text
+    return text % tuple(["%.2f" % x for x in v[~fast].tolist()])
 
 
 def _expand(lo: float, hi: float, name: str) -> tuple[float, float]:

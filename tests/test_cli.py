@@ -243,6 +243,15 @@ def test_sweep_dispatch(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip().endswith("summary.csv")
 
 
+def test_sweep_out_file_fails_before_any_run(tmp_path, capsys, monkeypatch, propagator_cache):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.csv").write_text("kept\n", encoding="utf-8")
+    assert cli.main(["sweep", "--out", "b.csv"]) == 2
+    assert capsys.readouterr() == ("", "failure: b.csv: output path is not a directory\n")
+    assert propagator_cache.cache_info().misses == 0  # no run started
+    assert (tmp_path / "b.csv").read_text(encoding="utf-8") == "kept\n"
+
+
 def test_plot_roundtrip(quick_config, tmp_path, capsys):
     cfg, out = quick_config
     cli.main(["simulate", cfg])

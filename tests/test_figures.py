@@ -6,9 +6,10 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lindchain import cli
+from lindchain import EnvironmentModel, catalog_states, cli, runner
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -17,14 +18,39 @@ CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_committed_csvs_redraw_committed_svg(config, tmp_path):
     """`lindchain plot` of a run's committed CSV gives its committed SVG,
-    byte for byte.  simulate draws from numpy's loadtxt of its own CSV,
-    lindchain plot from csv.reader and float(): both must give the
-    committed SVGs.  (The overlays are `lindchain plot` already, in the
-    figure script's test.)"""
+    byte for byte.  simulate draws from the rows in memory, read as
+    float() reads their printed cells (runner.read_back), lindchain plot
+    from csv.reader and float(): both must give the committed SVGs.  (The
+    overlays are `lindchain plot` already, in the figure script's test.)"""
     svg = tmp_path / f"{config.stem}.svg"
     assert cli.main(["plot", str(REPO / "figures" / f"{config.stem}.csv"),
                      "--columns", "purity,gme", "--out", str(svg)]) == 0
     assert svg.read_bytes() == (REPO / "figures" / svg.name).read_bytes()
+
+
+def test_simulate_and_plot_draw_the_same_svg_on_fresh_runs(tmp_path, monkeypatch):
+    """For every catalog state under every model, the SVG simulate writes
+    is `lindchain plot` of its CSV, byte for byte.  The grid reaches
+    negative gme, clamped for display, and cells read_back passes to
+    float()."""
+    drawn = []
+    read_back = runner.read_back
+    monkeypatch.setattr(runner, "read_back", lambda cells: drawn.append(cells) or read_back(cells))
+    csv, svg, replot = tmp_path / "run.csv", tmp_path / "run.svg", tmp_path / "replot.svg"
+    config = tmp_path / "run.cfg"
+    for model in EnvironmentModel:
+        for entry in catalog_states():
+            config.write_text(f"model = {model.value}\nstate = {entry.name}\nt_max = 20\n"
+                              f"dt = 0.01\nstride = 100\nout = {csv}\nplot = {svg}\n",
+                              encoding="utf-8")
+            assert cli.main(["simulate", str(config)]) == 0
+            assert cli.main(["plot", str(csv), "--columns", "purity,gme",
+                             "--out", str(replot)]) == 0
+            assert replot.read_bytes() == svg.read_bytes(), (entry.name, model.value)
+    cells = np.concatenate(drawn)
+    assert len(drawn) == 64 and (cells[:, 2] < 0).any()
+    sure = runner._digit_split(cells)[2]
+    assert not sure[cells != 0].all()
 
 
 def _figure_script():

@@ -3,10 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindchain.svgplot import PlotDataError, emit_svg_plot, plot_csvs, read_csv_columns
+from lindchain.svgplot import (HEIGHT, PlotDataError, _points, emit_svg_plot, plot_csvs,
+                               read_csv_columns)
 
 
 def make_csv(path, header, rows):
@@ -218,3 +219,34 @@ def test_any_finite_column_draws_or_fails_cleanly(tmp_path_factory, rows):
     coords += " ".join(polyline_points(text)).replace(",", " ").split()
     assert all(math.isfinite(float(c)) for c in coords)
     assert text.count("<text") <= 2 * 6 + 2  # ticks on two axes, axis title, legend
+
+
+# coordinates near whole cents, half-cent ties among them (k / 200)
+_coordinates = st.one_of(_finite, st.floats(0.0, 1.1e4), st.integers(0, 2_200_000).map(lambda k: k / 200))
+
+
+@given(st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=40))
+@example([(60.005, 0.125), (123.455, -0.0), (-1.5, -0.004), (-60.005, -123.455),
+          (1e4, 9999.995), (9999.999, 12345.678), (1e300, -1e300), (0.0, 5e-324)])
+@settings(max_examples=200, deadline=None)
+def test_points_match_percent_template(points):
+    xs, ys = np.array(points).T
+    expected = " ".join(["%.2f,%.2f"] * len(points)) % tuple(x for point in points for x in point)
+    assert _points(xs, ys) == expected
+
+
+def test_legend_labels_lie_inside_the_viewbox(tmp_path):
+    # 32 CSVs x 2 columns: 64 legend entries, 42 of them below HEIGHT
+    paths = [make_csv(tmp_path / f"run{k:02d}.csv", ("tau", "purity", "gme"),
+                      [(0, 1.0, 1.0), (1, 0.5 + k / 100, 0.25)]) for k in range(32)]
+    text = plot_csvs(paths, ["purity", "gme"], tmp_path / "fig.svg").read_text()
+    width, height = map(int, re.search(r'viewBox="0 0 (\d+) (\d+)"', text).groups())
+    assert f'width="{width}" height="{height}"' in text
+    legend = [float(y) for y in re.findall(r'<text x="[^"]+" y="([^"]+)" font-size="11">run', text)]
+    assert len(legend) == 64 and max(legend) > HEIGHT
+    assert all(0 < y <= height - 3 for y in legend)  # 3 px for the descent of 11 px text
+    # the plot area keeps its place: the axes and their labels are those of one curve
+    one = plot_csvs(paths[:1], ["purity", "gme"], tmp_path / "one.svg").read_text()
+    axes = re.compile(r'<line x1="[^"]+" y1="[^"]+" x2="[^"]+" y2="[^"]+" stroke="black".*|'
+                      r'<text [^>]*text-anchor.*')
+    assert axes.findall(text) == axes.findall(one)

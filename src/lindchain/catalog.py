@@ -75,21 +75,17 @@ def default_parameters() -> tuple[SpinChainParams, dict[EnvironmentModel, Enviro
 
 
 def catalog_states(params: SpinChainParams | None = None) -> list[CatalogEntry]:
-    """All 16 catalog entries with quoted and recomputed energy gaps."""
+    """All 16 catalog entries with quoted and recomputed energy gaps, the
+    gap of pair (i, j) being E_j - E_i."""
     energies = all_energies(params or SpinChainParams())
-    return [_entry(row, energies) for row in _TABLE]
+    return [CatalogEntry(name, (i, j), quoted, float(energies[j - 1] - energies[i - 1]))
+            for name, (i, j), quoted in _TABLE]
 
 
 def catalog_entry(name: str) -> CatalogEntry:
     """Look up a single entry by name, e.g. "psi_18", at the default chain."""
-    for row in _TABLE:
-        if row[0] == name:
-            return _entry(row, all_energies(SpinChainParams()))
+    for entry in catalog_states():
+        if entry.name == name:
+            return entry
     known = ", ".join(row[0] for row in _TABLE)
     raise KeyError(f"unknown catalog state {name!r}; known states: {known}")
-
-
-def _entry(row, energies) -> CatalogEntry:
-    """The entry of one _TABLE row, its gap E_j - E_i read from energies."""
-    name, (i, j), quoted = row
-    return CatalogEntry(name, (i, j), quoted, float(energies[j - 1] - energies[i - 1]))

@@ -47,10 +47,9 @@ CSV_HEADER = ("tau", "purity", "gme", *(f"p{m}" for m in range(1, 2 ** N_QUBITS 
               "coh_abs", "trace_err", "herm_err", "min_eig")
 
 class ConfigError(ValueError):
-    """Configuration problem, carrying the offending line when known."""
+    """Configuration problem; the message names the offending line when known."""
 
     def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
         if lineno is not None:
             message = f"line {lineno}: {message}"
         super().__init__(message)
@@ -259,38 +258,32 @@ def trajectory_table(traj: Trajectory, pair: tuple[int, int]) -> np.ndarray:
 def render_csv(header: tuple[str, ...], rows) -> str:
     """Deterministic CSV text: 12 significant digits, LF endings.
 
-    rows is a sequence of rows or a 2-D array.  A column is written with
-    %s when its first cell is a str, with %d when every cell is an int
-    (not a bool), else with %.11e.
+    rows is a sequence of rows or a 2-D array.  Each cell is written as
+    _cell_text writes it: '%.11e' for a float, str() for anything else.
 
     A float64 array is written as bytes in one numpy pass (_float_lines).
     A column whose cells all have the same bits is formatted once, into
     the line template (bits, not ==: 0.0 and -0.0 print differently).
     For the varying columns, a cell's digits come from _digit_split; a
     cell it is not sure of, other than zero and -0.0, is written by
-    '%.11e' itself.  So every cell has the bytes '%.11e' gives it.  Other
-    tables are written a row at a time with one %-template.
+    _cell_text itself.  So every cell has the bytes _cell_text gives it.
+    Other tables are written a cell at a time by _cell_text.
     """
     text = ",".join(header) + "\n"
     if not len(rows):
         return text
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         constant = (rows.view(np.int64) == rows.view(np.int64)[0]).all(axis=0)
-        cells = ["%.11e" % cell if fixed else None
+        cells = [_cell_text(cell) if fixed else None
                  for cell, fixed in zip(rows[0].tolist(), constant)]
         return text + _float_lines(rows[:, ~constant], cells)
-    template = ",".join(_conversion(column) for column in zip(*rows)) + "\n"
-    return text + "".join([template % tuple(row) for row in rows])
+    return text + "".join([",".join(map(_cell_text, row)) + "\n" for row in rows])
 
 
-def _conversion(column) -> str:
-    """The %-conversion of a column, given its cells."""
-    if isinstance(column[0], str):
-        return "%s"
-    if all(isinstance(cell, (int, np.integer)) and not isinstance(cell, bool)
-           for cell in column):
-        return "%d"
-    return "%.11e"
+def _cell_text(cell) -> str:
+    """The text of one CSV cell: '%.11e' for a float (numpy's float64 is
+    one), str() for anything else."""
+    return "%.11e" % cell if isinstance(cell, float) else str(cell)
 
 
 def _float_lines(values: np.ndarray, cells: list) -> str:
@@ -305,7 +298,7 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
     The pad byte holds the first byte after the slot, a comma or the
     newline; the NUL bytes left (the sign of a positive cell, the third
     exponent digit of a 2-digit exponent, the padding) are dropped when
-    the lines are compacted.  A cell left to % gets its '%.11e' text,
+    the lines are compacted.  A cell left to _cell_text gets its text,
     NUL-padded, as its slot.
     """
     _, lead, digits4, tail, exponent = _digit_tables()
@@ -317,7 +310,7 @@ def _float_lines(values: np.ndarray, cells: list) -> str:
     slots = np.stack((lead[100 * np.signbit(values) + top], digits4[upper], digits4[lower],
                       tail[2 * last + (e < 0)], exponent[np.abs(e)]), axis=-1)
     # at most 19 bytes (-4.94065645841e-324): the slot's last byte is left for the pad
-    fallback = np.array(["%.11e" % x for x in values[~fast].tolist()], "S20")
+    fallback = np.array([_cell_text(x) for x in values[~fast].tolist()], "S20")
     slots[~fast] = fallback.view(np.uint32).reshape(-1, 5)
 
     line = ",".join("\0" if cell is None else cell for cell in cells) + "\n"
@@ -375,7 +368,7 @@ def read_back(values: np.ndarray) -> np.ndarray:
     two exact operands (m < 2**53, and every power of ten up to 1e22 is a
     float), so it is the correctly rounded value of the decimal text, as
     float() is.  A zero keeps its sign; every other cell goes through
-    float('%.11e' % x).
+    float(_cell_text(x)).
     """
     pow10 = _digit_tables()[0]
     m, e, sure = _digit_split(values)
@@ -384,7 +377,7 @@ def read_back(values: np.ndarray) -> np.ndarray:
     power = pow10[_POW10_OFFSET + np.where(exact, np.abs(shift), 0)]
     read = np.copysign(np.where(shift > 0, m / power, m * power), values)  # m is 0 for a zero
     slow = ~exact & (values != 0.0)
-    read[slow] = [float("%.11e" % x) for x in values[slow].tolist()]
+    read[slow] = [float(_cell_text(x)) for x in values[slow].tolist()]
     return read
 
 

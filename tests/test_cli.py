@@ -13,6 +13,7 @@ import pytest
 
 import lindchain.cli as cli
 from lindchain import runner
+from lindchain.engine import EngineKind
 from lindchain.runner import EngineComparison
 
 REPO = Path(__file__).resolve().parent.parent
@@ -228,6 +229,33 @@ def test_compare_engines_failure_exits_3(quick_config, capsys, monkeypatch):
         max_delta=1.0, passed=False, n_records=3))
     assert cli.main(["compare-engines", cfg]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", sorted((REPO / "configs").glob("*.cfg")),
+                         ids=lambda path: path.stem)
+def test_simulate_operator_built_matches_the_element_wise_csv(config, tmp_path, capsys,
+                                                              monkeypatch):
+    """A bundled config run with engine = operator_built writes, within
+    1e-12 in every cell, the CSV the element-wise engine wrote for it (the
+    committed figures/ CSV, which the figure script regenerates)."""
+    out = tmp_path / f"{config.stem}.csv"
+    kept = [line for line in config.read_text(encoding="utf-8").splitlines()
+            if line.partition("=")[0].strip() not in ("out", "plot")]
+    cfg = write(tmp_path / config.name,
+                "\n".join([*kept, f"out = {out}", "engine = operator_built", ""]))
+    engines = []
+    rk4_evolve = runner.rk4_evolve
+    monkeypatch.setattr(runner, "rk4_evolve", lambda rho0, evolution, *rest: (
+        engines.append(evolution.engine) or rk4_evolve(rho0, evolution, *rest)))
+    assert cli.main(["simulate", cfg]) == 0
+    assert engines == [EngineKind.OPERATOR_BUILT]
+    assert capsys.readouterr().out == f"{out}\n"
+    element_wise = REPO / "figures" / out.name
+    with out.open() as fh, element_wise.open() as expected:
+        assert fh.readline() == expected.readline()  # the header
+    np.testing.assert_allclose(np.loadtxt(out, delimiter=",", skiprows=1),
+                               np.loadtxt(element_wise, delimiter=",", skiprows=1),
+                               rtol=0, atol=1e-12)
 
 
 def test_sweep_dispatch(tmp_path, capsys, monkeypatch):

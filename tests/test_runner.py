@@ -251,12 +251,11 @@ def test_render_csv_format():
 
 
 def _format_cell_reference(cell) -> str:
-    """The per-cell formatter the row template must reproduce."""
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
-        return str(int(cell))
-    return f"{float(cell):.11e}"
+    """The text of one cell, stated apart from runner: '%.11e' for a float
+    (numpy's float64 is one), str() for anything else."""
+    if isinstance(cell, float):
+        return f"{cell:.11e}"
+    return str(cell)
 
 
 def test_render_csv_array_matches_tuples():
@@ -300,8 +299,8 @@ def test_render_csv_mixed_cell_kinds():
             ("xi_47", 12, np.int64(0), False, -2.0, float("inf"), np.float64(5.0))]
     text = render_csv(tuple("abcdefg"), rows)
     lines = text.split("\n")
-    assert lines[1] == ("psi_18,3,-7,1.00000000000e+00,2.50000000000e-01,nan,"
-                        "-1.00000000000e-300")
+    assert lines[1] == "psi_18,3,-7,True,2.50000000000e-01,nan,-1.00000000000e-300"
+    assert lines[2] == "xi_47,12,0,False,-2.00000000000e+00,inf,5.00000000000e+00"
     assert lines[1:3] == [",".join(_format_cell_reference(c) for c in row) for row in rows]
     assert lines[3] == ""
 
@@ -311,11 +310,11 @@ def test_render_csv_empty_rows_give_header_only():
     assert render_csv(("a", "b"), np.empty((0, 2))) == "a,b\n"
 
 
-def test_render_csv_int_column_needs_every_cell_int():
-    # the first row alone used to pick %d and write 2.7 as 2
-    assert render_csv(("a", "b"), [("x", 1), ("y", 2.7)]) == (
-        "a,b\nx,1.00000000000e+00\ny,2.70000000000e+00\n")
-    assert render_csv(("a",), [(1,), (True,)]) == "a\n1.00000000000e+00\n1.00000000000e+00\n"
+def test_render_csv_writes_each_cell_by_its_own_kind():
+    # no column-wide format: an int and a str, or an int and a float, share a column
+    assert render_csv(("a",), [(1,), ("x",)]) == "a\n1\nx\n"
+    assert render_csv(("a", "b"), [("x", 1), ("y", 2.7)]) == "a,b\nx,1\ny,2.70000000000e+00\n"
+    assert render_csv(("a",), [(1,), (True,)]) == "a\n1\nTrue\n"
     assert render_csv(("a",), [(1,), (np.int64(-2),)]) == "a\n1\n-2\n"
 
 

@@ -341,18 +341,19 @@ class _Propagator:
              the b invariant blocks of that size: index (b, k) holds their
              entries of vec(rho), transfer (b, k, k) Q on each block;
     radius   the spectral radius of Q, the largest over all blocks;
-    steps    the step index of each record;
+    steps    the step index of each record, an int array;
     taus     the record times.
 
     Q and the radius cover every stack, since the stability warning reads
     all of Q; a stack's powers are built when a run first occupies it (a
     lone run under a dissipative model occupies 2 of its 4 stacks).  The
-    arrays of stacks, powers and taus are read-only: cache hits share them.
-    The frame phase table, one row per entry of vec(rho) so that an entry's
-    phases are contiguous, is written only by phases(), which hands out
-    copies.  The build and the fill run with numpy's overflow warnings off:
-    rates too large for RK4 overflow Q, its powers and the records, which
-    the stability warning and the divergence check report instead.
+    arrays of stacks, powers, steps and taus are read-only: cache hits
+    share them.  The frame phase table, one row per entry of vec(rho) so
+    that an entry's phases are contiguous, is written only by phases(),
+    which hands out copies.  The build and the fill run with numpy's
+    overflow warnings off: rates too large for RK4 overflow Q, its powers
+    and the records, which the stability warning and the divergence check
+    report instead.
     """
 
     def __init__(self, params: SpinChainParams, env: EnvironmentSpec, cfg: EvolutionConfig):
@@ -365,16 +366,16 @@ class _Propagator:
             a0 = generator(0.0)
             liouville = (a0, generator(0.5 * dt), generator(dt))
             back = np.exp(delta * (-1j * dt))
-            steps = (*range(0, n_steps, stride), n_steps)
-            taus = np.asarray(steps) * dt
-            last_gap = steps[-1] - steps[-2] if len(steps) > 1 else stride
+            steps = np.append(np.arange(0, n_steps, stride), n_steps)
+            taus = steps * dt
+            last_gap = int(steps[-1] - steps[-2]) if len(steps) > 1 else stride
             stacks = []
             for index in connected_blocks(a0 != 0):
                 rows, cols = index[:, :, None], index[:, None, :]
                 transfer = back[rows] * _rk4_step_matrix(*(a[rows, cols] for a in liouville), dt)
                 stacks.append((index, transfer))
             radius = max(_spectral_radius(transfer) for _, transfer in stacks)
-        for array in (*(a for stack in stacks for a in stack), taus):
+        for array in (*(a for stack in stacks for a in stack), steps, taus):
             array.setflags(write=False)
         self.stacks, self.radius, self.steps, self.taus = tuple(stacks), radius, steps, taus
         self._stride, self._last_gap = stride, last_gap
@@ -453,7 +454,7 @@ class _Propagator:
                     # next record's step when none is non-finite, the
                     # powered Q having overflowed although single steps did not
                     first = int(np.argmin(finite))
-                    part, step = rows[:, first - 1, :, None], self.steps[first - 1] + 1
+                    part, step = rows[:, first - 1, :, None], int(self.steps[first - 1]) + 1
                     while step < self.steps[first]:
                         part = transfer @ part
                         if not np.isfinite(part).all():

@@ -18,7 +18,9 @@ keys:
 Omitted numeric keys fall back to the canonical defaults.  Rate matrices
 are symmetric, so one off-diagonal entry per pair suffices; giving both
 orders with different values is an error.  Both rate families are
-validated; the model picks the one it reads.  Every run, simulate's or
+validated; the model picks the one it reads.  Each line is checked in
+file order as it is read, then the config as a whole, so an error names
+the first line that is bad on its own.  Every run, simulate's or
 sweep's, is a RunConfig that one function, _run_to_csv, writes.
 """
 
@@ -85,16 +87,25 @@ class RunConfig:
 # ------------------------------------------------------------- config text
 
 _RATE_KEY = re.compile(rf"^(gamma|Gamma)_([1-{N_QUBITS}])([1-{N_QUBITS}])?$")
+# what reads each key's text; a rate key (_RATE_KEY) is read as a float
+_KEYS = {"model": EnvironmentModel, "engine": EngineKind, "state": catalog_entry,
+         "pair_i": int, "pair_j": int, "omega_1": float, "omega_2": float,
+         "omega_3": float, "J": float, "Jp": float, "dt": float, "t_max": float,
+         "stride": int, "out": str, "plot": str}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
-    One leading byte-order mark (U+FEFF) is dropped.  Raises ConfigError
-    with a line number for any malformed, unknown, duplicated, or
-    out-of-range entry.
+    One leading byte-order mark (U+FEFF) is dropped.  Each line is checked
+    in file order as it is read (malformed, duplicated, unknown key, bad
+    value, negative or conflicting rate), then the config as a whole
+    (model and state set, the grid, the rates, the plot path), so a
+    ConfigError names the first line that is bad on its own, else the
+    line of the key at fault in the whole, if any.
     """
-    entries: dict[str, tuple[str, int]] = {}
+    values, lines = {}, {}
+    gamma, big_gamma = default_rate_matrix(), default_rate_matrix()
     for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,142 +114,101 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        if key in entries:
-            raise ConfigError(f"duplicate key {key!r} (first set on line {entries[key][1]})",
-                              lineno)
-        entries[key] = (value, lineno)
-
-    def take(key):
-        return entries.pop(key, None)
-
-    def number(key, default, kind=float):
-        item = take(key)
-        return default if item is None else _parse_number(key, item, kind)
-
-    model = _parse_member("model", EnvironmentModel, take("model"))
-    if model is None:
-        raise ConfigError("missing required key 'model'")
-    engine = _parse_member("engine", EngineKind, take("engine")) or EvolutionConfig.engine
-
-    label, pair = _parse_state(take("state"), take("pair_i"), take("pair_j"))
-
-    chain = SpinChainParams()
-    omegas = tuple(number(f"omega_{k}", w) for k, w in enumerate(chain.omegas, start=1))
-    params = SpinChainParams(omegas, number("J", chain.coupling_j),
-                             number("Jp", chain.coupling_jp))
-
-    gamma, big_gamma = default_rate_matrix(), default_rate_matrix()
-    rate_lines = {}
-    for key in [k for k in entries if _RATE_KEY.match(k)]:
-        value, lineno = entries.pop(key)
-        name, a, b = _RATE_KEY.match(key).groups()
-        target = gamma if name == "gamma" else big_gamma
-        rate = _parse_number(key, (value, lineno))
-        if b is None:
-            if rate < 0.0:
+        if key in lines:
+            raise ConfigError(f"duplicate key {key!r} (first set on line {lines[key]})", lineno)
+        rate_key = _RATE_KEY.match(key)
+        if key not in _KEYS and not rate_key:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        lines[key] = lineno
+        values[key] = _parse_value(key, value, _KEYS.get(key, float), lineno)
+        if rate_key:
+            rate, (name, a, b) = values[key], rate_key.groups()
+            if b is None and rate < 0.0:
                 raise ConfigError(f"{key} must be nonnegative, got {rate}", lineno)
-            target[int(a) - 1][int(a) - 1] = rate
-        else:
-            i, j = sorted((int(a), int(b)))
-            if i == j:
+            if a == b:
                 raise ConfigError(f"{key} repeats a qubit index", lineno)
-            slot = (name, i, j)
-            if slot in rate_lines and rate_lines[slot][0] != rate:
-                raise ConfigError(
-                    f"{key} conflicts with value set on line {rate_lines[slot][1]}", lineno)
-            rate_lines[slot] = (rate, lineno)
-            target[i - 1][j - 1] = rate
-            target[j - 1][i - 1] = rate
+            mirror = f"{name}_{b}{a}"  # the other key of an off-diagonal rate
+            if b and values.get(mirror, rate) != rate:
+                raise ConfigError(f"{key} conflicts with value set on line {lines[mirror]}",
+                                  lineno)
+            target = gamma if name == "gamma" else big_gamma
+            i, j = int(a) - 1, int(b or a) - 1
+            target[i][j] = target[j][i] = rate
 
-    dt_item, t_max_item, stride_item = map(entries.get, ("dt", "t_max", "stride"))
-    dt = number("dt", EvolutionConfig.dt)
-    t_max = number("t_max", EvolutionConfig.t_max)
-    stride = number("stride", EvolutionConfig.record_stride, int)
-
-    out, plot = take("out"), take("plot")
-
-    if entries:
-        key = min(entries, key=lambda k: entries[k][1])
-        raise ConfigError(f"unknown key {key!r}", entries[key][1])
-
+    if "model" not in values:
+        raise ConfigError("missing required key 'model'")
+    label, pair = _parse_state(values, lines)
+    chain = SpinChainParams()
+    omegas = tuple(values.get(f"omega_{k}", w) for k, w in enumerate(chain.omegas, start=1))
+    params = SpinChainParams(omegas, values.get("J", chain.coupling_j),
+                             values.get("Jp", chain.coupling_jp))
     try:
-        evolution = EvolutionConfig(t_max=t_max, dt=dt, record_stride=stride, engine=engine)
+        evolution = EvolutionConfig(
+            t_max=values.get("t_max", EvolutionConfig.t_max),
+            dt=values.get("dt", EvolutionConfig.dt),
+            record_stride=values.get("stride", EvolutionConfig.record_stride),
+            engine=values.get("engine", EvolutionConfig.engine))
     except ValueError as exc:
         # the message starts with the field at fault, reported under its
         # config key, as is the stride it may quote; a grid error on a
         # defaulted t_max or dt (whole-number check, step-count overflow)
         # is the other one's line
         field, _, rest = str(exc).partition(" ")
-        key, item = {"dt": ("dt", dt_item or t_max_item),
-                     "t_max": ("t_max", t_max_item or dt_item),
-                     "record_stride": ("stride", stride_item)}.get(field, (field, None))
+        key, other = {"dt": ("dt", "t_max"), "t_max": ("t_max", "dt"),
+                      "record_stride": ("stride", "stride")}.get(field, (field, field))
         rest = rest.replace("record_stride = ", "stride = ")
-        raise ConfigError(f"{key} {rest}", item and item[1]) from exc
+        raise ConfigError(f"{key} {rest}", lines.get(key) or lines.get(other)) from exc
+    model = values["model"]
     try:
         env = EnvironmentSpec(model, gamma if model.dissipative else big_gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg = RunConfig(label=label, pair=pair, params=params, env=env,
-                    evolution=evolution, out=out[0] if out else None,
-                    plot=plot[0] if plot else None)
-    if plot and svgplot.same_file(cfg.plot, cfg.csv_path):
+    cfg = RunConfig(label=label, pair=pair, params=params, env=env, evolution=evolution,
+                    out=values.get("out"), plot=values.get("plot"))
+    if cfg.plot and svgplot.same_file(cfg.plot, cfg.csv_path):
         raise ConfigError(f"plot {cfg.plot!r} is the CSV output path {str(cfg.csv_path)!r}",
-                          plot[1])
+                          lines["plot"])
     return cfg
 
 
-def _parse_member(key, kind, item):
-    """The member of the enum kind whose value item names; None when unset."""
-    if item is None:
-        return None
-    value, lineno = item
+def _parse_value(key, value, kind, lineno):
+    """The text value of key read by kind, its entry of _KEYS; a float
+    must be finite (int() takes no inf or nan)."""
     try:
-        return kind(value)
+        result = kind(value)
+    except KeyError as exc:  # catalog_entry's message lists the states
+        raise ConfigError(str(exc.args[0]), lineno) from None
     except ValueError:
+        if kind in (int, float):
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}", lineno) from None
         valid = ", ".join(member.value for member in kind)
         raise ConfigError(f"unknown {key} {value!r}; valid {key}s: {valid}", lineno) from None
+    if kind is float and not np.isfinite(result):
+        raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
+    return result
 
 
-def _parse_state(state_item, pair_i_item, pair_j_item):
+def _parse_state(values, lines):
     """(label, pair) of the state the config names: a catalog entry's name
     and pair, or pair_ij for an explicit pair."""
-    if state_item is not None and (pair_i_item is not None or pair_j_item is not None):
-        raise ConfigError("give either 'state' or 'pair_i'/'pair_j', not both",
-                          state_item[1])
-    if state_item is not None:
-        value, lineno = state_item
-        try:
-            entry = catalog_entry(value)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0]), lineno) from None
-        return entry.name, entry.pair
-    if pair_i_item is None or pair_j_item is None:
+    if "state" in values:
+        if "pair_i" in values or "pair_j" in values:
+            raise ConfigError("give either 'state' or 'pair_i'/'pair_j', not both",
+                              lines["state"])
+        return values["state"].name, values["state"].pair
+    if "pair_i" not in values or "pair_j" not in values:
         raise ConfigError("config must set 'state' or both 'pair_i' and 'pair_j'")
-    i = _parse_number("pair_i", pair_i_item, int)
-    j = _parse_number("pair_j", pair_j_item, int)
+    i, j = values["pair_i"], values["pair_j"]
     pair = (min(i, j), max(i, j))
     try:
         family_of_pair(*pair)
     except ValueError as exc:  # an index out of range is its own key's fault
         indices = range(1, 2 ** N_QUBITS + 1)
-        item = pair_j_item if i in indices and j not in indices else pair_i_item
-        raise ConfigError(str(exc), item[1]) from exc
+        key = "pair_j" if i in indices and j not in indices else "pair_i"
+        raise ConfigError(str(exc), lines[key]) from exc
     return f"pair_{pair[0]}{pair[1]}", pair
-
-
-def _parse_number(key, item, kind=float):
-    """The value of item as a kind, float or int; a float must be finite
-    (int() takes no inf or nan)."""
-    value, lineno = item
-    try:
-        result = kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}", lineno) from None
-    if kind is float and not np.isfinite(result):
-        raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
-    return result
 
 
 # -------------------------------------------------------------- execution

@@ -1,7 +1,9 @@
 import csv
 import math
+import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines,
                               parse_config, read_back, render_csv, run_scenario,
                               sweep, tau_first_below)
 
+REPO = Path(__file__).resolve().parent.parent
 MINIMAL = "model = dephasing\nstate = psi_18\n"  # every other key defaulted
 
 
@@ -234,6 +237,66 @@ def test_stride_errors_name_the_config_key(stride, message):
     with pytest.raises(ConfigError) as info:
         parse_config(f"model = dephasing\nstate = psi_18\nt_max = 5\nstride = {stride}\n")
     assert str(info.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model = dephasing\nt_max = x\nstate = psi_18\nt_max = 5\n",
+     "line 2: t_max must be a number, got 'x'"),  # not the duplicate below it
+    ("state = psi_18\npair_j = x\nmodel = dephasing\n",
+     "line 2: pair_j must be an integer, got 'x'"),  # not the state/pair clash
+    ("J = x\nstate = psi_18\n", "line 1: J must be a number, got 'x'"),  # not the model
+    ("bogus = 1\nmodel = warp\nstate = psi_18\n", "line 1: unknown key 'bogus'"),
+], ids=["value_before_duplicate", "value_before_state_clash", "value_before_missing_model",
+        "unknown_key_before_bad_model"])
+def test_first_line_bad_on_its_own_is_reported(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+FUZZ_KEYS = ("model", "engine", "state", "pair_i", "pair_j", "omega_1", "J", "Jp", "dt",
+             "t_max", "stride", "out", "plot", "gamma_1", "gamma_21", "Gamma_12", "Gamma_33",
+             "gamma_4", "bogus")
+FUZZ_VALUES = ("0x10", "1_0", "nan", "inf", "5e-324", "psi_99", "warp", "", "= 3", "junk",
+               "0", "-1", "2.5", "8", "1e12", "psi_27", "dephasing", "operator_built", "out.csv")
+LINE_LESS = ("missing required key 'model'",
+             "config must set 'state' or both 'pair_i' and 'pair_j'")
+
+
+def test_parse_fuzz_raises_only_config_errors_with_a_line_in_the_text():
+    """Seeded mutants of the bundled configs (1-3 edits each: set a key,
+    repeat a line, delete a line, add a line without '=') either parse or
+    raise a ConfigError naming a line of the text, or one of the two
+    messages of a config as a whole that name none."""
+    rng = random.Random(35)
+    bases = [path.read_text(encoding="utf-8").splitlines()
+             for path in sorted(REPO.joinpath("configs").glob("*.cfg"))]
+    outcomes = {"parsed": 0, "line": 0, "line-less": 0}
+    for _ in range(300):
+        lines = list(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            edit, at = rng.randrange(4), rng.randrange(len(lines) + 1)
+            if edit == 0:
+                lines.insert(at, f"{rng.choice(FUZZ_KEYS)} = {rng.choice(FUZZ_VALUES)}")
+            elif edit == 1 and lines:
+                lines.insert(at, rng.choice(lines))
+            elif edit == 2 and lines:
+                del lines[min(at, len(lines) - 1)]
+            else:
+                lines.insert(at, rng.choice(FUZZ_VALUES) or "junk")
+        text = "\n".join(lines) + "\n"
+        try:
+            parse_config(text)
+            outcomes["parsed"] += 1
+        except ConfigError as exc:
+            numbered = re.match(r"line ([0-9]+): ", str(exc))
+            if numbered:
+                assert 1 <= int(numbered[1]) <= len(lines), (text, exc)
+                outcomes["line"] += 1
+            else:
+                assert str(exc) in LINE_LESS, (text, exc)
+                outcomes["line-less"] += 1
+    assert min(outcomes.values()) > 0, outcomes  # the pool reaches every outcome
 
 
 # -------------------------------------------------------------------- CSV

@@ -24,7 +24,8 @@ from .catalog import catalog_states
 from .engine import IntegrationDivergedError
 from .runner import (ConfigError, compare_engines, parse_config, run_scenario, sweep,
                      write_csv)
-from .svgplot import PlotDataError, plot_csvs, same_file
+from .csvio import PlotDataError
+from .svgplot import plot_csvs, same_file
 
 CATALOG_HEADER = ("state", "family", "pair_i", "pair_j", "paper_delta_e",
                   "computed_delta_e")

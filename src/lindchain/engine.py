@@ -83,6 +83,8 @@ from .register import SpinChainParams, all_energies, basis_bits, omega_table
 # the cap; the record stack is 1 KiB of that, the CSV render most of the
 # rest
 MAX_RECORDS = 2 ** 20
+# past 2**53 steps, step * dt no longer tells steps apart
+MAX_STEPS = 2 ** 53
 
 
 class EngineKind(Enum):
@@ -97,8 +99,8 @@ class EvolutionConfig:
     record_stride is the number of steps between recorded samples; the
     initial and final states are always recorded.  t_max must be a whole
     number of dt steps, so the final sample lands on t_max, and the grid
-    holds at most MAX_RECORDS records.  Each ValueError message starts with
-    the name of the field at fault.
+    holds at most MAX_RECORDS records and MAX_STEPS steps.  Each ValueError
+    message starts with the name of the field at fault.
     """
 
     t_max: float = 50.0
@@ -125,6 +127,9 @@ class EvolutionConfig:
             raise ValueError(f"t_max = {self.t_max:g} at dt = {self.dt:g} and record_stride = "
                              f"{self.record_stride} gives {n_records} records, more than "
                              f"{MAX_RECORDS}")
+        if round(n_steps) > MAX_STEPS:
+            raise ValueError(f"t_max = {self.t_max:g} at dt = {self.dt:g} gives "
+                             f"{round(n_steps)} steps, more than {MAX_STEPS}")
         if not isinstance(self.engine, EngineKind):
             raise ValueError(f"unknown engine {self.engine!r}")
 
@@ -360,8 +365,8 @@ class _Propagator:
         with np.errstate(over="ignore", invalid="ignore"):
             generator = make_rhs(params, env, cfg.engine)
             dt = cfg.dt
-            stride = int(cfg.record_stride)
             n_steps = int(round(cfg.t_max / dt))
+            stride = min(int(cfg.record_stride), max(n_steps, 1))  # steps stays int64
             delta = frame_frequencies(params, env).reshape(-1)
             a0 = generator(0.0)
             liouville = (a0, generator(0.5 * dt), generator(dt))

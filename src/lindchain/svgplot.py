@@ -5,31 +5,30 @@ from polylines, so every figure is reproducible from published CSV data
 alone.  Values in a column named "gme" are clamped at zero for display
 (the stored CSV keeps the raw bound, which may be negative).
 
-plot_csvs draws CSV files, read cell by cell with csv.reader and float()
-so that an error names the first bad cell by file, line and column.  A
-column named twice, or an input that is the same file as an earlier one,
-is drawn once; inputs that share a file stem are labelled by their paths;
-an output path that is one of the input CSVs is an error.  same_file, the
-one rule of whether two paths name one file, serves every command's output
-guard.  emit_svg_plot draws columns already in memory: point coordinates
+plot_csvs draws CSV files, read by csvio.read_csv_columns.  A column
+named twice, or an input that is the same file as an earlier one, is
+drawn once; inputs that share a file stem are labelled by their paths; an
+output path that is one of the input CSVs is an error.  same_file, the
+one rule of whether two paths name one file, serves every command's
+output guard.  emit_svg_plot draws columns already in memory: point coordinates
 are computed on whole arrays by the same expressions that place the axes
 and ticks, and written in one numpy pass with the bytes '%.2f' gives each
 (_points).  simulate draws through it too, from its rows read as float()
-reads their CSV cells (runner.read_back), so it draws the SVG that
+reads their CSV cells (csvio.read_back), so it draws the SVG that
 plot_csvs draws from its CSV.  The plot area keeps its place on the
 canvas; the canvas grows below it when the legend needs the room.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from .csvio import PlotDataError, read_csv_columns
 
 WIDTH = 680
 HEIGHT = 420
@@ -42,57 +41,6 @@ TICK_TARGET = 5  # ticks per axis, roughly
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
-
-
-class PlotDataError(ValueError):
-    """CSV input unusable for plotting (missing column, no rows, a cell
-    that is missing or not a finite number, values spread wider than a
-    float axis holds)."""
-
-
-def read_csv_columns(path: str | Path, names) -> dict[str, np.ndarray]:
-    """The named columns of a CSV file as float arrays, keyed by header
-    name.  Cells of other columns are not parsed, so they are not validated.
-
-    Rows are read with csv.reader and each wanted cell with float(); a
-    cell that is missing or not a finite number is a PlotDataError naming
-    the first such cell by line and column.
-    """
-    path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8-sig")  # a leading BOM is dropped
-    except UnicodeDecodeError:
-        raise PlotDataError(f"{path}: not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise PlotDataError(f"{path}: empty CSV")
-    for name in names:
-        if name not in header:
-            if name == "tau":  # the x axis
-                raise PlotDataError(f"{path}: missing 'tau' column")
-            have = ", ".join(sorted(header))
-            raise PlotDataError(f"{path}: missing column {name!r} (have: {have})")
-    # in file order, so that the first bad cell reported is the first in the file
-    wanted = sorted({header.index(name) for name in names})
-    columns: dict[str, list[float]] = {header[index]: [] for index in wanted}
-    for row in reader:
-        if not row:  # blank lines are skipped
-            continue
-        for index in wanted:
-            cell = row[index] if index < len(row) else None
-            try:
-                value = float(cell)
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                found = "missing value" if cell is None else f"{cell!r} is not a finite number"
-                raise PlotDataError(f"{path}: line {reader.line_num}, "
-                                    f"column {header[index]!r}: {found}")
-            columns[header[index]].append(value)
-    if not columns or not next(iter(columns.values())):
-        raise PlotDataError(f"{path}: no data rows")
-    return {name: np.array(values) for name, values in columns.items()}
 
 
 def same_file(a, b) -> bool:

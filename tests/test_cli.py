@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lindchain.cli as cli
-from lindchain import runner
+from lindchain import csvio, runner, svgplot
 from lindchain.engine import EngineKind
 from lindchain.runner import EngineComparison
 
@@ -89,6 +89,41 @@ def test_simulate_too_many_records_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 3: t_max = 1e+12 at dt = 0.001 and stride = 100 gives "
         "10000000000001 records, more than 1048576\n")
+
+
+def test_simulate_stride_past_int64_writes_the_csv_of_a_stride_of_every_step(tmp_path, capsys):
+    """A stride of 10**20 steps, past int64, records the first and the last
+    state, as a stride of the whole step count does."""
+    grid = "model = dephasing\nstate = psi_18\nt_max = 10\ndt = 0.01\n"
+    for name, stride in (("huge", 10 ** 20), ("whole", 1000)):
+        cfg = write(tmp_path / f"{name}.cfg",
+                    f"{grid}stride = {stride}\nout = {tmp_path / name}.csv\n")
+        assert cli.main(["simulate", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    evolution = runner.parse_config(f"{grid}stride = {10 ** 20}\n").evolution
+    assert evolution.record_stride == 10 ** 20  # as the config gives it
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("t_max = 1e20\ndt = 1\nstride = 100000000000000000000\n",
+     "line 3: t_max = 1e+20 at dt = 1 gives 100000000000000000000 steps, "
+     "more than 9007199254740992"),
+    # t_max defaulted: dt's line
+    ("stride = 100000000000000000000\ndt = 1e-15\n",
+     "line 4: t_max = 50 at dt = 1e-15 gives 50000000000000000 steps, "
+     "more than 9007199254740992"),
+    # 11 records, but more steps than step * dt tells apart
+    ("t_max = 1e17\ndt = 1\nstride = 10000000000000000\n",
+     "line 3: t_max = 1e+17 at dt = 1 gives 100000000000000000 steps, "
+     "more than 9007199254740992"),
+], ids=["t_max_line", "defaulted_t_max", "few_records"])
+def test_simulate_more_than_2_53_steps_exits_1(tmp_path, capsys, grid, message):
+    cfg = write(tmp_path / "steps.cfg",
+                f"model = dephasing\nstate = psi_18\n{grid}out = {tmp_path}/x.csv\n")
+    assert cli.main(["simulate", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -368,6 +403,15 @@ def test_simulate_plot_onto_its_csv_exits_1(tmp_path, capsys, monkeypatch, out, 
 
 def test_simulate_non_finite_purity_keeps_the_csv_and_draws_no_svg(tmp_path, capsys,
                                                                    monkeypatch):
+    """The error names the first bad cell as `lindchain plot` would, from
+    the rows in memory: simulate reads no CSV back from disk."""
+
+    def no_read(*args):
+        raise AssertionError("simulate read its CSV back")
+
+    for module in (csvio, svgplot):
+        monkeypatch.setattr(module, "read_csv_columns", no_read)
+    monkeypatch.setattr(Path, "read_bytes", no_read)
     purity = runner.purity
 
     def one_inf(rhos):
@@ -382,6 +426,7 @@ def test_simulate_non_finite_purity_keeps_the_csv_and_draws_no_svg(tmp_path, cap
     assert cli.main(["simulate", cfg]) == 1
     assert capsys.readouterr().err == (
         f"error: {out}: line 5, column 'purity': 'inf' is not a finite number\n")
+    monkeypatch.undo()
     assert out.read_text(encoding="utf-8").splitlines()[4].split(",")[1] == "inf"
     assert not svg.exists()
 

@@ -652,6 +652,32 @@ def test_rk4_converges_to_the_exact_solution_at_fourth_order(default_setup):
         assert 12.0 < errors[0] / errors[1] < 20.0, (name, errors)
 
 
+@given(chains_and_rates(), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_time_units_rescale_every_record_bit_for_bit(chain_and_rates, k, seed):
+    """A metamorphic relation: multiply omega, J, J' and the rates by
+    c = 2**k and divide dt and t_max by c.  Every operation then scales by
+    a power of two, so each record of both engines under every model keeps
+    its bits, and tau scales exactly."""
+    chain, rates = chain_and_rates
+    c = 2.0 ** k
+    scaled = lc.SpinChainParams(tuple(c * w for w in chain.omegas), c * chain.coupling_j,
+                                c * chain.coupling_jp)
+    rho0 = random_density(np.random.default_rng(seed), dim=chain.dim)
+    for model in MODELS:
+        env, scaled_env = _quiet_environment(model, rates), _quiet_environment(model, c * rates)
+        for kind in EngineKind:
+            grid = EvolutionConfig(t_max=1.0, dt=0.01, record_stride=10, engine=kind)
+            scaled_grid = replace(grid, t_max=grid.t_max / c, dt=grid.dt / c)
+            with warnings.catch_warnings():  # indefinite rates may leave RK4 unstable
+                warnings.simplefilter("ignore")
+                traj = lc.rk4_evolve(rho0, grid, chain, env)
+                scaled_traj = lc.rk4_evolve(rho0, scaled_grid, scaled, scaled_env)
+            assert scaled_traj.rhos.tobytes() == traj.rhos.tobytes(), (model, kind)
+            assert (c * scaled_traj.taus).tobytes() == traj.taus.tobytes()
+
+
 # -------------------------------------------------------- complete positivity
 
 def _lab_generator(params, env, kind):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindchain import EnvironmentModel, catalog_states, cli, runner
+from lindchain import EnvironmentModel, catalog_states, cli, csvio, runner
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -19,7 +19,7 @@ CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
 def test_committed_csvs_redraw_committed_svg(config, tmp_path):
     """`lindchain plot` of a run's committed CSV gives its committed SVG,
     byte for byte.  simulate draws from the rows in memory, read as
-    float() reads their printed cells (runner.read_back), lindchain plot
+    float() reads their printed cells (csvio.read_back), lindchain plot
     from csv.reader and float(): both must give the committed SVGs.  (The
     overlays are `lindchain plot` already, in the figure script's test.)"""
     svg = tmp_path / f"{config.stem}.svg"
@@ -49,7 +49,7 @@ def test_simulate_and_plot_draw_the_same_svg_on_fresh_runs(tmp_path, monkeypatch
             assert replot.read_bytes() == svg.read_bytes(), (entry.name, model.value)
     cells = np.concatenate(drawn)
     assert len(drawn) == 64 and (cells[:, 2] < 0).any()
-    sure = runner._digit_split(cells)[2]
+    sure = csvio._digit_split(cells)[2]
     assert not sure[cells != 0].all()
 
 

@@ -18,8 +18,12 @@ EXPORTS = [
 ]
 
 # the package's modules in import order: each imports only modules before it
-LAYERS = ("register", "environments", "metrics", "engine", "catalog", "svgplot",
+LAYERS = ("register", "environments", "metrics", "engine", "catalog", "csvio", "svgplot",
           "runner", "cli")
+# everything that formats or parses a CSV cell, defined in csvio alone
+CSV_NAMES = {"render_csv", "_cell_text", "_float_lines", "_digit_split", "_POW10_OFFSET",
+             "_padded_words", "_digit_tables", "read_back", "read_csv_columns",
+             "PlotDataError", "check_finite", "_cell_error"}
 
 
 def test_package_surface():
@@ -60,3 +64,27 @@ def test_modules_import_only_earlier_layers():
         imported = _relative_imports(package / f"{name}.py")
         assert imported <= set(LAYERS[:rank]), f"{name} imports {imported - set(LAYERS[:rank])}"
     assert "svgplot" in _relative_imports(package / "runner.py")  # run_scenario's plot
+
+
+def _defined_and_imported(path: Path) -> tuple[set[str], set[str]]:
+    """(names path defines or assigns anywhere, modules it names in
+    `import` statements)."""
+    defined, imported = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return defined, imported
+
+
+def test_one_module_formats_and_parses_csv_cells():
+    package = Path(lindchain.__file__).parent
+    assert CSV_NAMES <= _defined_and_imported(package / "csvio.py")[0]
+    for name in LAYERS:
+        if name != "csvio":
+            defined, imported = _defined_and_imported(package / f"{name}.py")
+            assert not defined & CSV_NAMES, name
+            assert not imported & {"csv", "io"}, name

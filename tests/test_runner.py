@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import lindchain as lc
 from lindchain import EngineKind, EnvironmentModel, cli, runner
-from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines,
-                              parse_config, read_back, render_csv, run_scenario,
-                              sweep, tau_first_below)
+from lindchain.csvio import (PlotDataError, check_finite, read_back, read_csv_columns,
+                             render_csv)
+from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines, parse_config,
+                              run_scenario, sweep, tau_first_below)
 
 REPO = Path(__file__).resolve().parent.parent
 MINIMAL = "model = dephasing\nstate = psi_18\n"  # every other key defaulted
@@ -258,7 +259,8 @@ FUZZ_KEYS = ("model", "engine", "state", "pair_i", "pair_j", "omega_1", "J", "Jp
              "t_max", "stride", "out", "plot", "gamma_1", "gamma_21", "Gamma_12", "Gamma_33",
              "gamma_4", "bogus")
 FUZZ_VALUES = ("0x10", "1_0", "nan", "inf", "5e-324", "psi_99", "warp", "", "= 3", "junk",
-               "0", "-1", "2.5", "8", "1e12", "psi_27", "dephasing", "operator_built", "out.csv")
+               "0", "-1", "2.5", "8", "1e12", "psi_27", "dephasing", "operator_built", "out.csv",
+               ".", str(2 ** 63), str(2 ** 64), str(10 ** 20))  # strides past int64
 LINE_LESS = ("missing required key 'model'",
              "config must set 'state' or both 'pair_i' and 'pair_j'")
 
@@ -297,6 +299,59 @@ def test_parse_fuzz_raises_only_config_errors_with_a_line_in_the_text():
                 assert str(exc) in LINE_LESS, (text, exc)
                 outcomes["line-less"] += 1
     assert min(outcomes.values()) > 0, outcomes  # the pool reaches every outcome
+
+
+def test_simulate_fuzz_exits_by_the_contract(tmp_path, capsys, monkeypatch):
+    """Seeded mutants of the bundled configs, on a 50-step grid, through
+    `lindchain simulate`: each sets t_max, dt or stride, then maybe sets
+    another key (in place where the config has it) or deletes a line.
+    Each exits 0 or 2, or 1 with an error line naming a line of the text,
+    or one of the two messages that name none; none ends in an
+    exception."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(36)
+    short = {"t_max": "0.5", "dt": "0.01", "stride": "10", "out": "run.csv", "plot": "run.svg"}
+
+    def shortened(line):
+        key = line.partition("=")[0].strip()
+        return f"{key} = {short[key]}" if key in short else line
+
+    bases = [[shortened(line) for line in path.read_text(encoding="utf-8").splitlines()]
+             for path in sorted(REPO.joinpath("configs").glob("*.cfg"))]
+    outcomes = {"0": 0, "2": 0, "line": 0, "line-less": 0}
+    for _ in range(200):
+        lines = list(rng.choice(bases))
+        for edit in range(rng.randint(1, 2)):
+            key = rng.choice(("t_max", "dt", "stride") if edit == 0 else FUZZ_KEYS)
+            at = rng.randrange(len(lines))
+            if edit and rng.random() < 0.3:
+                del lines[at]
+                continue
+            keys = [line.partition("=")[0].strip() for line in lines]
+            line = f"{key} = {rng.choice(FUZZ_VALUES)}"
+            if key in keys:
+                lines[keys.index(key)] = line
+            else:
+                lines.insert(at, line)
+        text = "\n".join(lines) + "\n"
+        Path("run.cfg").write_text(text, encoding="utf-8")
+        try:
+            code = cli.main(["simulate", "run.cfg"])
+        except Exception as exc:  # the contract allows no exception out of main
+            pytest.fail(f"{text!r} raised {exc!r}")
+        err = capsys.readouterr().err.splitlines()
+        if code == 1:
+            numbered = re.match(r"error: line ([0-9]+): ", err[-1])
+            if numbered:
+                assert 1 <= int(numbered[1]) <= len(lines), (text, err)
+            else:
+                assert err[-1] in [f"error: {message}" for message in LINE_LESS], (text, err)
+            outcomes["line" if numbered else "line-less"] += 1
+        else:
+            assert code in (0, 2), (text, code, err)
+            outcomes[str(code)] += 1
+    # exit 2 takes a diverging rate or an unwritable output: rare draws here
+    assert all(outcomes[outcome] for outcome in ("0", "line", "line-less")), outcomes
 
 
 # -------------------------------------------------------------------- CSV
@@ -466,6 +521,30 @@ def test_csv_reads_back_as_float_of_each_cell(cells):
     assert read_back(table).tobytes() == floats.tobytes()
 
 
+def test_check_finite_raises_what_reading_the_csv_back_raises(tmp_path):
+    """check_finite on a table in memory raises read_csv_columns' error on
+    the CSV render_csv writes of it: the first cell that is not finite in
+    file order, by line and column, quoted as printed; none where every
+    cell is finite."""
+    rng = np.random.default_rng(36)
+    header, path = CSV_HEADER[:3], tmp_path / "run.csv"
+    for _ in range(40):
+        values = rng.uniform(-1.0, 1.0, (5, 3))
+        bad = rng.random(values.shape) < 0.1
+        values[bad] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], bad.sum())
+        path.write_text(render_csv(header, values), encoding="utf-8")
+        errors = []
+        for check in (lambda: read_csv_columns(path, header),
+                      lambda: check_finite(path, header, values)):
+            try:
+                check()
+                errors.append(None)
+            except PlotDataError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1], values
+        assert (errors[0] is None) == (not bad.any())
+
+
 def test_run_scenario_writes_expected_csv(tmp_path):
     cfg = parse_config("model = dephasing\nstate = psi_18\nt_max = 10\n"
                        "dt = 0.001\nstride = 1000\n")
@@ -633,6 +712,21 @@ def test_sweep(tmp_path, monkeypatch, propagator_cache):
     delta = np.abs(gme_column("psi_18_independent_dissipation.csv")
                    - gme_column("psi_18_correlated_dissipation.csv"))
     assert float(delta.max()) < 1e-3
+
+    # simulate with a plot, and catalog --csv, render through runner.render_csv
+    # too: bench/tracing.py times every CSV render by wrapping that name
+    more = tmp_path / "more"
+    config = more / "run.cfg"
+    more.mkdir()
+    config.write_text(f"model = dephasing\nstate = psi_18\nt_max = 1\ndt = 0.01\nstride = 10\n"
+                      f"out = {more / 'run.csv'}\nplot = {more / 'run.svg'}\n", encoding="utf-8")
+    assert cli.main(["simulate", str(config)]) == 0
+    assert cli.main(["catalog", "--csv", str(more / "catalog.csv")]) == 0
+    assert len(tables) == 67 and tables[65].shape == (11, len(CSV_HEADER))
+    assert (more / "run.csv").read_text(encoding="utf-8") == render(CSV_HEADER, tables[65])
+    assert len(tables[66]) == 16
+    assert (more / "catalog.csv").read_text(encoding="utf-8") == render(cli.CATALOG_HEADER,
+                                                                         tables[66])
 
 
 def test_sweep_run_reproduces_through_simulate(tmp_path):

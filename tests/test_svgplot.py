@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindchain.svgplot import (HEIGHT, PlotDataError, _points, emit_svg_plot, plot_csvs,
-                               read_csv_columns)
+from lindchain.csvio import PlotDataError, read_csv_columns
+from lindchain.svgplot import HEIGHT, _points, emit_svg_plot, plot_csvs
 
 
 def make_csv(path, header, rows):

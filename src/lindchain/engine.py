@@ -35,8 +35,8 @@ under correlated dissipation.  M0, Q and all its powers are block
 diagonal in that partition, so they are built only on the blocks, those
 of equal size k stacked into (b, k, k) arrays for numpy's batched matmul,
 matrix_power and eigvals.  A run fills, checks and phase-multiplies each
-stack on its own, and only the blocks its initial state occupies; every
-other entry of its records stays +0.0.
+stack on its own, and only the blocks its initial state occupies: its
+records hold those blocks' entries alone, every other entry being +0.0.
 
 A stack's records are filled by doubling: record i is H^i vec(rho0) with
 H = Q^stride, so once records 0..m-1 exist, one product with H^m yields
@@ -78,10 +78,10 @@ from .metrics import connected_blocks, validate_density_matrix
 from .register import SpinChainParams, all_energies, basis_bits, omega_table
 
 
-# a simulate run peaks at about 2.6 KiB per record (ru_maxrss of a dephasing
-# run: 102 MiB at 25,001 records, 166 MiB at 50,001), so about 2.7 GiB at
-# the cap; the record stack is 1 KiB of that, the CSV render most of the
-# rest
+# a simulate run peaks at about 1.6 KiB per record (ru_maxrss of a dephasing
+# run: 76 MiB at 25,001 records, 115 MiB at 50,001), so about 1.6 GiB at the
+# cap; the records are 16 B per occupied entry of that (64-800 B), the CSV
+# render most of the rest
 MAX_RECORDS = 2 ** 20
 # past 2**53 steps, step * dt no longer tells steps apart
 MAX_STEPS = 2 ** 53
@@ -136,14 +136,24 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded samples of an integration run."""
+    """Recorded samples of an integration run: values (n_records, s) at the
+    s flat indices entries of vec(rho), (dim, dim); every other entry +0.0."""
 
     taus: np.ndarray
-    rhos: np.ndarray  # (n_records, dim, dim)
+    values: np.ndarray
+    entries: np.ndarray
+    dim: int
 
     @property
     def n_records(self) -> int:
         return len(self.taus)
+
+    @property
+    def rhos(self) -> np.ndarray:
+        """The records as a new dense (n_records, dim, dim) stack."""
+        rhos = np.zeros((len(self.values), self.dim * self.dim), dtype=complex)
+        rhos[:, self.entries] = self.values
+        return rhos.reshape(-1, self.dim, self.dim)
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -332,10 +342,10 @@ def rk4_evolve(rho0: np.ndarray, cfg: EvolutionConfig, params: SpinChainParams,
         warnings.warn(f"dt = {cfg.dt:g} lies outside the RK4 stability region: the one-step "
                       f"transfer matrix has spectral radius {propagator.radius:.6g} > 1",
                       UserWarning, stacklevel=2)
-    vecs, diverged = propagator.records(rho.reshape(-1))
+    values, entries, diverged = propagator.records(rho.reshape(-1))
     if diverged is not None:
         raise IntegrationDivergedError(diverged, diverged * cfg.dt)
-    return Trajectory(taus=propagator.taus.copy(), rhos=vecs.reshape(len(vecs), *rho.shape))
+    return Trajectory(propagator.taus.copy(), values, entries, params.dim)
 
 
 class _Propagator:
@@ -351,7 +361,8 @@ class _Propagator:
 
     Q and the radius cover every stack, since the stability warning reads
     all of Q; a stack's powers are built when a run first occupies it (a
-    lone run under a dissipative model occupies 2 of its 4 stacks).  The
+    lone run under a dissipative model occupies 2 of its 4 stacks), and
+    records() writes only the entries of the occupied blocks.  The
     arrays of stacks, powers, steps and taus are read-only: cache hits
     share them.  The frame phase table, one row per entry of vec(rho) so
     that an entry's phases are contiguous, is written only by phases(),
@@ -423,11 +434,12 @@ class _Propagator:
             self._filled[new] = True
         return self._table[index].transpose(2, 0, 1)
 
-    def records(self, vec0: np.ndarray) -> tuple[np.ndarray, int | None]:
-        """The (n, dim**2) records of vec(rho0) and the first step whose state
-        is non-finite in any stack, None when every record is finite."""
+    def records(self, vec0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """(values, entries, diverged): the (n, s) records of vec(rho0) on the s
+        entries of the blocks it occupies, and the first step whose state is
+        non-finite in any stack, None when every record is finite."""
         n = len(self.steps)
-        vecs = np.zeros((n, len(vec0)), dtype=complex)
+        values, entries = [], []  # per occupied stack
         diverged = []  # the first non-finite step of each stack that has one
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (index, transfer) in enumerate(self.stacks):
@@ -466,10 +478,11 @@ class _Propagator:
                             break
                         step += 1
                     diverged.append(step)
-                    continue
-                # phase first: a fused complex product is not symmetric in the last bit
-                vecs[:, index] = self.phases(index) * rows.swapaxes(0, 1)
-        return vecs, min(diverged, default=None)
+                entries.append(index.ravel())
+                # phase first, into a temporary: a fused product, or one
+                # written into a strided slice, moves the last bit
+                values.append((self.phases(index) * rows.swapaxes(0, 1)).reshape(n, -1))
+        return np.concatenate(values, axis=1), np.concatenate(entries), min(diverged, default=None)
 
 
 _propagator = functools.lru_cache(maxsize=1)(_Propagator)

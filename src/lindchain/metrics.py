@@ -17,10 +17,10 @@ out (the one bit they share).  The bound may go negative; negative
 values mean the bound is uninformative, not that entanglement is gone,
 so nothing here clamps them.
 
-Each function of rho takes one matrix or a stack (..., d, d) and returns
-numpy results of the input's leading shape (0-d for one matrix), each
-equal to the result for that matrix alone (purity to rounding, the rest
-bit for bit).
+Each function of rho takes one matrix, a stack (..., d, d) or a
+Trajectory (one code reads its entries, or a stack's d * d) and returns
+numpy results of its leading shape (0-d for one matrix), each equal to
+the result for that matrix alone (purity to rounding, the rest bit for bit).
 
 diagnostics costs what each matrix's support needs: it splits the
 support into its connected blocks and takes the minimum eigenvalue block
@@ -89,10 +89,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return arr.astype(complex)
 
 
-def diagnostics(rho: np.ndarray) -> Diagnostics:
+def diagnostics(rho) -> Diagnostics:
     """(trace error, hermiticity error, minimum eigenvalue) of rho.
 
-    rho is one (d, d) matrix or a stack (..., d, d).  The hermiticity
+    rho is one (d, d) matrix, a stack or a Trajectory.  The hermiticity
     error is max |rho_mn - conj rho_nm|, read over the upper triangle of
     the support S = (rho != 0) | (rho != 0)^T (it is 0 off S and symmetric
     in m, n).  The minimum eigenvalue is that of the Hermitian part
@@ -106,32 +106,33 @@ def diagnostics(rho: np.ndarray) -> Diagnostics:
     for bit the result for that matrix alone.  Raises ValueError on
     non-square or non-finite input.
     """
-    arr = np.asarray(rho, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"expected (..., d, d) matrices, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    values, column = _support(rho)
+    lead, dim = values.shape[:-1], int(len(column) ** 0.5)
+    flat = np.ascontiguousarray(values.reshape(-1, values.shape[-1]), dtype=complex)
+    if not np.isfinite(flat).all():
         raise ValueError("density matrix has non-finite entries")
-    lead, dim = arr.shape[:-2], arr.shape[-1]
-    flat = arr.reshape(-1, dim * dim)
-    trace_error = np.abs(arr.trace(axis1=-2, axis2=-1) - 1.0)
     # matrices with one pattern of nonzero entries have one support
     keys = np.packbits(flat != 0, axis=1)
     if (keys == keys[:1]).all():  # one support, the common case: no sort
         patterns, group = keys[:1], None
     else:
         patterns, group = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_inverse=True)
-    hermiticity_error, low = np.empty(len(flat)), np.empty(len(flat))
+    trace_error, hermiticity_error, low = np.empty((3, len(flat)))
     for g, pattern in enumerate(patterns):
         # group g's rows of flat, gathered entry by entry in S: no group is
-        # copied whole, and a lone group is indexed by a slice
+        # copied whole, and a group of consecutive rows is indexed by a slice
         out = slice(None) if group is None else np.flatnonzero(group == g)
-        rows = out if group is None else out[:, None]
-        small, (n_upper, n_one, n_two), blocks = _support_plan(pattern.tobytes(), dim)
+        if group is not None and out[-1] - out[0] + 1 == len(out):
+            out = slice(out[0], out[-1] + 1)
+        rows = out if isinstance(out, slice) else out[:, None]
+        small, (n_upper, n_one, n_two), blocks = _support_plan(pattern.tobytes(), column.tobytes())
         lows = [_lowest_eigenvalue(flat, rows, *block) for block in blocks]
-        values = flat[rows, small]
-        upper, mirror = values[:, :n_upper], values[:, n_upper:2 * n_upper]
+        gathered = _take(flat, rows, small)
+        # the diagonal, summed as ndarray.trace sums it: as a contiguous row
+        trace_error[out] = np.abs(np.ascontiguousarray(gathered[:, -dim:]).sum(axis=1) - 1.0)
+        upper, mirror = gathered[:, :n_upper], gathered[:, n_upper:2 * n_upper]
         hermiticity_error[out] = np.abs(upper - mirror.conj()).max(axis=1, initial=0.0)
-        diagonal = values[:, 2 * n_upper:]
+        diagonal = gathered[:, 2 * n_upper:-dim]
         # a 1x1 block is its real diagonal entry; a 2x2 block (p, q) with
         # a = rho_pp, c = rho_qq and 2h = rho_pq + conj rho_qp, twice its
         # Hermitian part's entry (p, q), has (a + c - hypot(a - c, 2|h|))/2
@@ -141,52 +142,79 @@ def diagnostics(rho: np.ndarray) -> Diagnostics:
             a, c = a.real, c.real
             lows.append(((a + c - np.hypot(a - c, np.abs(pq + qp.conj()))) * 0.5).min(axis=1))
         low[out] = functools.reduce(np.minimum, lows)
-    return Diagnostics(trace_error, hermiticity_error.reshape(lead), low.reshape(lead))
+    return Diagnostics(*(a.reshape(lead) for a in (trace_error, hermiticity_error, low)))
 
 
-def _lowest_eigenvalue(flat: np.ndarray, rows, entries: np.ndarray,
+def _support(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(values, column): rho's (..., s) values (a Trajectory's, or a stack's
+    d * d), and the map from a flat index to its column of them, -1 off them."""
+    if not hasattr(rho, "entries"):
+        rho = np.asarray(rho)
+        if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+            raise ValueError(f"expected (..., d, d) matrices, got shape {rho.shape}")
+        return rho.reshape(*rho.shape[:-2], -1), np.arange(rho.shape[-1] ** 2)
+    column = np.full(rho.dim ** 2, -1)
+    column[rho.entries] = np.arange(len(rho.entries))
+    return rho.values, column
+
+
+def _take(values: np.ndarray, rows, columns: np.ndarray) -> np.ndarray:
+    """values[rows, columns], +0.0 where a column is -1 (off the entries)."""
+    taken = values[rows, columns]
+    taken[..., columns < 0] = 0.0
+    return taken
+
+
+def entries_at(rho, flat) -> np.ndarray:
+    """vec(rho)[..., flat]: rho's entries at flat indices, +0.0 off its values."""
+    values, column = _support(rho)
+    return _take(values, Ellipsis, column[flat])
+
+
+def _lowest_eigenvalue(flat: np.ndarray, rows, block: np.ndarray,
                        mirrored: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue over the (b, k, k) blocks at entries of the
-    Hermitian part of each row of flat, from one LAPACK `eigvalsh` call.
+    """The smallest eigenvalue over the (b, k, k) blocks at columns block of
+    the Hermitian part of each row of flat, from one LAPACK `eigvalsh` call.
 
     The Hermitian part is (conj rho^T + rho) * 0.5 in this order of
     operations, as a whole matrix's was: a dense matrix keeps its bits.
     """
-    part = flat[rows, mirrored.ravel()].reshape(-1, *mirrored.shape)
+    part = _take(flat, rows, mirrored.ravel()).reshape(-1, *mirrored.shape)
     np.conjugate(part, out=part)
-    part += flat[rows, entries.ravel()].reshape(part.shape)
+    part += _take(flat, rows, block.ravel()).reshape(part.shape)
     part *= 0.5
     return np.linalg.eigvalsh(part)[..., 0].min(axis=1)
 
 
 @functools.lru_cache(maxsize=256)
-def _support_plan(key: bytes, dim: int) -> tuple[np.ndarray, ...]:
-    """How diagnostics reads a (dim, dim) matrix whose nonzero entries are
-    packed in key: (small, (n_upper, n_one, n_two), blocks).
+def _support_plan(key: bytes, columns: bytes) -> tuple[np.ndarray, ...]:
+    """How diagnostics reads matrices with nonzero values packed in key, at
+    _support's columns (packed): (small, (n_upper, n_one, n_two), blocks).
 
-    small holds flat indices: the n_upper entries (m, n) of the support S
-    with m <= n, then their mirrors (n, m), then the diagonal entry of each
-    of the n_one 1x1 blocks, then, over the n_two 2x2 blocks (p, q), the
-    entries pp, then qq, pq and qp.  blocks holds one (entries, mirrored)
-    pair of flat (b, k, k) index arrays per block size k >= 3, mirrored[i,
-    r, c] being entries[i, c, r].
+    small reads the n_upper entries (m, n) of the support S with m <= n,
+    then their mirrors (n, m), then the diagonal entry of each of the
+    n_one 1x1 blocks, then, over the n_two 2x2 blocks (p, q), the entries
+    pp, then qq, pq and qp, then the d diagonal entries.  blocks holds one
+    (entries, mirrored) pair of (b, k, k) index arrays per block size
+    k >= 3, mirrored[i, r, c] being entries[i, c, r].
     """
-    nonzero = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=dim * dim)
-    nonzero = nonzero.reshape(dim, dim).astype(bool)
+    column = np.frombuffer(columns, dtype=int)
+    dim = int(len(column) ** 0.5)
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8))
+    nonzero = ((column >= 0) & (bits[column] == 1)).reshape(dim, dim)
     row, col = np.nonzero(np.triu(nonzero | nonzero.T))
     by_size = {index.shape[1]: index for index in connected_blocks(nonzero)}
     singles = by_size.get(1, np.empty((0, 1), dtype=np.intp))[:, 0]
     first, second = by_size.get(2, np.empty((0, 2), dtype=np.intp)).T
-    small = np.concatenate([row * dim + col, col * dim + row, singles * (dim + 1),
-                            first * (dim + 1), second * (dim + 1),
-                            first * dim + second, second * dim + first])
-    small.setflags(write=False)  # cached: every caller shares the plan
-    blocks = []
-    for index in (index for k, index in by_size.items() if k > 2):
-        entries = index[:, :, None] * dim + index[:, None, :]
-        entries.setflags(write=False)
-        blocks.append((entries, entries.swapaxes(1, 2)))
-    return small, (len(row), len(singles), len(first)), tuple(blocks)
+    small = column[np.concatenate([row * dim + col, col * dim + row, singles * (dim + 1),
+                                   first * (dim + 1), second * (dim + 1), first * dim + second,
+                                   second * dim + first, np.arange(dim) * (dim + 1)])]
+    blocks = tuple((column[index[:, :, None] * dim + index[:, None, :]],
+                    column[index[:, None, :] * dim + index[:, :, None]])
+                   for k, index in by_size.items() if k > 2)
+    for array in (small, *(a for block in blocks for a in block)):
+        array.setflags(write=False)  # cached: every caller shares the plan
+    return small, (len(row), len(singles), len(first)), blocks
 
 
 def connected_blocks(coupled: np.ndarray) -> list[np.ndarray]:
@@ -223,32 +251,30 @@ def family_of_pair(i: int, j: int) -> str:
     return family
 
 
-def purity(rho: np.ndarray) -> np.ndarray:
+def purity(rho) -> np.ndarray:
     """Tr(rho^2) = sum of |rho_mn|^2, one vector dot product per matrix."""
-    rho = np.asarray(rho)
-    flat = rho.reshape(*rho.shape[:-2], 1, -1)
+    flat = _support(rho)[0][..., None, :]
     return (flat.conj() @ np.swapaxes(flat, -1, -2))[..., 0, 0].real
 
 
-def partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
+def partial_trace(rho, qubit: int) -> np.ndarray:
     """Reduced 4x4 density matrix after tracing out one qubit of three.
 
     Kept-qubit order is preserved (qubit 1 before 2 before 3).  A stack
-    (..., 8, 8) gives a stack (..., 4, 4).
+    (..., 8, 8) or a Trajectory gives a stack (..., 4, 4), each entry the
+    sum of the two entries of rho whose bits differ in the traced qubit.
     """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"partial_trace supports 3 qubits only, got shape {rho.shape}")
+    values, column = _support(rho)
+    if len(column) != 64:
+        raise ValueError(f"partial_trace supports 3 qubits only, got {len(column)} entries")
     if qubit not in (1, 2, 3):
         raise ValueError(f"qubit must be 1, 2, or 3, got {qubit}")
-    lead = rho.shape[:-2]
-    tensor = rho.reshape(*lead, 2, 2, 2, 2, 2, 2)
-    # row bit k sits on axis k - 7 from the end, column bit k on k - 4
-    reduced = np.trace(tensor, axis1=qubit - 7, axis2=qubit - 4)
-    return reduced.reshape(*lead, 4, 4)
+    # row bit k of a flat index is axis k - 1 of the (2,) * 6 tensor, column bit k axis k + 2
+    terms = np.diagonal(np.arange(64).reshape((2,) * 6), axis1=qubit - 1, axis2=qubit + 2)
+    return _take(values, Ellipsis, column[terms.reshape(4, 4, 2)]).sum(axis=-1)
 
 
-def gme(rho: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+def gme(rho, pair: tuple[int, int]) -> np.ndarray:
     """GME-concurrence lower bound for the catalog pair (i, j).
 
     When i and j share no bit the state is tripartite: 2|rho_ij| minus 2
@@ -261,10 +287,10 @@ def gme(rho: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     |00> with |11>, unequal bits pair |01> with |10>.  No clamping.
     """
     i, j = int(pair[0]), int(pair[1])
-    rho = np.asarray(rho)
     if family_of_pair(i, j) == "ABC":
-        coherence = np.abs(rho[..., i - 1, j - 1])
-        pops = np.maximum(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0)
+        picked = entries_at(rho, np.append((i - 1) * 8 + j - 1, np.arange(0, 64, 9)))
+        coherence = np.abs(picked[..., 0])
+        pops = np.maximum(picked[..., 1:].real, 0.0)  # the diagonal
         cross = sum(np.sqrt(pops[..., p - 1] * pops[..., 8 - p])
                     for p in range(1, 5) if p != i)
         return 2.0 * coherence - 2.0 * cross

@@ -39,7 +39,8 @@ from .catalog import (catalog_entry, catalog_states, default_parameters,
 from .engine import (EngineKind, EvolutionConfig, Trajectory, closed_form_dephasing,
                      rk4_evolve)
 from .environments import EnvironmentModel, EnvironmentSpec
-from .metrics import diagnostics, family_of_pair, gme, initial_bell_density, purity
+from .metrics import (diagnostics, entries_at, family_of_pair, gme, initial_bell_density,
+                      purity)
 from .register import N_QUBITS, SpinChainParams
 
 ENGINE_DELTA_THRESHOLD = 1e-6
@@ -217,12 +218,11 @@ def trajectory_table(traj: Trajectory, pair: tuple[int, int]) -> np.ndarray:
     """Per-record CSV rows as one (n_records, 15) float array, columns as in
     CSV_HEADER: tau, purity, gme, populations, tracked coherence
     magnitude, and physicality diagnostics, each from one call on the
-    whole (n, 8, 8) record stack.
+    records' values at the entries the run occupies.
     """
-    rhos = traj.rhos
-    return np.column_stack((traj.taus, purity(rhos), gme(rhos, pair),
-                            np.diagonal(rhos, axis1=1, axis2=2).real,
-                            np.abs(rhos[:, pair[0] - 1, pair[1] - 1]), *diagnostics(rhos)))
+    picked = entries_at(traj, np.append(np.arange(0, 64, 9), (pair[0] - 1) * 8 + pair[1] - 1))
+    return np.column_stack((traj.taus, purity(traj), gme(traj, pair), picked[:, :-1].real,
+                            np.abs(picked[:, -1]), *diagnostics(traj)))
 
 
 def run_scenario(cfg: RunConfig) -> Path:
@@ -291,7 +291,8 @@ def compare_engines(cfg: RunConfig) -> EngineComparison:
                          cfg.params, cfg.env)
     operator = rk4_evolve(rho0, replace(cfg.evolution, engine=EngineKind.OPERATOR_BUILT),
                           cfg.params, cfg.env)
-    max_delta = float(np.max(np.abs(element.rhos - operator.rhos)))
+    union = np.union1d(element.entries, operator.entries)  # the supports need not match
+    max_delta = float(np.max(np.abs(entries_at(element, union) - entries_at(operator, union))))
     closed_delta = None
     if not cfg.model.dissipative:
         exact = closed_form_dephasing(rho0, element.taus, cfg.env)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from hypothesis import strategies as st
 
 from lindchain import EngineKind, EnvironmentSpec, SpinChainParams, make_rhs, omega_table
 from lindchain.engine import _check_sizes, frame_frequencies, lowering_operators, sz_operators
@@ -18,6 +21,35 @@ def random_density(rng: np.random.Generator, dim: int = 8,
     mixer = raw @ raw.conj().T
     mixer /= np.trace(mixer).real
     return (1.0 - noise) * rho + noise * mixer
+
+
+@st.composite
+def chains_and_rates(draw, n_qubits=None):
+    """A 2- or 3-qubit chain (n_qubits when given) and a symmetric rate
+    matrix for it, some of whose entries are exactly zero."""
+    if n_qubits is None:
+        n_qubits = draw(st.integers(min_value=2, max_value=3))
+    omegas = draw(st.lists(st.floats(min_value=10.0, max_value=500.0), min_size=3, max_size=3))
+    coupling_j = draw(st.floats(min_value=0.0, max_value=20.0))
+    coupling_jp = draw(st.floats(min_value=0.0, max_value=2.0))
+    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.1)),
+                          min_size=6, max_size=6))
+    gamma = np.zeros((n_qubits, n_qubits))
+    gamma[np.triu_indices(n_qubits)] = rates[:n_qubits * (n_qubits + 1) // 2]
+    chain = SpinChainParams(omegas[:n_qubits], coupling_j, coupling_jp)
+    return chain, gamma + np.triu(gamma, 1).T
+
+
+# the Bell pairs (i, j) whose bits differ in at least two of three qubits
+ENTANGLED_PAIRS = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)
+                   if bin((i - 1) ^ (j - 1)).count("1") >= 2]
+
+
+def quiet_environment(model, rates):
+    """EnvironmentSpec without the warning a random indefinite matrix draws."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return EnvironmentSpec(model, rates)
 
 
 def dense_diagnostics(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

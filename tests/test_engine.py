@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import lindchain as lc
-from helpers import (apply_generator, lindblad_rhs_operator, random_density, secular_split,
-                     tilde_jump_operators)
+from helpers import (ENTANGLED_PAIRS, apply_generator, chains_and_rates, lindblad_rhs_operator,
+                     quiet_environment, random_density, secular_split, tilde_jump_operators)
 from lindchain import (EngineKind, EnvironmentModel, EnvironmentSpec, EvolutionConfig,
                        dephasing_rate_matrix, engine)
 from lindchain.catalog import default_rate_matrix
@@ -127,29 +127,6 @@ def test_bell_rhs_values_independent_dissipation(default_setup):
     assert abs(np.trace(rhs)) < 1e-15
 
 
-@st.composite
-def chains_and_rates(draw):
-    """A 2- or 3-qubit chain and a symmetric rate matrix for it, some of
-    whose entries are exactly zero."""
-    n_qubits = draw(st.integers(min_value=2, max_value=3))
-    omegas = draw(st.lists(st.floats(min_value=10.0, max_value=500.0), min_size=3, max_size=3))
-    coupling_j = draw(st.floats(min_value=0.0, max_value=20.0))
-    coupling_jp = draw(st.floats(min_value=0.0, max_value=2.0))
-    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.1)),
-                          min_size=6, max_size=6))
-    gamma = np.zeros((n_qubits, n_qubits))
-    gamma[np.triu_indices(n_qubits)] = rates[:n_qubits * (n_qubits + 1) // 2]
-    chain = lc.SpinChainParams(omegas[:n_qubits], coupling_j, coupling_jp)
-    return chain, gamma + np.triu(gamma, 1).T
-
-
-def _quiet_environment(model, rates):
-    """EnvironmentSpec without the warning a random indefinite matrix draws."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return EnvironmentSpec(model, rates)
-
-
 TWO_QUBIT_CHAIN = lc.SpinChainParams(omegas=(300.0, 150.0), coupling_j=8.0, coupling_jp=0.0)
 TWO_QUBIT_ENV = lc.EnvironmentSpec(M.CORRELATED_DISSIPATION, [[0.05, 0.02], [0.02, 0.04]])
 
@@ -164,7 +141,7 @@ def test_compiled_engines_match_literal_operator_form(seed, t, chain_and_rates):
     chain, rates = chain_and_rates
     rho = random_density(np.random.default_rng(seed), dim=chain.dim)
     for model in MODELS:
-        env = _quiet_environment(model, rates)
+        env = quiet_environment(model, rates)
         literal = lindblad_rhs_operator(rho, t, chain, env)
         for kind in EngineKind:
             generator = lc.make_rhs(chain, env, kind)
@@ -194,7 +171,7 @@ def test_generator_preserves_trace_and_hermiticity(seed, t, chain_and_rates, psd
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     populations = np.arange(dim) * (dim + 1)  # the rows of vec rho's diagonal
     for model in MODELS:
-        env = _quiet_environment(model, rates)
+        env = quiet_environment(model, rates)
         for kind in EngineKind:
             generator = lc.make_rhs(chain, env, kind)
             assert np.max(np.abs(generator(t)[populations].sum(axis=0))) < 1e-15
@@ -230,7 +207,7 @@ def test_operator_built_liouville_has_the_bits_of_the_kron_formula(chain_and_rat
     chain, rates = chain_and_rates
     dim = chain.dim
     for model in MODELS:
-        env = _quiet_environment(model, rates)
+        env = quiet_environment(model, rates)
         ops = (lowering_operators if model.dissipative else sz_operators)(chain.n_qubits)
         feed = np.einsum("kl,kac,lbd->abcd", env.rates, ops, ops.conj()).reshape(dim * dim, -1)
         anti = np.einsum("kl,lba,kbc->ac", env.rates, ops.conj(), ops)
@@ -252,7 +229,7 @@ def test_generators_are_frame_covariant(chain_and_rates):
     where A(0) is, so A(0) alone gives the invariant blocks."""
     chain, rates = chain_and_rates
     for model in MODELS:
-        env = _quiet_environment(model, rates)
+        env = quiet_environment(model, rates)
         delta = frame_frequencies(chain, env).reshape(-1)
         for kind in EngineKind:
             generator = lc.make_rhs(chain, env, kind)
@@ -310,9 +287,9 @@ def test_correlations_keep_the_secular_part_on_random_chains(seed):
     rates = rates + rates.T
     for kind in EngineKind:
         independent, independent_secular, freqs = secular_split(
-            chain, _quiet_environment(M.INDEPENDENT_DISSIPATION, rates), kind)
+            chain, quiet_environment(M.INDEPENDENT_DISSIPATION, rates), kind)
         correlated, correlated_secular, _ = secular_split(
-            chain, _quiet_environment(M.CORRELATED_DISSIPATION, rates), kind)
+            chain, quiet_environment(M.CORRELATED_DISSIPATION, rates), kind)
         assert np.max(np.abs(correlated_secular - independent_secular)) < 1e-15
         added = np.abs(correlated - independent) > 1e-12
         assert np.count_nonzero(added) == 288
@@ -608,7 +585,7 @@ def test_invariant_blocks_of_the_default_chain(default_setup):
 @settings(max_examples=25, deadline=None)
 def test_engines_agree_on_invariant_blocks(chain_and_rates, model_index):
     chain, rates = chain_and_rates
-    env = _quiet_environment(MODELS[model_index], rates)
+    env = quiet_environment(MODELS[model_index], rates)
     assert (_partition(chain, env, EngineKind.ELEMENT_WISE)[1]
             == _partition(chain, env, EngineKind.OPERATOR_BUILT)[1])
 
@@ -666,7 +643,7 @@ def test_time_units_rescale_every_record_bit_for_bit(chain_and_rates, k, seed):
                                 c * chain.coupling_jp)
     rho0 = random_density(np.random.default_rng(seed), dim=chain.dim)
     for model in MODELS:
-        env, scaled_env = _quiet_environment(model, rates), _quiet_environment(model, c * rates)
+        env, scaled_env = quiet_environment(model, rates), quiet_environment(model, c * rates)
         for kind in EngineKind:
             grid = EvolutionConfig(t_max=1.0, dt=0.01, record_stride=10, engine=kind)
             scaled_grid = replace(grid, t_max=grid.t_max / c, dt=grid.dt / c)
@@ -676,6 +653,68 @@ def test_time_units_rescale_every_record_bit_for_bit(chain_and_rates, k, seed):
                 scaled_traj = lc.rk4_evolve(rho0, scaled_grid, scaled, scaled_env)
             assert scaled_traj.rhos.tobytes() == traj.rhos.tobytes(), (model, kind)
             assert (c * scaled_traj.taus).tobytes() == traj.taus.tobytes()
+
+
+def _bit_reversal(n_qubits):
+    """P as an index map: basis state m (0-based) goes to the state whose
+    bit string is m's reversed, written here without lindchain's bits."""
+    return np.array([int(format(m, f"0{n_qubits}b")[::-1], 2) for m in range(2 ** n_qubits)])
+
+
+@given(chains_and_rates(), st.sampled_from(list(EngineKind)),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_qubit_reversal_permutes_every_record_and_keeps_the_metrics(chain_and_rates, kind, seed):
+    """A metamorphic relation: reverse the qubit order (omega reversed, the
+    rates reversed on both axes, J and J' kept) and start from P rho0 P^T,
+    P the bit reversal.  Each record is then P rho P^T, and purity, gme
+    (each entangled pair mapped through P) and diagnostics agree, all to
+    1e-12 times max |rho|."""
+    chain, rates = chain_and_rates
+    reversed_chain = lc.SpinChainParams(chain.omegas[::-1], chain.coupling_j, chain.coupling_jp)
+    perm = _bit_reversal(chain.n_qubits)
+    rho0 = random_density(np.random.default_rng(seed), dim=chain.dim)
+    grid = EvolutionConfig(t_max=1.0, dt=0.01, record_stride=10, engine=kind)
+    for model in MODELS:
+        with warnings.catch_warnings():  # indefinite rates may leave RK4 unstable
+            warnings.simplefilter("ignore")
+            traj = lc.rk4_evolve(rho0, grid, chain, quiet_environment(model, rates))
+            flipped = lc.rk4_evolve(rho0[np.ix_(perm, perm)], grid, reversed_chain,
+                                    quiet_environment(model, rates[::-1, ::-1]))
+        rhos = traj.rhos
+        tol = 1e-12 * np.max(np.abs(rhos))
+        assert np.max(np.abs(flipped.rhos - rhos[:, perm][:, :, perm])) <= tol, model
+        assert np.max(np.abs(lc.purity(flipped) - lc.purity(traj))) <= tol
+        for ours, theirs in zip(lc.diagnostics(flipped), lc.diagnostics(traj)):
+            assert np.max(np.abs(ours - theirs)) <= tol
+        if chain.n_qubits == 3:
+            for i, j in ENTANGLED_PAIRS:
+                mapped = tuple(sorted((perm[i - 1] + 1, perm[j - 1] + 1)))
+                assert np.max(np.abs(lc.gme(flipped, mapped) - lc.gme(traj, (i, j)))) <= tol
+
+
+@given(chains_and_rates(), st.sampled_from(MODELS), st.data())
+@settings(max_examples=25, deadline=None)
+def test_records_hold_the_occupied_entries_and_zeros_elsewhere(chain_and_rates, model, data):
+    """A run's entries are distinct flat indices, closed under the
+    Hermitian mirror (m, n) -> (n, m), and its dense records are +0.0, sign
+    bit clear, everywhere else."""
+    chain, rates = chain_and_rates
+    pair = data.draw(st.lists(st.integers(0, chain.dim - 1), min_size=2, max_size=2, unique=True))
+    rho0 = np.zeros((chain.dim, chain.dim), dtype=complex)
+    rho0[np.ix_(pair, pair)] = 0.5  # the Bell state of the pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = lc.rk4_evolve(rho0, SWEEP_GRID, chain, quiet_environment(model, rates))
+    entries = traj.entries
+    assert len(set(entries.tolist())) == len(entries) == traj.values.shape[1]
+    rows, cols = np.divmod(entries, chain.dim)
+    assert set((cols * chain.dim + rows).tolist()) == set(entries.tolist())
+    off = np.ones(chain.dim ** 2, dtype=bool)
+    off[entries] = False
+    flat = traj.rhos.reshape(traj.n_records, -1)[:, off]
+    for part in (flat.real, flat.imag):
+        assert not part.any() and not np.signbit(part).any()
 
 
 # -------------------------------------------------------- complete positivity
@@ -714,7 +753,7 @@ def test_psd_rates_generate_completely_positive_maps(seed, chain_and_rates):
     chain, rates = chain_and_rates
     root = np.random.default_rng(seed).uniform(-0.3, 0.3, size=rates.shape)
     for model in MODELS:
-        env = _quiet_environment(model, root @ root.T)
+        env = quiet_environment(model, root @ root.T)
         for kind in EngineKind:
             assert _gks_minimum(_lab_generator(chain, env, kind), chain.dim) >= -1e-11
 
@@ -795,7 +834,7 @@ def test_rk4_record_map_of_a_cp_generator_is_not_cp_on_the_sweep_grid(default_se
     params, envs = default_setup
     values, vectors = np.linalg.eigh(envs[M.CORRELATED_DISSIPATION].rates)
     assert values[0] < 0.0
-    env = _quiet_environment(M.CORRELATED_DISSIPATION,
+    env = quiet_environment(M.CORRELATED_DISSIPATION,
                              (vectors * np.clip(values, 0.0, None)) @ vectors.T)
     generator = _lab_generator(params, env, EngineKind.ELEMENT_WISE)
     assert _gks_minimum(generator, params.dim) >= -1e-11
@@ -852,7 +891,8 @@ def test_cached_arrays_are_not_handed_out(default_setup, propagator_cache):
     traj = lc.rk4_evolve(rho0, cfg, params, env)
     first = traj.rhos.copy()
     traj.taus[:] = -1.0
-    traj.rhos[:] = 0.0
+    traj.values[:] = 0.0
+    traj.entries[:] = 0
     again = lc.rk4_evolve(rho0, cfg, params, env)
     assert propagator_cache.cache_info().hits == 1
     assert again.taus == pytest.approx([0.0, 0.1, 0.2, 0.3])

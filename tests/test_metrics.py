@@ -415,6 +415,38 @@ def test_min_eigenvalue_recovers_spectrum():
         assert abs(diagnostics(rho).min_eigenvalue - spectrum.min()) < 1e-14
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 4, 8]),
+       st.sampled_from([0.0, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_diagnostics_of_a_support_equal_the_dense_call(seed, dim, zeroed):
+    """diagnostics reads a Trajectory's values at its entries, bit for bit
+    as it reads the dense stack traj.rhos: random entries, so that a
+    mirror may lie off them, and with zeroed > 0 records of several
+    patterns, some holding an entry whose mirror is zero."""
+    rng = np.random.default_rng(seed)
+    entries = rng.choice(dim * dim, size=rng.integers(1, dim * dim + 1), replace=False)
+    values = np.array([random_density(rng, dim=dim) for _ in range(12)]).reshape(12, -1)[:, entries]
+    values[rng.random(values.shape) < zeroed] = 0.0
+    traj = lc.Trajectory(np.zeros(12), values, entries, dim)
+    for support, dense in zip(diagnostics(traj), diagnostics(traj.rhos)):
+        assert support.tobytes() == dense.tobytes()
+
+
+def test_diagnostics_of_a_support_with_a_zero_and_an_absent_mirror():
+    """Entry (0, 1) is nonzero where its mirror (1, 0) is zero, and entry
+    (0, 2)'s mirror is not among the entries: three records, three
+    patterns, each read as the dense call reads it."""
+    entries = np.array([0, 1, 4, 5, 15, 2])
+    values = np.array([[0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+                       [0.5, 0.1j, 0.0, 0.4, 0.1, 0.0],
+                       [0.6, 0.1j, -0.1j, 0.3, 0.1, 0.2]])
+    traj = lc.Trajectory(np.arange(3.0), values, entries, 4)
+    assert len({tuple(row != 0) for row in values}) == 3
+    for support, dense in zip(diagnostics(traj), diagnostics(traj.rhos)):
+        assert support.tobytes() == dense.tobytes()
+    assert diagnostics(traj).hermiticity_error[1] == 0.1
+
+
 def test_diagnostics_rejects_bad_input():
     good = initial_bell_density(1, 8)
     for bad_value in (np.nan, np.inf):

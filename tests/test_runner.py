@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindchain as lc
+from helpers import ENTANGLED_PAIRS, chains_and_rates, quiet_environment
 from lindchain import EngineKind, EnvironmentModel, cli, runner
 from lindchain.csvio import (PlotDataError, check_finite, read_back, read_csv_columns,
                              render_csv)
-from lindchain.runner import (CSV_HEADER, ConfigError, compare_engines, parse_config,
-                              run_scenario, sweep, tau_first_below)
+from lindchain.runner import (CSV_HEADER, SWEEP_GRID, ConfigError, compare_engines,
+                              parse_config, run_scenario, sweep, tau_first_below,
+                              trajectory_table)
 
 REPO = Path(__file__).resolve().parent.parent
 MINIMAL = "model = dephasing\nstate = psi_18\n"  # every other key defaulted
@@ -616,21 +619,65 @@ def test_compare_engines_checks_dephasing_closed_form():
 def test_compare_engines_passes_only_below_the_threshold(monkeypatch):
     """A difference of exactly ENGINE_DELTA_THRESHOLD fails; the float just
     below it passes.  Stub trajectories of one record stand in for both
-    engines on a dissipative model, so no closed-form line is involved."""
+    engines on a dissipative model, so no closed-form line is involved;
+    the difference sits at the entry only the operator-built one holds."""
     cfg = parse_config("model = independent_dissipation\nstate = psi_18\n")
     threshold = runner.ENGINE_DELTA_THRESHOLD
     for delta, passed in ((threshold, False), (np.nextafter(threshold, 0.0), True)):
         def stub_rk4(rho0, evolution, params, env, delta=delta):
-            rhos = np.zeros((1, 8, 8), dtype=complex)
             if evolution.engine is EngineKind.OPERATOR_BUILT:
-                rhos[0, 0, 0] = delta
-            return lc.Trajectory(taus=np.zeros(1), rhos=rhos)
+                return lc.Trajectory(np.zeros(1), np.array([[delta + 0j]]), np.array([0]), 8)
+            return lc.Trajectory(np.zeros(1), np.zeros((1, 1), dtype=complex), np.array([9]), 8)
 
         monkeypatch.setattr(runner, "rk4_evolve", stub_rk4)
         report = compare_engines(cfg)
         assert report.max_delta == delta
         assert report.passed is passed
         assert report.closed_form_delta is None
+
+
+def test_compare_engines_reads_the_union_of_the_supports(monkeypatch):
+    """Each engine's stub holds an entry the other lacks; the largest
+    difference sits at one of them, and is reported whichever it is."""
+    cfg = parse_config("model = independent_dissipation\nstate = psi_18\n")
+    shared = np.array([[0.5, 0.25j, 0.5]])
+    for element_only, operator_only in ((3e-7, 2e-7), (2e-7, 3e-7)):
+        def stub_rk4(rho0, evolution, params, env, a=element_only, b=operator_only):
+            if evolution.engine is EngineKind.OPERATOR_BUILT:
+                return lc.Trajectory(np.zeros(1), np.append(shared, [[b]], axis=1),
+                                     np.array([0, 7, 63, 56]), 8)
+            return lc.Trajectory(np.zeros(1), np.append(shared, [[a]], axis=1),
+                                 np.array([0, 7, 63, 9]), 8)
+
+        monkeypatch.setattr(runner, "rk4_evolve", stub_rk4)
+        report = compare_engines(cfg)
+        assert report.max_delta == 3e-7
+        assert report.passed
+
+
+@given(chains_and_rates(n_qubits=3), st.sampled_from(list(EnvironmentModel)),
+       st.sampled_from(ENTANGLED_PAIRS))
+@settings(max_examples=25, deadline=None)
+def test_table_of_the_records_equals_the_dense_table(chain_and_rates, model, pair):
+    """trajectory_table reads the records' values at their entries; the
+    dense public functions on traj.rhos give every column bit for bit, but
+    purity, summed over other entries, to 1e-15."""
+    chain, rates = chain_and_rates
+    with warnings.catch_warnings():  # indefinite rates may leave RK4 unstable
+        warnings.simplefilter("ignore")
+        traj = lc.rk4_evolve(lc.initial_bell_density(*pair), replace(SWEEP_GRID, t_max=2.0),
+                             chain, quiet_environment(model, rates))
+    rhos = traj.rhos
+    dense = np.column_stack((traj.taus, lc.purity(rhos), lc.gme(rhos, pair),
+                             np.diagonal(rhos, axis1=1, axis2=2).real,
+                             np.abs(rhos[:, pair[0] - 1, pair[1] - 1]), *lc.diagnostics(rhos)))
+    table = trajectory_table(traj, pair)
+    assert table.shape == dense.shape == (traj.n_records, len(CSV_HEADER))
+    for k, name in enumerate(CSV_HEADER):
+        if name == "purity":
+            assert np.max(np.abs(table[:, k] - dense[:, k])) <= 1e-15
+        else:
+            assert table[:, k].tobytes() == dense[:, k].tobytes(), name
 
 
 # ---------------------------------------------------------- tau* and sweep
